@@ -18,6 +18,11 @@ grid can be evaluated at once:
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
   (projection), reproducing the scalar engines bit-for-bit;
+* data parallelism changes only the gradient all-reduces, so every other
+  slot (all GEMMs, element-wise ops and TP all-reduces) is timed once
+  per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` and
+  gathered back per row (:func:`_dp_free_rows`); only the DP-group
+  all-reduces are timed on every row;
 * the two-stream schedule collapses to closed-form prefix sums
   (:func:`repro.sim.vectorized.closed_form_breakdown`): serialized comm
   adds to the critical path, overlappable DP all-reduces expose only
@@ -427,8 +432,65 @@ def _group_sizes(grid: ConfigGrid, slot: _CommSlot) -> np.ndarray:
     return grid.tp if slot.group == "tp" else grid.dp
 
 
-def _slot_column(value, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=np.int64), (n,))
+def _reads_dp(slot: _Slot) -> bool:
+    """Whether a slot's duration depends on the DP degree."""
+    return isinstance(slot, _CommSlot) and slot.group == "dp"
+
+
+@dataclass(frozen=True, eq=False)
+class _DpFreeRows:
+    """Runs of equal DP-free keys ``(H, SL, B, TP, heads, FFN)``.
+
+    Attributes:
+        starts: First row of each run (its representative).
+        inverse: Run index of every row; ``None`` when every row is its
+            own run and nothing needs compressing.
+    """
+
+    starts: np.ndarray
+    inverse: Optional[np.ndarray]
+
+    @property
+    def count(self) -> int:
+        return int(self.starts.size)
+
+    def compress(self, value):
+        """A per-row slot value restricted to the run representatives."""
+        if self.inverse is None:
+            return value
+        array = np.asarray(value)
+        return array[self.starts] if array.ndim else value
+
+    def expand(self, times: np.ndarray, slots: int) -> np.ndarray:
+        """Per-run stacked times of ``slots`` slots, gathered per row."""
+        if self.inverse is None:
+            return times
+        return times.reshape(slots, self.count)[:, self.inverse].reshape(-1)
+
+
+def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
+    """Detect runs of rows whose DP-free slot shapes are all equal.
+
+    Every slot shape except the DP group size of the gradient
+    all-reduces is a function of ``(H, SL, B, TP, heads, FFN)``, and DP
+    is the fastest-varying axis of :class:`~repro.core.gridplan.GridSpec`
+    chunks, so consecutive rows repeat the same key.  The timing models
+    are element-wise, so timing one row per run and gathering the
+    results back is bit-identical to timing every row.  heads and FFN
+    belong in the key: ``from_models`` grids can put models with equal
+    (H, SL, B, TP) but different head counts on adjacent rows, and head
+    count changes the attention GEMM shapes.
+    """
+    n = len(grid)
+    change = np.ones(n, dtype=bool)
+    if n > 1:
+        change[1:] = False
+        for col in (grid.hidden, grid.seq_len, grid.batch, grid.tp,
+                    grid.num_heads, grid.ffn_dim):
+            change[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(change)
+    inverse = np.cumsum(change) - 1 if starts.size < n else None
+    return _DpFreeRows(starts=starts, inverse=inverse)
 
 
 def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
@@ -438,32 +500,46 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
 
     Same-type slots are stacked into one flat vectorized call per kind
     (all GEMMs together, element-wise ops per jitter kind, collectives
-    per overlap class): the timing formulas are element-wise, so the
-    stacking changes the fixed NumPy overhead -- from per-slot to
-    per-partition -- without touching any computed value.  Stacks go
+    per overlap class and group): the timing formulas are element-wise,
+    so the stacking changes the fixed NumPy overhead -- from per-slot to
+    per-partition -- without touching any computed value.  Slots that
+    do not read DP are timed on the DP-free run representatives only
+    (:func:`_dp_free_rows`) and expanded back per row.  Stacks go
     through :func:`repro.sim.vectorized.stack_columns`, which reuses
     one scratch buffer per argument position across chunks; each stack
     is consumed by its timing-model call before the tag is reused.
     """
     n = int(grid.hidden.shape[0])
+    rows = _dp_free_rows(grid)
+    width = rows.count
     durations: List[Optional[np.ndarray]] = [None] * len(slots)
 
-    def stack(tag: str, columns: List[np.ndarray]) -> np.ndarray:
-        return vectorized.stack_columns(tag, columns, n)
+    def stack(tag: str, values: List[object],
+              per_row: bool = False) -> np.ndarray:
+        if per_row:
+            return vectorized.stack_columns(tag, values, n)
+        return vectorized.stack_columns(
+            tag, [rows.compress(value) for value in values], width
+        )
+
+    def place(times: np.ndarray, indices: List[int],
+              per_row: bool = False) -> None:
+        if not per_row:
+            times = rows.expand(times, len(indices))
+        for row, i in enumerate(indices):
+            durations[i] = times[row * n:(row + 1) * n]
 
     gemms = [i for i, slot in enumerate(slots)
              if isinstance(slot, _GemmSlot)]
     if gemms:
         times = vectorized.gemm_times(
-            stack("gemm.m", [_slot_column(slots[i].m, n) for i in gemms]),
-            stack("gemm.n", [_slot_column(slots[i].n, n) for i in gemms]),
-            stack("gemm.k", [_slot_column(slots[i].k, n) for i in gemms]),
-            stack("gemm.batch", [_slot_column(slots[i].batch, n)
-                                 for i in gemms]),
+            stack("gemm.m", [slots[i].m for i in gemms]),
+            stack("gemm.n", [slots[i].n for i in gemms]),
+            stack("gemm.k", [slots[i].k for i in gemms]),
+            stack("gemm.batch", [slots[i].batch for i in gemms]),
             cluster.device, grid.precision, timing.gemm,
         )
-        for row, i in enumerate(gemms):
-            durations[i] = times[row * n:(row + 1) * n]
+        place(times, gemms)
 
     ew_groups: dict = {}
     for i, slot in enumerate(slots):
@@ -472,29 +548,28 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
                                  []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
         times = vectorized.elementwise_times(
-            stack("ew.elements", [_slot_column(slots[i].elements, n)
-                                  for i in indices]),
+            stack("ew.elements", [slots[i].elements for i in indices]),
             cluster.device, grid.precision, rw_factor, kind,
             timing.elementwise,
         )
-        for row, i in enumerate(indices):
-            durations[i] = times[row * n:(row + 1) * n]
+        place(times, indices)
 
     for overlapped in (False, True):
-        comms = [i for i, slot in enumerate(slots)
-                 if isinstance(slot, _CommSlot)
-                 and slot.overlappable == overlapped]
-        if not comms:
-            continue
-        times = vectorized.cluster_all_reduce_times(
-            stack("comm.nbytes", [_slot_column(slots[i].nbytes, n)
-                                  for i in comms]),
-            stack("comm.group", [_group_sizes(grid, slots[i])
-                                 for i in comms]),
-            cluster, overlapped=overlapped,
-        )
-        for row, i in enumerate(comms):
-            durations[i] = times[row * n:(row + 1) * n]
+        for per_row in (False, True):
+            comms = [i for i, slot in enumerate(slots)
+                     if isinstance(slot, _CommSlot)
+                     and slot.overlappable == overlapped
+                     and _reads_dp(slot) == per_row]
+            if not comms:
+                continue
+            times = vectorized.cluster_all_reduce_times(
+                stack("comm.nbytes", [slots[i].nbytes for i in comms],
+                      per_row),
+                stack("comm.group", [_group_sizes(grid, slots[i])
+                                     for i in comms], per_row),
+                cluster, overlapped=overlapped,
+            )
+            place(times, comms, per_row)
     return durations
 
 
@@ -582,10 +657,15 @@ def _scatter(out: Tuple[np.ndarray, ...], mask: np.ndarray,
 def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
                   timing: TimingModels = DEFAULT_TIMING,
                   validate: bool = True) -> BatchBreakdown:
-    """Ground-truth breakdowns for a whole grid at once.
+    """Ground-truth breakdowns for a whole grid at once, timing every
+    slot that does not read DP once per run of equal DP-free rows.
 
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
-    ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.
+    ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Within
+    each parity partition, all GEMMs, element-wise ops and TP-group
+    all-reduces are timed on one representative per run of equal
+    ``(H, SL, B, TP, heads, FFN)`` rows and gathered back per row; only
+    the DP-group gradient all-reduces are timed on every row.
 
     Args:
         validate: Cross-check each parity partition's slot structure
@@ -668,7 +748,9 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
 
     Equivalent to :func:`repro.core.roi.overlap_roi_timing` per entry:
     sums the backprop weight-bearing IG/WG GEMM times and the
-    overlappable gradient all-reduce times in trace order.
+    overlappable gradient all-reduce times in trace order.  The GEMMs
+    are timed once per run of equal DP-free rows, as in
+    :func:`batch_execute`.
 
     Raises:
         ValueError: if any entry has DP = 1 (no overlappable comm; same
@@ -686,15 +768,16 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
         slots = _layer_slots(sub, tp_flag, dp_flag)
         if validate:
             _check_against_exemplar(slots, sub)
-        compute_part = np.zeros(len(sub), dtype=np.float64)
+        # The GEMMs never read DP: time them once per DP-free run.
+        rows = _dp_free_rows(sub)
+        compute_part = np.zeros(rows.count, dtype=np.float64)
         comm_part = np.zeros(len(sub), dtype=np.float64)
         for slot in slots:
             if isinstance(slot, _GemmSlot) and slot.backward \
                     and slot.has_weights:
                 compute_part = compute_part + vectorized.gemm_times(
-                    slot.m, slot.n, slot.k,
-                    np.broadcast_to(np.asarray(slot.batch, dtype=np.int64),
-                                    sub.hidden.shape),
+                    rows.compress(slot.m), rows.compress(slot.n),
+                    rows.compress(slot.k), rows.compress(slot.batch),
                     cluster.device, sub.precision, timing.gemm,
                 )
             elif isinstance(slot, _CommSlot) and slot.overlappable:
@@ -702,7 +785,7 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
                     slot.nbytes, _group_sizes(sub, slot), cluster,
                     overlapped=True,
                 )
-        compute[mask] = compute_part
+        compute[mask] = rows.expand(compute_part, 1)
         comm[mask] = comm_part
     return compute, comm
 

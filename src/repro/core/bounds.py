@@ -66,9 +66,10 @@ from repro.core.batch import (
     _CommSlot,
     _EwSlot,
     _GemmSlot,
+    _dp_free_rows,
     _group_sizes,
     _layer_slots,
-    _partitions,
+    _reads_dp,
     _slot_kind,
 )
 from repro.core.evolution import HardwareScenario
@@ -245,8 +246,8 @@ def _slot_bound_durations(
 
     Mirrors :func:`repro.core.batch._slot_durations` slot-for-slot, with
     the exact timing models replaced by the family envelopes.  Stacking
-    uses dedicated scratch tags so bound evaluation never clobbers an
-    in-flight engine stack.
+    uses fresh buffers, never the engine's scratch stacks, so bound
+    evaluation cannot clobber an in-flight engine stack.
     """
     n = int(grid.hidden.shape[0])
     lowers: List[Optional[np.ndarray]] = [None] * len(slots)
@@ -255,61 +256,41 @@ def _slot_bound_durations(
         empty = np.zeros(0, dtype=np.float64)
         return [empty] * len(slots), [empty] * len(slots)
 
-    # Compute-family slot shapes never involve dp -- the fastest-varying
-    # product axis -- so on grid chunks consecutive rows repeat the same
-    # (H, SL, B, TP, heads, FFN) tuple.  Dedupe those runs once and
-    # evaluate the (dominant) GEMM/element-wise envelope math on the
-    # unique rows only: the math is elementwise, so expanding the
-    # results back by run is bit-identical to evaluating every row.
-    # heads/FFN must be part of the run key: ``from_models`` grids can
-    # put models with equal (H, SL, B, TP) but different head counts on
-    # adjacent rows, and head count changes the attention GEMM shapes.
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = False
-    for col in (grid.hidden, grid.seq_len, grid.batch, grid.tp,
-                grid.num_heads, grid.ffn_dim):
-        change[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(change)
-    n_unique = int(starts.size)
-    inverse = (np.cumsum(change) - 1) if n_unique < n else None
+    # Every slot except the DP-group all-reduces is bounded once per run
+    # of equal DP-free rows, exactly as in the exact engine.
+    rows = _dp_free_rows(grid)
 
-    def compress(value: object) -> object:
-        if inverse is None:
-            return value
-        arr = np.asarray(value)
-        return arr[starts] if arr.ndim else value
-
-    def stack(values: List[object], width: int) -> np.ndarray:
+    def stack(values: List[object], per_row: bool = False) -> np.ndarray:
         """Stack per-slot scalar-or-array values into one flat int64 row
-        block; numpy broadcasts scalars in the C fill, so this skips the
-        per-slot ``_slot_column`` views the exact engine uses."""
-        out = np.empty((len(values), width), dtype=np.int64)
+        block; numpy broadcasts scalars in the C fill."""
+        if not per_row:
+            values = [rows.compress(value) for value in values]
+        out = np.empty((len(values), n if per_row else rows.count),
+                       dtype=np.int64)
         for row, value in enumerate(values):
             out[row] = value
         return out.reshape(-1)
 
-    def unstack(times: np.ndarray, indices: List[int],
-                out: List[Optional[np.ndarray]],
-                expand: bool = False) -> None:
-        if expand and inverse is not None:
-            times = times.reshape(len(indices), n_unique)[:, inverse]
-            times = times.reshape(-1)
+    def place(lo: np.ndarray, up: np.ndarray, indices: List[int],
+              per_row: bool = False) -> None:
+        if not per_row:
+            lo = rows.expand(lo, len(indices))
+            up = rows.expand(up, len(indices))
         for row, i in enumerate(indices):
-            out[i] = times[row * n:(row + 1) * n]
+            lowers[i] = lo[row * n:(row + 1) * n]
+            uppers[i] = up[row * n:(row + 1) * n]
 
     gemms = [i for i, slot in enumerate(slots)
              if isinstance(slot, _GemmSlot)]
     if gemms:
         lo, up = _gemm_bound_durations(
-            stack([compress(slots[i].m) for i in gemms], n_unique),
-            stack([compress(slots[i].n) for i in gemms], n_unique),
-            stack([compress(slots[i].k) for i in gemms], n_unique),
-            stack([compress(slots[i].batch) for i in gemms], n_unique),
+            stack([slots[i].m for i in gemms]),
+            stack([slots[i].n for i in gemms]),
+            stack([slots[i].k for i in gemms]),
+            stack([slots[i].batch for i in gemms]),
             cluster.device, grid.precision, timing.gemm,
         )
-        unstack(lo, gemms, lowers, expand=True)
-        unstack(up, gemms, uppers, expand=True)
+        place(lo, up, gemms)
 
     ew_quiet = timing.elementwise.without_jitter()
     ew_amp = timing.elementwise.jitter_amplitude
@@ -318,13 +299,12 @@ def _slot_bound_durations(
         if isinstance(slot, _EwSlot):
             ew_groups.setdefault((slot.kind, slot.rw_factor), []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
-        base = vectorized.elementwise_times(
-            stack([compress(slots[i].elements) for i in indices],
-                  n_unique),
+        base = rows.expand(vectorized.elementwise_times(
+            stack([slots[i].elements for i in indices]),
             cluster.device, grid.precision, rw_factor, kind, ew_quiet,
-        )
-        unstack(base * (1.0 - ew_amp), indices, lowers, expand=True)
-        unstack(base * (1.0 + ew_amp), indices, uppers, expand=True)
+        ), len(indices))
+        place(base * (1.0 - ew_amp), base * (1.0 + ew_amp), indices,
+              per_row=True)
 
     comm_amp = cluster.collective_model.jitter_amplitude
     comm_lo = (1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN)
@@ -333,18 +313,20 @@ def _slot_bound_durations(
         cluster, collective_model=cluster.collective_model.without_jitter()
     )
     for overlapped in (False, True):
-        comms = [i for i, slot in enumerate(slots)
-                 if isinstance(slot, _CommSlot)
-                 and slot.overlappable == overlapped]
-        if not comms:
-            continue
-        base = vectorized.cluster_all_reduce_times(
-            stack([slots[i].nbytes for i in comms], n),
-            stack([_group_sizes(grid, slots[i]) for i in comms], n),
-            quiet_cluster, overlapped=overlapped,
-        )
-        unstack(base * comm_lo, comms, lowers)
-        unstack(base * comm_up, comms, uppers)
+        for per_row in (False, True):
+            comms = [i for i, slot in enumerate(slots)
+                     if isinstance(slot, _CommSlot)
+                     and slot.overlappable == overlapped
+                     and _reads_dp(slot) == per_row]
+            if not comms:
+                continue
+            base = vectorized.cluster_all_reduce_times(
+                stack([slots[i].nbytes for i in comms], per_row),
+                stack([_group_sizes(grid, slots[i]) for i in comms],
+                      per_row),
+                quiet_cluster, overlapped=overlapped,
+            )
+            place(base * comm_lo, base * comm_up, comms, per_row)
     return lowers, uppers
 
 
@@ -368,23 +350,26 @@ def _exposed_bounds(lower: Dict[str, np.ndarray],
 
 def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
                    timing: TimingModels) -> MetricBounds:
-    n = len(grid)
-    lower = {name: np.zeros(n, dtype=np.float64) for name in _STORED}
-    upper = {name: np.zeros(n, dtype=np.float64) for name in _STORED}
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        kinds = [_slot_kind(slot) for slot in slots]
-        lo_durations, up_durations = _slot_bound_durations(
-            slots, sub, cluster, timing
-        )
-        for name, part in zip(_STORED,
-                              vectorized.closed_form_breakdown(
-                                  kinds, lo_durations)):
-            lower[name][mask] = part
-        for name, part in zip(_STORED,
-                              vectorized.closed_form_breakdown(
-                                  kinds, up_durations)):
-            upper[name][mask] = part
+    """Bounds for every row in one pass over the widest slot list.
+
+    The exact engine evaluates each ``(TP > 1, DP > 1)`` parity
+    partition with its own slot list; here every row takes the list
+    with both TP and DP all-reduces.  A collective over a one-device
+    group times as exactly 0.0, and a zero-duration slot leaves every
+    closed-form sum and maximum bit-for-bit unchanged (durations are
+    non-negative, so an async chain of zeros never outlasts the blocking
+    chain).  The result equals the per-partition evaluation while
+    paying the per-slot Python overhead once per grid instead of once
+    per partition.
+    """
+    slots = _layer_slots(grid, True, True)
+    kinds = [_slot_kind(slot) for slot in slots]
+    lo_durations, up_durations = _slot_bound_durations(slots, grid, cluster,
+                                                       timing)
+    lower = dict(zip(_STORED,
+                     vectorized.closed_form_breakdown(kinds, lo_durations)))
+    upper = dict(zip(_STORED,
+                     vectorized.closed_form_breakdown(kinds, up_durations)))
     _exposed_bounds(lower, upper)
     return MetricBounds(lower=lower, upper=upper)
 

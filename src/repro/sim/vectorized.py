@@ -9,7 +9,9 @@ scalar models of :mod:`repro.hardware` bit-for-bit:
 * the deterministic shape-keyed jitter is computed through the same
   :func:`repro.hardware.gemm.stable_unit_hash` on keys built from Python
   ints (NumPy 2.x scalars ``repr`` differently and would corrupt the
-  hashes);
+  hashes); each timing call hashes every *distinct* key once
+  (``np.unique`` over the key columns) and gathers the factors back per
+  element, and a FIFO memo shares hashes across calls;
 * integer helpers (`ceil`, power-of-two rounding, tree depth) use exact
   integer arithmetic that coincides with the scalar models' float-based
   forms over the representable range.
@@ -93,10 +95,11 @@ def _cached_unit_hash(key: tuple) -> float:
 _SCRATCH = threading.local()
 
 
-def stack_columns(tag: str, columns: Sequence[np.ndarray],
+def stack_columns(tag: str, columns: Sequence[object],
                   n: int) -> np.ndarray:
     """Stack per-slot length-``n`` columns into one reused flat buffer.
 
+    Scalar entries are broadcast to ``n`` copies by the fill itself.
     Bit-identical to ``np.concatenate(columns)`` for int64 inputs; the
     returned array is a view of a thread-local scratch buffer, valid
     only until the next :func:`stack_columns` call with the same
@@ -124,6 +127,25 @@ def _jitter_factors(amplitude: float, keys: Sequence[tuple]) -> np.ndarray:
         count=len(keys),
     )
     return 1.0 + amplitude * (2.0 * u - 1.0)
+
+
+def _distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of equal-length int64 key columns.
+
+    Returns ``(unique, inverse)``: ``unique`` is an ``(u, len(columns))``
+    array of the distinct rows and ``inverse`` maps every input row to
+    its row of ``unique``.  Jitter keys repeat heavily within one
+    stacked timing call (the same shape recurs across slots and grid
+    rows), so hashing ``unique`` and gathering by ``inverse`` replaces
+    one key tuple and one memo lookup per element with one per distinct
+    key.  Rows are compared as raw bytes through a void view, which
+    sorts them in one pass.
+    """
+    rows = np.stack(columns, axis=1)
+    width = rows.shape[1]
+    packed = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    unique, inverse = np.unique(packed, return_inverse=True)
+    return unique.view(rows.dtype).reshape(-1, width), inverse
 
 
 # -- GEMM ---------------------------------------------------------------
@@ -198,7 +220,8 @@ def gemm_times(
     precision: Precision,
     model: GemmTimingModel,
 ) -> np.ndarray:
-    """Vectorized :meth:`GemmTimingModel.time` over shape arrays."""
+    """Vectorized :meth:`GemmTimingModel.time` over shape arrays; each
+    distinct ``(m, n, k, batch)`` jitter key is hashed once per call."""
     m, n, k, batch = (_as_i64(m), _as_i64(n), _as_i64(k), _as_i64(batch))
     eff = _gemm_efficiency_for_tile(m, n, k, batch, device,
                                     model.TILE_CANDIDATES[0], model)
@@ -216,12 +239,11 @@ def gemm_times(
     base = np.maximum(t_compute, t_memory) + device.compute_launch_overhead
     if model.jitter_amplitude == 0:
         return base * 1.0
-    keys = [
-        ("gemm", mi, ni, ki, bi, precision.value)
-        for mi, ni, ki, bi in zip(m.tolist(), n.tolist(), k.tolist(),
-                                  batch.tolist())
-    ]
-    return base * _jitter_factors(model.jitter_amplitude, keys)
+    unique, inverse = _distinct_rows(*np.broadcast_arrays(m, n, k, batch))
+    dtype = precision.value
+    keys = [("gemm", mi, ni, ki, bi, dtype)
+            for mi, ni, ki, bi in unique.tolist()]
+    return base * _jitter_factors(model.jitter_amplitude, keys)[inverse]
 
 
 # -- element-wise -------------------------------------------------------
@@ -235,7 +257,8 @@ def elementwise_times(
     kind: str,
     model: ElementwiseTimingModel,
 ) -> np.ndarray:
-    """Vectorized :meth:`ElementwiseTimingModel.time` over element counts."""
+    """Vectorized :meth:`ElementwiseTimingModel.time` over element counts;
+    each distinct count's jitter key is hashed once per call."""
     elements = _as_i64(elements)
     # Scalar path: int(elements * precision.bytes * rw_factor).  The int
     # product is exact in float64 for the sizes in play, so truncation
@@ -249,8 +272,10 @@ def elementwise_times(
     base = base + device.compute_launch_overhead
     if not model.jitter_amplitude:
         return base
-    keys = [(kind, count, precision.value) for count in elements.tolist()]
-    return base * _jitter_factors(model.jitter_amplitude, keys)
+    counts, inverse = np.unique(elements, return_inverse=True)
+    dtype = precision.value
+    keys = [(kind, count, dtype) for count in counts.tolist()]
+    return base * _jitter_factors(model.jitter_amplitude, keys)[inverse]
 
 
 # -- collectives --------------------------------------------------------
@@ -269,11 +294,16 @@ def _collective_jitter(
 ):
     if model.jitter_amplitude == 0:
         return 1.0
-    keys = [
-        ("collective", op, int(size), devices)
-        for size, devices in zip(nbytes.tolist(), n_devices.tolist())
-    ]
-    return _jitter_factors(model.jitter_amplitude, keys)
+    # Dedupe on the float's bit pattern so distinct sizes never share a
+    # key row; the key itself stays ``int(size)`` as in the scalar model.
+    unique, inverse = _distinct_rows(
+        np.ascontiguousarray(nbytes, dtype=np.float64).view(np.int64),
+        n_devices,
+    )
+    sizes = unique[:, 0].view(np.float64).tolist()
+    keys = [("collective", op, int(size), devices)
+            for size, devices in zip(sizes, unique[:, 1].tolist())]
+    return _jitter_factors(model.jitter_amplitude, keys)[inverse]
 
 
 def all_reduce_times(

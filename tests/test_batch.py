@@ -203,6 +203,102 @@ def test_overlap_roi_requires_dp(cluster):
         batch_overlap_roi(grid, cluster)
 
 
+# -- DP-invariant slots and jitter-key dedupe ---------------------------
+#
+# The engine times every slot that does not read DP once per run of equal
+# (H, SL, B, TP, heads, FFN) rows, and hashes each distinct jitter key
+# once per timing call.  Both are pure re-indexing, so these grids must
+# agree with the scalar reference bit for bit, not just within REL.
+
+
+def _pair(hidden, seq_len, batch, tp, dp, heads, ffn=None):
+    model = ModelConfig(name=f"m{hidden}-{heads}-{ffn}", hidden=hidden,
+                        seq_len=seq_len, batch=batch, num_heads=heads,
+                        ffn_dim=ffn)
+    return model, ParallelConfig(tp=tp, dp=dp)
+
+
+DEDUPE_GRIDS = {
+    "dp-only": [_pair(2048, 1024, 2, 4, dp, 16)
+                for dp in (2, 4, 8, 16, 64)],
+    "non-adjacent-duplicates": [
+        _pair(2048, 1024, 2, 4, 8, 16),
+        _pair(4096, 512, 1, 8, 8, 32),
+        _pair(2048, 1024, 2, 4, 8, 16),
+        _pair(1024, 2048, 4, 2, 4, 8),
+        _pair(4096, 512, 1, 8, 16, 32),
+        _pair(2048, 1024, 2, 4, 2, 16),
+    ],
+    "heads-and-ffn": [
+        _pair(4096, 1024, 2, 4, 8, 16),
+        _pair(4096, 1024, 2, 4, 8, 32),
+        _pair(4096, 1024, 2, 4, 8, 32, ffn=8192),
+        _pair(4096, 1024, 2, 4, 8, 32, ffn=8192),
+        _pair(4096, 1024, 2, 4, 8, 16),
+    ],
+    "single-row": [_pair(3072, 2048, 1, 8, 4, 24)],
+    "mixed-dp": [_pair(2048, 1024, 2, tp, dp, 16)
+                 for tp in (1, 4) for dp in (1, 2, 1, 8, 8)],
+}
+
+
+def assert_bit_identical(grid: ConfigGrid, cluster, timing) -> None:
+    """batch_execute / batch_overlap_roi equal the scalar path exactly."""
+    breakdown = batch_execute(grid, cluster, timing)
+    dp_rows = np.flatnonzero(grid.dp > 1)
+    if dp_rows.size:
+        roi_compute, roi_comm = batch_overlap_roi(
+            grid.subset(grid.dp > 1), cluster, timing)
+    for index in range(len(grid)):
+        model, parallel = grid.at(index)
+        scalar = execute_trace(layer_trace(model, parallel), cluster,
+                               timing).breakdown
+        assert breakdown.at(index) == scalar, index
+    for position, index in enumerate(dp_rows.tolist()):
+        roi = overlap_roi_timing(*grid.at(index), cluster, timing)
+        assert float(roi_compute[position]) == roi.compute_time
+        assert float(roi_comm[position]) == roi.comm_time
+
+
+@pytest.mark.parametrize("name", sorted(DEDUPE_GRIDS))
+def test_dp_invariant_dedupe_is_bit_identical(cluster, name):
+    grid = ConfigGrid.from_models(DEDUPE_GRIDS[name])
+    assert_bit_identical(grid, cluster, DEFAULT_TIMING)
+
+
+@pytest.mark.parametrize("name", sorted(DEDUPE_GRIDS))
+def test_dp_invariant_dedupe_without_jitter(exact_cluster, exact_timing,
+                                            name):
+    grid = ConfigGrid.from_models(DEDUPE_GRIDS[name])
+    assert_bit_identical(grid, exact_cluster, exact_timing)
+
+
+def test_jitter_keys_are_builtin_python_scalars(cluster, monkeypatch):
+    """NumPy scalars ``repr`` differently under NumPy 2 and would shift
+    every jittered value; keys must reach the hash as built-in types."""
+    from repro.core.gridplan import GridSpec
+    from repro.experiments.ext_designspace import DESIGN_AXES
+    from repro.sim import vectorized
+
+    real_hash = vectorized.stable_unit_hash
+    seen = []
+
+    def guarded(*parts):
+        for part in parts:
+            assert type(part) in (int, str, float), (parts, type(part))
+        seen.append(parts[0])
+        return real_hash(*parts)
+
+    monkeypatch.setattr(vectorized, "stable_unit_hash", guarded)
+    monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
+    spec = GridSpec(**DESIGN_AXES)
+    chunk = next(c for c in spec.chunks(chunk_size=2048)
+                 if len(c) and (c.grid.dp > 1).any()
+                 and (c.grid.tp > 1).any())
+    batch_execute(chunk.grid, cluster)
+    assert {"gemm", "collective", "layernorm"} <= set(seen)
+
+
 # -- projection path (operator scaling laws) ----------------------------
 
 

@@ -29,9 +29,10 @@ from repro.core.evolution import PAPER_SCENARIOS
 from repro.core.gridplan import GridSpec, MaxWorldSize
 from repro.core.hyperparams import ParallelConfig
 from repro.core.reducers import metric_values
-from repro.hardware.cluster import mi210_node
+from repro.hardware.cluster import mi210_node, multi_node_cluster
 from repro.models.zoo import MODEL_ZOO
 from repro.sim.checker import random_configs
+from repro.sim.executor import DEFAULT_TIMING
 
 CLUSTER = mi210_node()
 
@@ -103,6 +104,33 @@ class TestAdmissibility:
             values = metric_values(name, exact)
             np.testing.assert_array_equal(bounds.lower[name], values)
             np.testing.assert_array_equal(bounds.upper[name], values)
+
+    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
+                             ids=("node", "multi-node"))
+    def test_one_pass_equals_parity_partitions(self, cluster):
+        """Bounding every row with the TP+DP slot list is bit-identical
+        to bounding each parity partition with its own slot list."""
+        from repro.core.batch import _layer_slots, _partitions, _slot_kind
+        from repro.core.bounds import _slot_bound_durations
+        from repro.sim.vectorized import closed_form_breakdown
+
+        grid = ConfigGrid.from_models(random_configs(120, seed=11))
+        bounds = bound_grid(grid, cluster=cluster)
+        stored = ("compute_time", "serialized_comm_time",
+                  "overlapped_comm_time", "iteration_time")
+        seen = 0
+        for mask, sub, tp_flag, dp_flag in _partitions(grid):
+            slots = _layer_slots(sub, tp_flag, dp_flag)
+            kinds = [_slot_kind(slot) for slot in slots]
+            for side, durations in zip(
+                    (bounds.lower, bounds.upper),
+                    _slot_bound_durations(slots, sub, cluster,
+                                          DEFAULT_TIMING)):
+                parts = closed_form_breakdown(kinds, durations)
+                for name, part in zip(stored, parts):
+                    np.testing.assert_array_equal(side[name][mask], part)
+            seen += 1
+        assert seen == 4  # every parity partition is exercised
 
     def test_validation_errors(self):
         grid = ConfigGrid.from_models(random_configs(4, seed=0))
