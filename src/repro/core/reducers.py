@@ -218,15 +218,6 @@ class Reducer:
         """Whether chunk-interval pruning is sound for this reducer."""
         return False
 
-    def threshold(self, payload: Dict[str, object]) -> object:
-        """The incumbent cut pruning compares bounds against.
-
-        ``None`` while the incumbent cannot reject anything (e.g. a
-        top-k list that is not yet full); otherwise a JSON-able summary
-        of the current selection boundary.
-        """
-        return None
-
     def can_prune(self, payload: Dict[str, object],
                   bounds: "ChunkBounds") -> bool:
         """True when no row of the bounded chunk can enter the output.
@@ -246,10 +237,6 @@ class Reducer:
         incumbent tightens as early as possible.
         """
         return ()
-
-
-def _entry_sort_key(entry: Mapping[str, object]) -> Tuple[float, int]:
-    return (float(entry["value"]), int(entry["offset"]))
 
 
 def _entries(chunk: EvaluatedChunk, metric: str,
@@ -301,14 +288,16 @@ class TopK(Reducer):
         ))
         return entries[:self.k]
 
-    def observe(self, chunk: EvaluatedChunk) -> Dict[str, object]:
+    def _best(self, chunk: EvaluatedChunk) -> List[Dict[str, object]]:
         if len(chunk) == 0:
-            return self.empty()
+            return []
         values = metric_values(self.metric, chunk.breakdown)
         order = np.argsort(-values if self.largest else values,
                            kind="stable")[:self.k]
-        return {"entries": self._select(_entries(chunk, self.metric,
-                                                 order))}
+        return self._select(_entries(chunk, self.metric, order))
+
+    def observe(self, chunk: EvaluatedChunk) -> Dict[str, object]:
+        return {"entries": self._best(chunk)}
 
     def merge(self, a: Dict[str, object],
               b: Dict[str, object]) -> Dict[str, object]:
@@ -321,18 +310,14 @@ class TopK(Reducer):
 
         return self.metric in BOUNDED_METRICS
 
-    def threshold(self, payload: Dict[str, object]) -> Optional[float]:
-        """The k-th incumbent value, once the list is full."""
-        entries = payload["entries"]
-        if len(entries) < self.k:
-            return None
-        return float(entries[-1]["value"])
-
     def can_prune(self, payload: Dict[str, object],
                   bounds: "ChunkBounds") -> bool:
-        cut = self.threshold(payload)
-        if cut is None or not bounds.lower:
+        """Prunable once the list is full and the chunk cannot beat the
+        k-th incumbent value."""
+        entries = payload["entries"]
+        if len(entries) < self.k or not bounds.lower:
             return False
+        cut = float(entries[-1]["value"])
         # Strict comparisons: a row tying the k-th value could still win
         # the offset tie-break, so equality is never prunable.
         if self.largest:
@@ -411,14 +396,6 @@ class ParetoFront(Reducer):
 
         return (self.metric_x in BOUNDED_METRICS
                 and self.metric_y in BOUNDED_METRICS)
-
-    def threshold(self, payload: Dict[str, object]
-                  ) -> Optional[List[List[float]]]:
-        """The incumbent frontier staircase as ``[x, y]`` pairs."""
-        entries = payload["entries"]
-        if not entries:
-            return None
-        return [[float(e["x"]), float(e["y"])] for e in entries]
 
     def can_prune(self, payload: Dict[str, object],
                   bounds: "ChunkBounds") -> bool:
@@ -577,8 +554,9 @@ class Histogram(Reducer):
 class ArgExtrema(Reducer):
     """The single best and worst configuration by one metric.
 
-    Equivalent to ``TopK(k=1)`` in both directions, reported as one
-    ``{"min": entry, "max": entry}`` payload.
+    Exactly ``TopK(metric, 1, largest=False)`` and ``TopK(metric, 1,
+    largest=True)``, which it delegates to, reported as one ``{"min":
+    entry, "max": entry}`` payload (``None`` for a side with no rows).
     """
 
     metric: str
@@ -586,7 +564,10 @@ class ArgExtrema(Reducer):
     kind = "extrema"
 
     def __post_init__(self) -> None:
-        metric_values(self.metric, _EMPTY_BREAKDOWN)
+        object.__setattr__(self, "_sides", {
+            "min": TopK(self.metric, 1, largest=False),
+            "max": TopK(self.metric, 1, largest=True),
+        })
 
     @property
     def label(self) -> str:
@@ -599,61 +580,34 @@ class ArgExtrema(Reducer):
         return {"min": None, "max": None}
 
     def observe(self, chunk: EvaluatedChunk) -> Dict[str, object]:
-        if len(chunk) == 0:
-            return self.empty()
-        values = metric_values(self.metric, chunk.breakdown)
-        lo = int(np.argmin(values))  # first occurrence: lowest offset
-        hi = int(np.argmax(values))
-        entries = _entries(chunk, self.metric, np.asarray([lo, hi]))
-        return {"min": entries[0], "max": entries[1]}
-
-    @staticmethod
-    def _better(a: Optional[Mapping[str, object]],
-                b: Optional[Mapping[str, object]],
-                largest: bool) -> Optional[Mapping[str, object]]:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        ka, kb = _entry_sort_key(a), _entry_sort_key(b)
-        if largest:
-            take_b = (kb[0], -kb[1]) > (ka[0], -ka[1])
-        else:
-            take_b = kb < ka
-        return dict(b) if take_b else dict(a)
+        return {side: _first(top._best(chunk))
+                for side, top in self._sides.items()}
 
     def merge(self, a: Dict[str, object],
               b: Dict[str, object]) -> Dict[str, object]:
-        return {
-            "min": self._better(a["min"], b["min"], largest=False),
-            "max": self._better(a["max"], b["max"], largest=True),
-        }
+        return {side: _first(top._select(_listed(a[side]) + _listed(b[side])))
+                for side, top in self._sides.items()}
 
     @property
     def prunable(self) -> bool:
-        from repro.core.bounds import BOUNDED_METRICS
-
-        return self.metric in BOUNDED_METRICS
-
-    def threshold(self, payload: Dict[str, object]
-                  ) -> Optional[Dict[str, float]]:
-        """Incumbent ``{"min": value, "max": value}`` once both exist."""
-        if payload["min"] is None or payload["max"] is None:
-            return None
-        return {"min": float(payload["min"]["value"]),
-                "max": float(payload["max"]["value"])}
+        return all(top.prunable for top in self._sides.values())
 
     def can_prune(self, payload: Dict[str, object],
                   bounds: "ChunkBounds") -> bool:
-        cut = self.threshold(payload)
-        if cut is None or not bounds.lower:
-            return False
-        # Strict on both sides: value ties fall back to offset order.
-        return (bounds.lower[self.metric] > cut["min"]
-                and bounds.upper[self.metric] < cut["max"])
+        return all(top.can_prune({"entries": _listed(payload[side])}, bounds)
+                   for side, top in self._sides.items())
 
     def priority_keys(self, bounds: "ChunkBounds") -> Tuple[float, ...]:
-        return (bounds.lower[self.metric], -bounds.upper[self.metric])
+        return tuple(key for top in self._sides.values()
+                     for key in top.priority_keys(bounds))
+
+
+def _listed(entry: Optional[Dict[str, object]]) -> List[Dict[str, object]]:
+    return [] if entry is None else [entry]
+
+
+def _first(entries: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
+    return entries[0] if entries else None
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,24 @@ one core idle.  :func:`stream_sweep` fixes both at once:
   chunk size.
 
 Determinism contract: for a fixed spec/reducers/evaluation context, the
-result is bit-identical for any ``chunk_size`` and ``jobs`` -- chunk
-ordering is fixed by the spec, reducer merges are order-independent,
-and partials are folded in chunk-index order anyway.
+result is bit-identical for any ``chunk_size`` and ``jobs``.  Chunk
+boundaries are fixed by the spec, and reducer merges are commutative
+and associative (``tests/test_reducers.py::TestMergeLaws``), so records
+are merged in whatever order they arrive: cache replays first, then
+chunks as they complete.
 
-``prune=True`` adds a two-phase **bound-and-prune** scheduler on top:
-phase 1 computes cheap admissible chunk intervals
-(:mod:`repro.core.bounds`) for every chunk; phase 2 evaluates chunks in
-best-bound-first priority order, maintains the global incumbent from
-the exact results, and skips any chunk whose interval proves -- via the
-reducers' :meth:`~repro.core.reducers.Reducer.can_prune` protocol --
-that none of its rows can reach the output.  Reducer merges are
-commutative, so folding in completion order keeps the *result*
-bit-identical to the exhaustive sweep for any ``jobs``; only the
-pruned-chunk *count* may vary with pool timing (a fresher incumbent
-prunes more).  Any non-prunable reducer (``Histogram``, ``Collect``)
-disables pruning automatically and the sweep reports why -- no silent
-result caps, ever.
+One scheduler serves every sweep.  It replays cached exact chunks,
+then evaluates the rest through a bounded in-flight window.
+``prune=True`` adds a **bound-and-prune** step in between: it computes
+cheap admissible chunk intervals (:mod:`repro.core.bounds`), orders the
+chunks best-bound-first, and skips any chunk whose interval proves --
+via the reducers' :meth:`~repro.core.reducers.Reducer.can_prune`
+protocol -- that none of its rows can reach the output against the
+incumbent merged so far.  The *result* stays bit-identical to the
+exhaustive sweep for any ``jobs``; only the pruned-chunk *count* may
+vary with pool timing (a fresher incumbent prunes more).  Any
+non-prunable reducer (``Histogram``, ``Collect``) disables pruning
+automatically and the sweep reports why -- no silent result caps, ever.
 """
 
 from __future__ import annotations
@@ -43,21 +44,14 @@ import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridSpec
 from repro.core.projection import OperatorModelSuite
 from repro.core.reducers import EvaluatedChunk, Reducer
 from repro.hardware.cluster import ClusterSpec, mi210_node
+from repro.runtime.cache import CACHE_VERSION, ResultCache
+from repro.runtime.keys import cache_key, fingerprint
 from repro.runtime.parallel import resolve_jobs
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
@@ -67,7 +61,7 @@ __all__ = ["SweepResult", "stream_sweep", "MODES"]
 #: operator-model projection.
 MODES = ("execute", "project")
 
-#: One folded chunk record: raw rows, evaluated rows, one payload per
+#: One chunk record: raw rows, evaluated rows, one payload per
 #: reducer.  JSON-serializable end to end (cacheable as-is).
 ChunkRecord = Dict[str, object]
 
@@ -83,7 +77,7 @@ class SweepResult:
             evaluated.
         chunk_count: Chunks the grid was split into.
         cache_hits: Chunks replayed from a cache instead of evaluated
-            (only nonzero when the caller supplies cache hooks).
+            (only nonzero when the caller supplies a cache).
         wall_time_s: End-to-end wall time of the sweep.
     """
 
@@ -211,184 +205,30 @@ def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
                                                       pending[p]))]
 
 
-class _Fold:
-    """Accumulates chunk records strictly in chunk-index order.
+def _record_key(ctx: _SweepContext,
+                bound_version: Optional[int] = None) -> Callable[[int], str]:
+    """Chunk index -> cache key of its exact record (or, given
+    ``bound_version``, of its bound record).
 
-    Records may *arrive* out of order (pool completion order); they are
-    parked in a pending dict -- bounded by the in-flight window -- and
-    folded only when every earlier chunk has been folded.
+    The context fingerprint covers the reducer set (exact records only),
+    the mode, cluster, timing and scenario; in project mode the suite is
+    the one fitted for that cluster and timing.
     """
-
-    def __init__(self, reducers: Sequence[Reducer]) -> None:
-        self._reducers = tuple(reducers)
-        self.payloads = [reducer.empty() for reducer in self._reducers]
-        self.raw = 0
-        self.evaluated = 0
-        self._pending: Dict[int, ChunkRecord] = {}
-        self._next = 0
-
-    def add(self, index: int, record: ChunkRecord) -> None:
-        self._pending[index] = record
-        while self._next in self._pending:
-            ready = self._pending.pop(self._next)
-            self.raw += int(ready["raw"])
-            self.evaluated += int(ready["evaluated"])
-            self.payloads = [
-                reducer.merge(merged, payload)
-                for reducer, merged, payload in zip(
-                    self._reducers, self.payloads, ready["payloads"])
-            ]
-            self._next += 1
-
-    def finalize(self) -> Dict[str, Dict[str, object]]:
-        assert not self._pending, "chunks left unfolded"
-        return {
-            reducer.label: reducer.finalize(payload)
-            for reducer, payload in zip(self._reducers, self.payloads)
-        }
+    if bound_version is None:
+        context = fingerprint("stream-chunk", CACHE_VERSION,
+                              tuple(reducer.key() for reducer in ctx.reducers),
+                              ctx.mode, ctx.cluster, ctx.timing, ctx.scenario)
+    else:
+        context = fingerprint("chunk-bounds", CACHE_VERSION, bound_version,
+                              ctx.mode, ctx.cluster, ctx.timing, ctx.scenario)
+    return lambda index: cache_key(context, ctx.spec.chunk_key(
+        index, ctx.chunk_size, bound_version=bound_version))
 
 
-def _pruned_sweep(ctx: _SweepContext,
-                  workers: int,
-                  n_chunks: int,
-                  cache_get: Optional[Callable[[int],
-                                               Optional[ChunkRecord]]],
-                  cache_put: Optional[Callable[[int, ChunkRecord], None]],
-                  bounds_cache_get: Optional[Callable[[int],
-                                                      Optional[ChunkRecord]]],
-                  bounds_cache_put: Optional[Callable[[int, ChunkRecord],
-                                                      None]],
-                  ) -> Tuple[List[Dict[str, object]], int, int,
-                             Dict[str, object]]:
-    """The two-phase bound-and-prune scheduler.
-
-    Returns ``(payloads, evaluated_points, cache_hits, prune_meta)``.
-    Exact chunk records are produced by the same ``_evaluate_chunk`` as
-    the exhaustive path (and stored through the same cache hooks), so
-    every evaluated chunk's payloads are bit-identical by construction;
-    pruned chunks contribute nothing, which the reducers' ``can_prune``
-    contracts certify cannot change the merged output.
-    """
-    from repro.core.bounds import BOUND_MODEL_VERSION, ChunkBounds
-
-    payloads = [reducer.empty() for reducer in ctx.reducers]
-    evaluated = 0
-    feasible = 0
-    cache_hits = 0
-
-    def merge_record(record: ChunkRecord) -> None:
-        nonlocal evaluated
-        evaluated += int(record["evaluated"])
-        for i, reducer in enumerate(ctx.reducers):
-            payloads[i] = reducer.merge(payloads[i],
-                                        record["payloads"][i])
-
-    # Phase 1: replay already-exact chunks from the cache (they only
-    # tighten the incumbent), bound everything else.
-    bounds: Dict[int, ChunkBounds] = {}
-    to_bound: List[int] = []
-    for index in range(n_chunks):
-        cached = cache_get(index) if cache_get is not None else None
-        if cached is not None:
-            cache_hits += 1
-            feasible += int(cached["evaluated"])
-            merge_record(cached)
-            continue
-        record = (bounds_cache_get(index)
-                  if bounds_cache_get is not None else None)
-        if record is not None:
-            bounds[index] = ChunkBounds.from_record(record)
-        else:
-            to_bound.append(index)
-
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
-        if workers > 1 and n_chunks > 1:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(ctx,))
-        if pool is not None and len(to_bound) > 1:
-            batched = max(1, len(to_bound) // (4 * workers))
-            results = pool.map(_bound_chunk_task, to_bound,
-                               chunksize=batched)
-        else:
-            results = ((index, _chunk_bound_record(ctx, index))
-                       for index in to_bound)
-        for index, record in results:
-            if bounds_cache_put is not None:
-                bounds_cache_put(index, record)
-            bounds[index] = ChunkBounds.from_record(record)
-        feasible += sum(entry.rows for entry in bounds.values())
-        empty_chunks = sum(1 for entry in bounds.values()
-                           if entry.rows == 0)
-
-        # Phase 2: exact evaluation in best-bound-first order, pruning
-        # against the incumbent as it tightens.
-        pending = [index for index in sorted(bounds)
-                   if bounds[index].rows > 0]
-        order = _priority_order(ctx.reducers, bounds, pending)
-        pruned_chunks = 0
-        exact_chunks = 0
-
-        def skippable(index: int) -> bool:
-            entry = bounds[index]
-            return all(reducer.can_prune(payloads[i], entry)
-                       for i, reducer in enumerate(ctx.reducers))
-
-        if pool is None:
-            for index in order:
-                if skippable(index):
-                    pruned_chunks += 1
-                    continue
-                record = _evaluate_chunk(ctx, index)
-                if cache_put is not None:
-                    cache_put(index, record)
-                merge_record(record)
-                exact_chunks += 1
-        else:
-            window = 2 * workers
-            inflight: Deque[Future] = deque()
-
-            def drain(future: Future) -> None:
-                nonlocal exact_chunks
-                index, record = future.result()
-                if cache_put is not None:
-                    cache_put(index, record)
-                merge_record(record)
-                exact_chunks += 1
-
-            try:
-                for index in order:
-                    if skippable(index):
-                        pruned_chunks += 1
-                        continue
-                    inflight.append(pool.submit(_eval_chunk_task, index))
-                    if len(inflight) >= window:
-                        drain(inflight.popleft())
-                while inflight:
-                    drain(inflight.popleft())
-            finally:
-                for future in inflight:
-                    future.cancel()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    considered = max(1, len(order))
-    prune_meta: Dict[str, object] = {
-        "enabled": True,
-        "bound_version": BOUND_MODEL_VERSION,
-        "chunks": n_chunks,
-        "cached_chunks": cache_hits,
-        "empty_chunks": empty_chunks,
-        "pruned_chunks": pruned_chunks,
-        "exact_chunks": exact_chunks,
-        "feasible_points": feasible,
-        "exact_points": evaluated,
-        "exact_chunk_fraction": exact_chunks / considered,
-        "exact_point_fraction": evaluated / max(1, feasible),
-    }
-    return payloads, evaluated, cache_hits, prune_meta
+def _completed(value: object) -> Future:
+    future: Future = Future()
+    future.set_result(value)
+    return future
 
 
 def stream_sweep(spec: GridSpec,
@@ -402,16 +242,7 @@ def stream_sweep(spec: GridSpec,
                  jobs: Optional[int] = 1,
                  check: Optional[bool] = None,
                  prune: bool = False,
-                 cache_get: Optional[Callable[[int],
-                                              Optional[ChunkRecord]]] = None,
-                 cache_put: Optional[Callable[[int, ChunkRecord],
-                                              None]] = None,
-                 bounds_cache_get: Optional[Callable[[int],
-                                                     Optional[ChunkRecord]]
-                                            ] = None,
-                 bounds_cache_put: Optional[Callable[[int, ChunkRecord],
-                                                     None]] = None
-                 ) -> SweepResult:
+                 cache: Optional[ResultCache] = None) -> SweepResult:
     """Evaluate a lazy grid in chunks and reduce it online.
 
     Args:
@@ -430,20 +261,23 @@ def stream_sweep(spec: GridSpec,
             process; ``n > 1`` uses a process pool with a bounded
             in-flight window of ``2 * n`` chunk indices.  Negative
             means CPU count.
-        check: Run the PR-3 invariant validator on every chunk's
-            breakdown; ``None`` defers to ``REPRO_CHECK``.
-        prune: Use the two-phase bound-and-prune scheduler.  Results
-            stay bit-identical to the exhaustive sweep; only wall time
-            and ``meta["prune"]`` accounting change.  Silently falls
-            back to exhaustive evaluation (with
-            ``meta["prune"]["reason"]`` explaining why) when any
-            reducer is not prunable.
-        cache_get / cache_put: Optional per-chunk record hooks (used by
-            :meth:`repro.runtime.session.Session.stream_sweep` for
-            content-keyed replay).  Called only in this process.
-        bounds_cache_get / bounds_cache_put: Same, for phase-1 bound
-            records (only consulted when ``prune=True``).  Keys must
-            incorporate :data:`repro.core.bounds.BOUND_MODEL_VERSION`.
+        check: Run the invariant validator on every chunk's breakdown;
+            ``None`` defers to ``REPRO_CHECK``.
+        prune: Use the bound-and-prune scheduler.  Results stay
+            bit-identical to the exhaustive sweep; only wall time and
+            ``meta["prune"]`` accounting change.  Falls back to
+            exhaustive evaluation (with ``meta["prune"]["reason"]``
+            explaining why) when any reducer is not prunable.
+        cache: Optional :class:`~repro.runtime.cache.ResultCache` for
+            per-chunk records.  Exact chunk records are keyed by the
+            chunk (:meth:`~repro.core.gridplan.GridSpec.chunk_key`), the
+            reducer set, the mode and the cluster/timing/scenario
+            context, so pruned and exhaustive sweeps share them and a
+            rerun -- or a larger sweep sharing chunks -- replays instead
+            of re-evaluating.  With ``prune=True`` bound records are
+            stored too, keyed under
+            :data:`repro.core.bounds.BOUND_MODEL_VERSION`.  Used only in
+            this process.
 
     Raises:
         ValueError: Unknown mode, or project mode without a suite.
@@ -472,93 +306,139 @@ def stream_sweep(spec: GridSpec,
     )
     workers = resolve_jobs(jobs)
     n_chunks = spec.chunk_count(chunk_size)
-
-    prune_meta: Optional[Dict[str, object]] = None
+    meta: Dict[str, object] = {"spec_key": spec.content_key()}
     if prune:
         blockers = [reducer.label for reducer in ctx.reducers
                     if not reducer.prunable]
         if blockers:
-            prune_meta = {
+            meta["prune"] = {
                 "enabled": False,
                 "reason": ("non-prunable reducer(s): "
                            + ", ".join(sorted(blockers))),
             }
+            prune = False
+
+    payloads = [reducer.empty() for reducer in ctx.reducers]
+    evaluated = 0
+
+    def merge(record: ChunkRecord) -> None:
+        nonlocal evaluated
+        evaluated += int(record["evaluated"])
+        for i, reducer in enumerate(ctx.reducers):
+            payloads[i] = reducer.merge(payloads[i], record["payloads"][i])
+
+    def lookup(key_of: Callable[[int], str],
+               index: int) -> Optional[ChunkRecord]:
+        record = cache.get(key_of(index)) if cache is not None else None
+        return record if isinstance(record, dict) else None
+
+    def store(key_of: Callable[[int], str], index: int,
+              record: ChunkRecord) -> None:
+        if cache is not None:
+            cache.put(key_of(index), record)
+
+    # Replay already-exact chunks first: in a pruned sweep they only
+    # tighten the incumbent.
+    exact_key = _record_key(ctx) if cache is not None else None
+    pending: List[int] = []
+    for index in range(n_chunks):
+        cached = lookup(exact_key, index)
+        if cached is None:
+            pending.append(index)
         else:
-            payloads, evaluated, cache_hits, prune_meta = _pruned_sweep(
-                ctx, workers, n_chunks, cache_get, cache_put,
-                bounds_cache_get, bounds_cache_put)
-            reductions = {
-                reducer.label: reducer.finalize(payload)
-                for reducer, payload in zip(ctx.reducers, payloads)
-            }
-            return SweepResult(
-                reductions=reductions,
-                raw_points=spec.raw_size,
-                evaluated_points=evaluated,
-                chunk_count=n_chunks,
-                chunk_size=chunk_size,
-                jobs=workers,
-                mode=mode,
-                wall_time_s=time.perf_counter() - start,
-                cache_hits=cache_hits,
-                meta={"spec_key": spec.content_key(),
-                      "prune": prune_meta},
-            )
+            merge(cached)
+    cache_hits = n_chunks - len(pending)
 
-    fold = _Fold(ctx.reducers)
-    cache_hits = 0
+    pool: Optional[ProcessPoolExecutor] = None
+    try:
+        if workers > 1 and len(pending) > 1:
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_init_worker,
+                                       initargs=(ctx,))
+        if prune:
+            from repro.core.bounds import BOUND_MODEL_VERSION, ChunkBounds
 
-    def uncached() -> Iterator[int]:
-        nonlocal cache_hits
-        for index in range(n_chunks):
-            cached = cache_get(index) if cache_get is not None else None
-            if cached is not None:
-                cache_hits += 1
-                fold.add(index, cached)
+            bound_key = (_record_key(ctx, BOUND_MODEL_VERSION)
+                         if cache is not None else None)
+            bounds: Dict[int, ChunkBounds] = {}
+            to_bound: List[int] = []
+            for index in pending:
+                record = lookup(bound_key, index)
+                if record is None:
+                    to_bound.append(index)
+                else:
+                    bounds[index] = ChunkBounds.from_record(record)
+            if pool is not None and len(to_bound) > 1:
+                results = pool.map(
+                    _bound_chunk_task, to_bound,
+                    chunksize=max(1, len(to_bound) // (4 * workers)))
             else:
-                yield index
+                results = ((index, _chunk_bound_record(ctx, index))
+                           for index in to_bound)
+            for index, record in results:
+                store(bound_key, index, record)
+                bounds[index] = ChunkBounds.from_record(record)
+            feasible = evaluated + sum(entry.rows
+                                       for entry in bounds.values())
+            order = _priority_order(
+                ctx.reducers, bounds,
+                [index for index in pending if bounds[index].rows > 0])
+        else:
+            order = pending
 
-    if workers <= 1 or n_chunks <= 1:
-        for index in uncached():
-            record = _evaluate_chunk(ctx, index)
-            if cache_put is not None:
-                cache_put(index, record)
-            fold.add(index, record)
-    else:
-        window = 2 * workers
+        # In-process, a window of one merges each chunk before the next
+        # prune test; a pool keeps 2 x workers chunks in flight.
+        window = 2 * workers if pool is not None else 1
         inflight: Deque[Future] = deque()
+        pruned_chunks = 0
 
-        def drain(future: Future) -> None:
-            index, record = future.result()
-            if cache_put is not None:
-                cache_put(index, record)
-            fold.add(index, record)
+        def drain() -> None:
+            index, record = inflight.popleft().result()
+            store(exact_key, index, record)
+            merge(record)
 
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            try:
-                for index in uncached():
-                    inflight.append(pool.submit(_eval_chunk_task, index))
-                    if len(inflight) >= window:
-                        drain(inflight.popleft())
-                while inflight:
-                    drain(inflight.popleft())
-            finally:
-                for future in inflight:
-                    future.cancel()
+        for index in order:
+            if prune and all(reducer.can_prune(payload, bounds[index])
+                             for reducer, payload in zip(ctx.reducers,
+                                                         payloads)):
+                pruned_chunks += 1
+                continue
+            inflight.append(
+                pool.submit(_eval_chunk_task, index) if pool is not None
+                else _completed((index, _evaluate_chunk(ctx, index))))
+            if len(inflight) >= window:
+                drain()
+        while inflight:
+            drain()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
+    if prune:
+        exact_chunks = len(order) - pruned_chunks
+        meta["prune"] = {
+            "enabled": True,
+            "bound_version": BOUND_MODEL_VERSION,
+            "chunks": n_chunks,
+            "cached_chunks": cache_hits,
+            "empty_chunks": len(pending) - len(order),
+            "pruned_chunks": pruned_chunks,
+            "exact_chunks": exact_chunks,
+            "feasible_points": feasible,
+            "exact_points": evaluated,
+            "exact_chunk_fraction": exact_chunks / max(1, len(order)),
+            "exact_point_fraction": evaluated / max(1, feasible),
+        }
     return SweepResult(
-        reductions=fold.finalize(),
+        reductions={reducer.label: reducer.finalize(payload)
+                    for reducer, payload in zip(ctx.reducers, payloads)},
         raw_points=spec.raw_size,
-        evaluated_points=fold.evaluated,
+        evaluated_points=evaluated,
         chunk_count=n_chunks,
         chunk_size=chunk_size,
         jobs=workers,
         mode=mode,
         wall_time_s=time.perf_counter() - start,
         cache_hits=cache_hits,
-        meta=({"spec_key": spec.content_key(), "prune": prune_meta}
-              if prune_meta is not None
-              else {"spec_key": spec.content_key()}),
+        meta=meta,
     )

@@ -273,89 +273,38 @@ class Session:
                      use_cache: bool = True) -> "SweepResult":
         """Cache-backed streaming sweep over a lazy grid.
 
-        Wraps :func:`repro.runtime.megasweep.stream_sweep` with
-        per-chunk result caching: each chunk's reducer payloads are
-        stored under a content key covering the grid chunk
-        (:meth:`~repro.core.gridplan.GridSpec.chunk_key`), the reducer
-        set, the evaluation mode, and the cluster/timing/scenario
-        context, so re-running the same sweep -- or a larger sweep
-        sharing a prefix of chunks -- replays instead of re-evaluating.
-
-        With ``prune=True`` the sweep takes the bound-and-prune path
-        (bit-identical results; see
-        :func:`repro.runtime.megasweep.stream_sweep`).  Exact chunk
-        records keep the same cache keys as exhaustive sweeps -- the
-        two paths share warm state -- while phase-1 bound records are
-        keyed separately under the bound-model version.
+        Wraps :func:`repro.runtime.megasweep.stream_sweep`, passing the
+        session's result cache (``use_cache=False`` bypasses it): each
+        chunk's reducer payloads are stored under a content key, so
+        re-running the same sweep -- or a larger sweep sharing a prefix
+        of chunks -- replays instead of re-evaluating.  Pruned and
+        exhaustive sweeps share exact chunk records; pruned sweeps also
+        cache their bound records.
 
         In ``"project"`` mode the operator-model suite comes from
         :meth:`suite` (fitted once per session).  The sweep inherits
         the session's ``check`` flag and default ``jobs``.
         """
-        from repro.core.bounds import BOUND_MODEL_VERSION
         from repro.core.gridplan import DEFAULT_CHUNK_SIZE
         from repro.runtime.megasweep import stream_sweep
 
         cluster = cluster if cluster is not None else self.cluster
         timing = timing if timing is not None else self.timing
-        chunk_size = (chunk_size if chunk_size is not None
-                      else DEFAULT_CHUNK_SIZE)
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        suite = self.suite(cluster, timing=timing) \
-            if mode == "project" else None
-        reducer_keys = tuple(reducer.key() for reducer in reducers)
-        context_key = fingerprint("stream-chunk", CACHE_VERSION,
-                                  reducer_keys, mode, cluster, timing,
-                                  scenario)
-
-        def chunk_cache_key(index: int) -> str:
-            return cache_key(context_key,
-                             spec.chunk_key(index, chunk_size))
-
-        def cache_get(index: int) -> Optional[Dict[str, object]]:
-            cached = self.cache.get(chunk_cache_key(index))
-            return cached if isinstance(cached, dict) else None
-
-        def cache_put(index: int, record: Dict[str, object]) -> None:
-            self.cache.put(chunk_cache_key(index), record)
-
-        bounds_context = fingerprint("chunk-bounds", CACHE_VERSION,
-                                     BOUND_MODEL_VERSION, mode, cluster,
-                                     timing, scenario)
-
-        def bounds_cache_key(index: int) -> str:
-            return cache_key(
-                bounds_context,
-                spec.chunk_key(index, chunk_size,
-                               bound_version=BOUND_MODEL_VERSION))
-
-        def bounds_cache_get(index: int) -> Optional[Dict[str, object]]:
-            cached = self.cache.get(bounds_cache_key(index))
-            return cached if isinstance(cached, dict) else None
-
-        def bounds_cache_put(index: int,
-                             record: Dict[str, object]) -> None:
-            self.cache.put(bounds_cache_key(index), record)
-
-        use_bounds_cache = prune and use_cache
         return stream_sweep(
             spec,
             reducers,
             cluster=cluster,
             timing=timing,
             mode=mode,
-            suite=suite,
+            suite=(self.suite(cluster, timing=timing)
+                   if mode == "project" else None),
             scenario=scenario,
-            chunk_size=chunk_size,
-            jobs=jobs,
+            chunk_size=(chunk_size if chunk_size is not None
+                        else DEFAULT_CHUNK_SIZE),
+            jobs=self.jobs if jobs is None else jobs,
             check=self.check,
             prune=prune,
-            cache_get=cache_get if use_cache else None,
-            cache_put=cache_put if use_cache else None,
-            bounds_cache_get=(bounds_cache_get if use_bounds_cache
-                              else None),
-            bounds_cache_put=(bounds_cache_put if use_bounds_cache
-                              else None),
+            cache=self.cache if use_cache else None,
         )
 
     # -- experiment execution --------------------------------------------

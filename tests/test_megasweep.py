@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.reducers import (
     TopK,
 )
 from repro.hardware.cluster import mi210_node
+from repro.runtime.cache import ResultCache
 from repro.runtime.megasweep import stream_sweep
 from repro.runtime.parallel import parallel_map
 from repro.runtime.session import Session
@@ -33,6 +35,13 @@ REDUCERS = (
     Histogram("serialized_comm_fraction", bins=16),
     ArgExtrema("exposed_comm_time"),
     Collect(),
+)
+
+PRUNABLE = (
+    TopK("iteration_time", k=5, largest=False),
+    TopK("compute_time", k=3, largest=True),
+    ParetoFront(),
+    ArgExtrema("exposed_comm_time"),
 )
 
 
@@ -129,6 +138,19 @@ class TestStreamedEquivalence:
             stream_sweep(spec, REDUCERS, chunk_size=0)
 
 
+class _EveryOtherPut(ResultCache):
+    """A memory cache that keeps only every other record put into it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts = 0
+
+    def put(self, key, payload):
+        self.puts += 1
+        if self.puts % 2:
+            super().put(key, payload)
+
+
 def _fail_on_large_offset(columns):
     if int(columns["hidden"].max(initial=0)) >= 4096:
         raise RuntimeError("seeded chunk failure")
@@ -136,21 +158,30 @@ def _fail_on_large_offset(columns):
 
 
 class TestFailurePropagation:
-    def test_serial_failure_propagates(self):
-        spec = spec_with(constraints=(
-            Predicate("fail-large", _fail_on_large_offset),
-        ))
-        with pytest.raises(RuntimeError, match="seeded chunk failure"):
-            stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=4,
-                         jobs=1)
+    # With prune=True the seeded constraint fails first in the bound
+    # pass (chunk bounds apply constraints too); with prune=False it
+    # fails in the evaluate loop, which both paths share.
 
-    def test_pool_failure_propagates(self):
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_serial_failure_propagates(self, prune):
         spec = spec_with(constraints=(
             Predicate("fail-large", _fail_on_large_offset),
         ))
         with pytest.raises(RuntimeError, match="seeded chunk failure"):
-            stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=4,
-                         jobs=2)
+            stream_sweep(spec, PRUNABLE if prune else REDUCERS,
+                         cluster=CLUSTER, chunk_size=4, jobs=1,
+                         prune=prune)
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_pool_failure_propagates(self, prune):
+        spec = spec_with(constraints=(
+            Predicate("fail-large", _fail_on_large_offset),
+        ))
+        with pytest.raises(RuntimeError, match="seeded chunk failure"):
+            stream_sweep(spec, PRUNABLE if prune else REDUCERS,
+                         cluster=CLUSTER, chunk_size=4, jobs=2,
+                         prune=prune)
+        assert multiprocessing.active_children() == []  # pool shut down
 
 
 class TestSessionStreamSweep:
@@ -206,14 +237,6 @@ class TestSessionStreamSweep:
         result = session.stream_sweep(spec_with(), REDUCERS,
                                       chunk_size=32)
         assert result.evaluated_points > 0
-
-
-PRUNABLE = (
-    TopK("iteration_time", k=5, largest=False),
-    TopK("compute_time", k=3, largest=True),
-    ParetoFront(),
-    ArgExtrema("exposed_comm_time"),
-)
 
 
 class TestBoundAndPrune:
@@ -281,15 +304,33 @@ class TestBoundAndPrune:
         assert warm.cache_hits == cold.meta["prune"]["exact_chunks"]
         assert warm.meta["prune"]["cached_chunks"] == warm.cache_hits
 
-    def test_pruned_and_exhaustive_share_exact_records(self):
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_pruned_and_exhaustive_share_exact_records(self, jobs):
         session = Session(cluster=CLUSTER)
         spec = spec_with()
         pruned = session.stream_sweep(spec, PRUNABLE, chunk_size=4,
-                                      prune=True)
-        exhaustive = session.stream_sweep(spec, PRUNABLE, chunk_size=4)
-        assert exhaustive.reductions == pruned.reductions
+                                      prune=True, jobs=jobs)
+        exhaustive = session.stream_sweep(spec, PRUNABLE, chunk_size=4,
+                                          jobs=jobs)
+        assert exhaustive.reductions == pruned.reductions \
+            == one_shot_reductions(spec, PRUNABLE)
         assert exhaustive.cache_hits \
             == pruned.meta["prune"]["exact_chunks"]
+
+    def test_partial_warm_replay_through_pool(self):
+        # Half the chunks replay from the cache, the pool evaluates the
+        # rest, and records merge in arrival order.
+        spec = spec_with()
+        cold = stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=4,
+                            jobs=1)
+        cache = _EveryOtherPut()
+        stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=4, jobs=1,
+                     cache=cache)
+        warm = stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=4,
+                            jobs=2, cache=cache)
+        assert warm.cache_hits == (cold.chunk_count + 1) // 2
+        assert warm.reductions == cold.reductions
+        assert warm.evaluated_points == cold.evaluated_points
 
     def test_project_mode_prunes(self):
         session = Session(cluster=CLUSTER)

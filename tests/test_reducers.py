@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchBreakdown
+from repro.core.bounds import ChunkBounds
 from repro.core.reducers import (
     ArgExtrema,
     Collect,
@@ -64,6 +65,29 @@ def synthetic_chunks(n_rows: int = 60, n_chunks: int = 7,
                 overlapped_comm_time=overlapped[lo:hi],
                 iteration_time=iteration[lo:hi],
             ),
+        ))
+    return chunks
+
+
+def tied_chunks(rows: int = 4) -> list:
+    """Four chunks whose iteration times repeat the same extremes."""
+    values = ([3.0, 1.0, 5.0, 1.0], [5.0, 2.0, 1.0, 5.0],
+              [1.0, 5.0, 4.0, 3.0], [2.0, 2.0, 5.0, 1.0])
+    chunks = []
+    for index, row in enumerate(values):
+        row = np.asarray(row[:rows])
+        columns = {name: np.full(len(row), value, dtype=np.int64)
+                   for name, value in (("hidden", 1024), ("seq_len", 2048),
+                                       ("batch", 1), ("tp", 8), ("dp", 2))}
+        zeros = np.zeros(len(row))
+        chunks.append(EvaluatedChunk(
+            offsets=np.arange(4 * index, 4 * index + len(row),
+                              dtype=np.int64),
+            columns=columns,
+            breakdown=BatchBreakdown(compute_time=row,
+                                     serialized_comm_time=zeros,
+                                     overlapped_comm_time=zeros,
+                                     iteration_time=row),
         ))
     return chunks
 
@@ -233,6 +257,69 @@ class TestArgExtremaAndCollect:
         assert result["max"]["value"] == values.max()
         assert result["min"]["offset"] == int(np.argmin(values))
         assert result["max"]["offset"] == int(np.argmax(values))
+
+    def test_extrema_ties_across_chunks_match_two_top1(self):
+        # The min (1.0) and max (5.0) each recur in every chunk, at
+        # different offsets; the lowest offset must win either way.
+        chunks = tied_chunks()
+        extrema = ArgExtrema("iteration_time")
+        lowest = TopK("iteration_time", k=1, largest=False)
+        highest = TopK("iteration_time", k=1, largest=True)
+        for seed in range(8):
+            order = list(range(len(chunks)))
+            random.Random(seed).shuffle(order)
+            result = fold(extrema, chunks, order)
+            assert result["min"] == fold(lowest, chunks, order)["entries"][0]
+            assert result["max"] == fold(highest, chunks, order)["entries"][0]
+            assert (result["min"]["value"], result["min"]["offset"]) \
+                == (1.0, 1)
+            assert (result["max"]["value"], result["max"]["offset"]) \
+                == (5.0, 2)
+
+    def test_extrema_payload_shape_is_cache_compatible(self):
+        extrema = ArgExtrema("iteration_time")
+        chunk = tied_chunks()[0]
+        observed = extrema.observe(chunk)
+        assert set(observed) == {"min", "max"}
+        for entry in observed.values():
+            assert set(entry) == {"value", "offset", "config"}
+        assert extrema.observe(tied_chunks(rows=0)[0]) \
+            == extrema.empty() == {"min": None, "max": None}
+        # A record cached as JSON merges exactly like a fresh one.
+        replayed = json.loads(json.dumps(observed))
+        assert extrema.merge(extrema.empty(), replayed) == observed
+
+    def test_extrema_pruning_agrees_with_two_top1(self):
+        chunks = tied_chunks()
+        extrema = ArgExtrema("iteration_time")
+        lowest = TopK("iteration_time", k=1, largest=False)
+        highest = TopK("iteration_time", k=1, largest=True)
+
+        def merged(reducer):
+            payload = reducer.empty()
+            for chunk in chunks:
+                payload = reducer.merge(payload, reducer.observe(chunk))
+            return payload
+
+        incumbents = (merged(extrema), merged(lowest), merged(highest))
+        empties = (extrema.empty(), lowest.empty(), highest.empty())
+        # (lower, upper, prunable against the min 1.0 / max 5.0
+        # incumbent): ties with either extreme are never prunable.
+        cases = ((1.5, 4.5, True), (1.0, 4.0, False), (2.0, 5.0, False),
+                 (0.5, 6.0, False), (0.0, 0.5, False))
+        for lower, upper, expected in cases:
+            bounds = ChunkBounds(index=0, raw_rows=4, rows=4,
+                                 lower={"iteration_time": lower},
+                                 upper={"iteration_time": upper})
+            for (ext, lo, hi), want in ((incumbents, expected),
+                                        (empties, False)):
+                assert extrema.can_prune(ext, bounds) is want
+                assert want == (lowest.can_prune(lo, bounds)
+                                and highest.can_prune(hi, bounds))
+            assert extrema.priority_keys(bounds) == (
+                lowest.priority_keys(bounds)
+                + highest.priority_keys(bounds))
+        assert extrema.prunable == lowest.prunable == highest.prunable
 
     def test_collect_reassembles_in_offset_order(self):
         chunks = synthetic_chunks(n_chunks=4)
