@@ -34,37 +34,27 @@ Quickstart::
     print(result.breakdown.serialized_comm_fraction)
 """
 
-from repro.core.hyperparams import (
-    LayerType,
-    ModelConfig,
-    ParallelConfig,
-    Precision,
-)
-from repro.hardware.cluster import ClusterSpec, mi210_node, multi_node_cluster
-from repro.hardware.specs import DEVICE_CATALOG, MI210, DeviceSpec, get_device
-from repro.runtime import ResultCache, Session, get_session, set_session
-from repro.sim.breakdown import Breakdown
-from repro.sim.executor import execute_trace
+from repro._lazy import lazy_namespace
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Breakdown",
-    "ClusterSpec",
-    "DEVICE_CATALOG",
-    "DeviceSpec",
-    "LayerType",
-    "MI210",
-    "ModelConfig",
-    "ParallelConfig",
-    "Precision",
-    "ResultCache",
-    "Session",
-    "__version__",
-    "execute_trace",
-    "get_device",
-    "get_session",
-    "mi210_node",
-    "multi_node_cluster",
-    "set_session",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "Breakdown": "repro.sim.breakdown",
+    "ClusterSpec": "repro.hardware.cluster",
+    "DEVICE_CATALOG": "repro.hardware.specs",
+    "DeviceSpec": "repro.hardware.specs",
+    "LayerType": "repro.core.hyperparams",
+    "MI210": "repro.hardware.specs",
+    "ModelConfig": "repro.core.hyperparams",
+    "ParallelConfig": "repro.core.hyperparams",
+    "Precision": "repro.core.hyperparams",
+    "ResultCache": "repro.runtime.cache",
+    "Session": "repro.runtime.session",
+    "__version__": __name__,
+    "execute_trace": "repro.sim.executor",
+    "get_device": "repro.hardware.specs",
+    "get_session": "repro.runtime.session",
+    "mi210_node": "repro.hardware.cluster",
+    "multi_node_cluster": "repro.hardware.cluster",
+    "set_session": "repro.runtime.session",
+})

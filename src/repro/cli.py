@@ -34,11 +34,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.hyperparams import ModelConfig, ParallelConfig, Precision
-from repro.core.report import format_ms, format_pct
-from repro.hardware.cluster import mi210_node
-from repro.hardware.specs import DEVICE_CATALOG, get_device
-from repro.models.trace import training_trace
+from repro.core.hyperparams import Precision
+from repro.hardware.specs import DEVICE_CATALOG
 
 __all__ = ["build_parser", "main"]
 
@@ -268,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.core.hyperparams import ModelConfig, ParallelConfig
+    from repro.core.report import format_ms, format_pct
+    from repro.hardware.cluster import mi210_node
+    from repro.hardware.specs import get_device
+    from repro.models.trace import training_trace
+    from repro.sim.checkflag import check_enabled
     from repro.sim.executor import execute_trace
 
     heads = args.heads or max(args.tp, max(1, args.hidden // 128))
@@ -291,9 +294,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from repro.sim.checker import check_enabled, validate_execution
-
     if check_enabled(args.check or None):
+        from repro.sim.checker import validate_execution
+
         try:
             validate_execution(result)
         except ValueError as error:
@@ -427,7 +430,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.autotune import enumerate_plans
-    from repro.core.report import format_table
+    from repro.core.hyperparams import ModelConfig
+    from repro.core.report import format_pct, format_table
+    from repro.hardware.cluster import mi210_node
 
     heads = args.heads or max(1, args.hidden // 128)
     try:
@@ -504,6 +509,8 @@ def _format_config(config: List[int]) -> str:
 
 
 def _render_search_text(result) -> str:
+    from repro.core.report import format_ms, format_pct
+
     lines = [
         f"sweep: {result.evaluated_points:,}/{result.raw_points:,} points "
         f"evaluated in {result.chunk_count} chunks "

@@ -5,62 +5,33 @@ strategy (Section 4.2), hardware-evolution scenarios (Section 4.3.6), and
 the sweep/reporting machinery that regenerates the paper's figures.
 """
 
-from repro.core.autotune import best_plan, enumerate_plans
-from repro.core.batch import (
-    BatchBreakdown,
-    ConfigGrid,
-    batch_execute,
-    batch_overlap_roi,
-    batch_project,
-    serialized_fractions_for_pairs,
-)
-from repro.core.edge import amdahl_edge
-from repro.core.evolution import PAPER_SCENARIOS, HardwareScenario
-from repro.core.hyperparams import (
-    LayerType,
-    ModelConfig,
-    ParallelConfig,
-    Precision,
-    validate_model_parallel,
-)
-from repro.core.invariants import (
-    InvariantError,
-    Violation,
-    batch_violations,
-    breakdown_violations,
-    execution_violations,
-    schedule_violations,
-)
-from repro.core.projection import fit_operator_models
-from repro.core.roi import overlap_roi_timing
-from repro.core.scaling import required_tp
-from repro.core.slack import slack_advantage
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BatchBreakdown",
-    "ConfigGrid",
-    "HardwareScenario",
-    "InvariantError",
-    "LayerType",
-    "ModelConfig",
-    "PAPER_SCENARIOS",
-    "ParallelConfig",
-    "Precision",
-    "Violation",
-    "amdahl_edge",
-    "batch_execute",
-    "batch_overlap_roi",
-    "batch_project",
-    "batch_violations",
-    "best_plan",
-    "breakdown_violations",
-    "enumerate_plans",
-    "execution_violations",
-    "fit_operator_models",
-    "schedule_violations",
-    "serialized_fractions_for_pairs",
-    "overlap_roi_timing",
-    "required_tp",
-    "slack_advantage",
-    "validate_model_parallel",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "BatchBreakdown": "repro.core.batch",
+    "ConfigGrid": "repro.core.batch",
+    "HardwareScenario": "repro.core.evolution",
+    "InvariantError": "repro.core.invariants",
+    "LayerType": "repro.core.hyperparams",
+    "ModelConfig": "repro.core.hyperparams",
+    "PAPER_SCENARIOS": "repro.core.evolution",
+    "ParallelConfig": "repro.core.hyperparams",
+    "Precision": "repro.core.hyperparams",
+    "Violation": "repro.core.invariants",
+    "amdahl_edge": "repro.core.edge",
+    "batch_execute": "repro.core.batch",
+    "batch_overlap_roi": "repro.core.batch",
+    "batch_project": "repro.core.batch",
+    "batch_violations": "repro.core.invariants",
+    "best_plan": "repro.core.autotune",
+    "breakdown_violations": "repro.core.invariants",
+    "enumerate_plans": "repro.core.autotune",
+    "execution_violations": "repro.core.invariants",
+    "fit_operator_models": "repro.core.projection",
+    "schedule_violations": "repro.core.invariants",
+    "serialized_fractions_for_pairs": "repro.core.batch",
+    "overlap_roi_timing": "repro.core.roi",
+    "required_tp": "repro.core.scaling",
+    "slack_advantage": "repro.core.slack",
+    "validate_model_parallel": "repro.core.hyperparams",
+})

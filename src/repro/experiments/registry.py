@@ -11,92 +11,90 @@ registry order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+import importlib
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+)
+
+from repro.experiments.base import ExperimentResult
 
 if TYPE_CHECKING:
     from repro.runtime.session import Session
 
-from repro.experiments import (
-    ext_autotune,
-    ext_baseline,
-    ext_bucketing,
-    ext_compression,
-    ext_contention,
-    ext_decode,
-    ext_decomposition,
-    ext_designspace,
-    ext_energy,
-    ext_forecast,
-    ext_hwtrends,
-    ext_inference,
-    ext_moe,
-    ext_multinode,
-    ext_offload,
-    ext_pipeline,
-    ext_precision,
-    ext_projection_validation,
-    ext_roofline,
-    ext_seqparallel,
-    ext_techniques,
-    ext_topology,
-    ext_validation,
-    ext_zero,
-    fig6_memory_gap,
-    fig7_algorithmic,
-    fig9b_tp_scaling,
-    fig10_serialized,
-    fig11_overlap,
-    fig12_hw_serialized,
-    fig13_hw_overlap,
-    fig14_casestudy,
-    fig15_opmodel,
-    speedup,
-    table2_zoo,
-    table3_sweep,
-)
-from repro.experiments.base import ExperimentResult
-
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
 
-#: Paper artifact id -> zero-argument runner.
-EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
-    "table-2": table2_zoo.run,
-    "table-3": table3_sweep.run,
-    "figure-6": fig6_memory_gap.run,
-    "figure-7": fig7_algorithmic.run,
-    "figure-9b": fig9b_tp_scaling.run,
-    "figure-10": fig10_serialized.run,
-    "figure-11": fig11_overlap.run,
-    "figure-12": fig12_hw_serialized.run,
-    "figure-13": fig13_hw_overlap.run,
-    "figure-14": fig14_casestudy.run,
-    "figure-15": fig15_opmodel.run,
-    "speedup-4.3.8": speedup.run,
-    "ablation-precision": ext_precision.run,
-    "ablation-techniques": ext_techniques.run,
-    "extension-moe": ext_moe.run,
-    "extension-inference": ext_inference.run,
-    "extension-pipeline": ext_pipeline.run,
-    "extension-forecast": ext_forecast.run,
-    "extension-zero": ext_zero.run,
-    "extension-decomposition": ext_decomposition.run,
-    "extension-offload": ext_offload.run,
-    "extension-decode": ext_decode.run,
-    "extension-autotune": ext_autotune.run,
-    "ablation-baseline-size": ext_baseline.run,
-    "extension-topology": ext_topology.run,
-    "extension-seqparallel": ext_seqparallel.run,
-    "extension-hwtrends": ext_hwtrends.run,
-    "extension-designspace": ext_designspace.run,
-    "extension-energy": ext_energy.run,
-    "extension-compression": ext_compression.run,
-    "extension-bucketing": ext_bucketing.run,
-    "extension-multinode": ext_multinode.run,
-    "extension-contention": ext_contention.run,
-    "validation-laws": ext_validation.run,
-    "validation-projection": ext_projection_validation.run,
-    "validation-roofline": ext_roofline.run,
+#: Paper artifact id -> module under :mod:`repro.experiments` whose
+#: ``run`` is the artifact's runner.
+_MODULES: Dict[str, str] = {
+    "table-2": "table2_zoo",
+    "table-3": "table3_sweep",
+    "figure-6": "fig6_memory_gap",
+    "figure-7": "fig7_algorithmic",
+    "figure-9b": "fig9b_tp_scaling",
+    "figure-10": "fig10_serialized",
+    "figure-11": "fig11_overlap",
+    "figure-12": "fig12_hw_serialized",
+    "figure-13": "fig13_hw_overlap",
+    "figure-14": "fig14_casestudy",
+    "figure-15": "fig15_opmodel",
+    "speedup-4.3.8": "speedup",
+    "ablation-precision": "ext_precision",
+    "ablation-techniques": "ext_techniques",
+    "extension-moe": "ext_moe",
+    "extension-inference": "ext_inference",
+    "extension-pipeline": "ext_pipeline",
+    "extension-forecast": "ext_forecast",
+    "extension-zero": "ext_zero",
+    "extension-decomposition": "ext_decomposition",
+    "extension-offload": "ext_offload",
+    "extension-decode": "ext_decode",
+    "extension-autotune": "ext_autotune",
+    "ablation-baseline-size": "ext_baseline",
+    "extension-topology": "ext_topology",
+    "extension-seqparallel": "ext_seqparallel",
+    "extension-hwtrends": "ext_hwtrends",
+    "extension-designspace": "ext_designspace",
+    "extension-energy": "ext_energy",
+    "extension-compression": "ext_compression",
+    "extension-bucketing": "ext_bucketing",
+    "extension-multinode": "ext_multinode",
+    "extension-contention": "ext_contention",
+    "validation-laws": "ext_validation",
+    "validation-projection": "ext_projection_validation",
+    "validation-roofline": "ext_roofline",
 }
+
+
+class _Registry(Mapping[str, Callable[[], ExperimentResult]]):
+    """Read-only artifact id -> runner map in registration order.
+
+    Listing ids imports nothing; looking one up imports only that
+    experiment's module.
+    """
+
+    def __getitem__(self, experiment_id: str
+                    ) -> Callable[[], ExperimentResult]:
+        module = _MODULES[experiment_id]
+        return importlib.import_module(f"repro.experiments.{module}").run
+
+    def __contains__(self, experiment_id: object) -> bool:
+        return experiment_id in _MODULES
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+#: Paper artifact id -> zero-argument runner.
+EXPERIMENTS: Mapping[str, Callable[[], ExperimentResult]] = _Registry()
 
 
 def get_experiment(experiment_id: str) -> Callable[[], ExperimentResult]:
@@ -105,13 +103,12 @@ def get_experiment(experiment_id: str) -> Callable[[], ExperimentResult]:
     Raises:
         KeyError: with the known ids when the id is unknown.
     """
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        known = ", ".join(EXPERIMENTS)
+    if experiment_id not in _MODULES:
+        known = ", ".join(_MODULES)
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
+        )
+    return EXPERIMENTS[experiment_id]
 
 
 def run_all(jobs: int = 1,

@@ -1,21 +1,17 @@
 """Hardware substrate: device specs, operator timing, networks, clusters."""
 
-from repro.hardware.cluster import ClusterSpec, mi210_node, multi_node_cluster
-from repro.hardware.collectives import AllReduceAlgorithm
-from repro.hardware.gemm import GemmShape, GemmTimingModel
-from repro.hardware.network import Link
-from repro.hardware.specs import DEVICE_CATALOG, MI210, DeviceSpec, get_device
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AllReduceAlgorithm",
-    "ClusterSpec",
-    "DEVICE_CATALOG",
-    "DeviceSpec",
-    "GemmShape",
-    "GemmTimingModel",
-    "Link",
-    "MI210",
-    "get_device",
-    "mi210_node",
-    "multi_node_cluster",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "AllReduceAlgorithm": "repro.hardware.collectives",
+    "ClusterSpec": "repro.hardware.cluster",
+    "DEVICE_CATALOG": "repro.hardware.specs",
+    "DeviceSpec": "repro.hardware.specs",
+    "GemmShape": "repro.hardware.gemm",
+    "GemmTimingModel": "repro.hardware.gemm",
+    "Link": "repro.hardware.network",
+    "MI210": "repro.hardware.specs",
+    "get_device": "repro.hardware.specs",
+    "mi210_node": "repro.hardware.cluster",
+    "multi_node_cluster": "repro.hardware.cluster",
+})

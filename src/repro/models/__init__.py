@@ -2,24 +2,15 @@
 and the parallelism extensions (MoE, pipeline, ZeRO, sequence parallel,
 offload, decode inference)."""
 
-from repro.models.graph import (
-    CollectiveKind,
-    CommGroup,
-    CommOp,
-    ElementwiseOp,
-    GemmOp,
-    Phase,
-    SubLayer,
-    Trace,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CollectiveKind",
-    "CommGroup",
-    "CommOp",
-    "ElementwiseOp",
-    "GemmOp",
-    "Phase",
-    "SubLayer",
-    "Trace",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "CollectiveKind": "repro.models.graph",
+    "CommGroup": "repro.models.graph",
+    "CommOp": "repro.models.graph",
+    "ElementwiseOp": "repro.models.graph",
+    "GemmOp": "repro.models.graph",
+    "Phase": "repro.models.graph",
+    "SubLayer": "repro.models.graph",
+    "Trace": "repro.models.graph",
+})

@@ -9,33 +9,20 @@ and fans experiment execution out over a deterministic,
 order-preserving thread pool.
 """
 
-from repro.runtime.cache import (
-    CACHE_VERSION,
-    CacheStats,
-    ResultCache,
-    default_cache_dir,
-)
-from repro.runtime.keys import cache_key, canonicalize, fingerprint
-from repro.runtime.parallel import parallel_map, resolve_jobs
-from repro.runtime.session import (
-    Session,
-    get_session,
-    resolve_session,
-    set_session,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CACHE_VERSION",
-    "CacheStats",
-    "ResultCache",
-    "Session",
-    "cache_key",
-    "canonicalize",
-    "default_cache_dir",
-    "fingerprint",
-    "get_session",
-    "parallel_map",
-    "resolve_jobs",
-    "resolve_session",
-    "set_session",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "CACHE_VERSION": "repro.runtime.cache",
+    "CacheStats": "repro.runtime.cache",
+    "ResultCache": "repro.runtime.cache",
+    "Session": "repro.runtime.session",
+    "cache_key": "repro.runtime.keys",
+    "canonicalize": "repro.runtime.keys",
+    "default_cache_dir": "repro.runtime.cache",
+    "fingerprint": "repro.runtime.keys",
+    "get_session": "repro.runtime.session",
+    "parallel_map": "repro.runtime.parallel",
+    "resolve_jobs": "repro.runtime.parallel",
+    "resolve_session": "repro.runtime.session",
+    "set_session": "repro.runtime.session",
+})

@@ -42,9 +42,21 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridSpec
 from repro.core.projection import OperatorModelSuite
@@ -53,6 +65,7 @@ from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
 from repro.runtime.parallel import resolve_jobs
+from repro.sim.checkflag import check_enabled
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
 __all__ = ["SweepResult", "stream_sweep", "MODES"]
@@ -284,8 +297,6 @@ def stream_sweep(spec: GridSpec,
         Exception: The first worker exception, re-raised here after
             cancelling outstanding chunks.
     """
-    from repro.sim.checker import check_enabled
-
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     if mode == "project" and suite is None:
@@ -352,6 +363,8 @@ def stream_sweep(spec: GridSpec,
     pool: Optional[ProcessPoolExecutor] = None
     try:
         if workers > 1 and len(pending) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers,
                                        initializer=_init_worker,
                                        initargs=(ctx,))

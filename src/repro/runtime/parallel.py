@@ -16,8 +16,18 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Deque, Iterable, List, Optional, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Iterable,
+    List,
+    Optional,
+    TypeVar,
+)
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = ["resolve_jobs", "parallel_map"]
 
@@ -49,6 +59,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T],
     iterator = iter(items)
     if workers <= 1:
         return [fn(item) for item in iterator]
+    from concurrent.futures import ThreadPoolExecutor
+
     limit = max(workers, window or 2 * workers)
     results: List[R] = []
     inflight: Deque[Future] = deque()

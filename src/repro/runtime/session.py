@@ -52,7 +52,8 @@ from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.models.graph import Trace
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
-from repro.runtime.parallel import parallel_map, resolve_jobs
+from repro.runtime.parallel import resolve_jobs
+from repro.sim.checkflag import check_enabled
 from repro.sim.executor import (
     DEFAULT_TIMING,
     ExecutionResult,
@@ -103,8 +104,6 @@ class Session:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}"
             )
-        from repro.sim.checker import check_enabled
-
         self.engine = engine
         self.check = check_enabled(check)
         self.cluster = cluster if cluster is not None else mi210_node()
@@ -326,7 +325,8 @@ class Session:
         """
         from repro.experiments import registry
 
-        runner = registry.get_experiment(experiment_id)
+        if experiment_id not in registry.EXPERIMENTS:
+            registry.get_experiment(experiment_id)  # KeyError naming ids
         key = cache_key("experiment-result", CACHE_VERSION, experiment_id,
                         self.fingerprint, self.engine)
         start = time.perf_counter()
@@ -338,7 +338,7 @@ class Session:
                                cache="hit", session=self.fingerprint,
                                checked=self.check)
                 return result.with_meta(meta)
-        result = self._invoke(runner)
+        result = self._invoke(registry.get_experiment(experiment_id))
         if use_cache:
             self.cache.put(key, result.to_dict())
         meta = RunMeta(wall_time_s=time.perf_counter() - start,
@@ -359,6 +359,7 @@ class Session:
                 order.
         """
         from repro.experiments import registry
+        from repro.runtime.parallel import parallel_map
 
         if experiment_ids is None:
             experiment_ids = list(registry.EXPERIMENTS)

@@ -1,60 +1,33 @@
 """Simulated-testbed execution: scheduler, executor, profiler, breakdowns."""
 
-from repro.sim.breakdown import Breakdown
-from repro.sim.checker import (
-    check_enabled,
-    differential_oracle,
-    fault_selftest,
-    seeded_faults,
-    validate_batch,
-    validate_execution,
-    validate_schedule,
-)
-from repro.sim.engine import Schedule, Task, run_schedule
-from repro.sim.executor import (
-    ExecutionResult,
-    TimingModels,
-    execute_trace,
-    op_duration,
-    schedule_with_durations,
-)
-from repro.sim.overlap import execute_with_decomposition
-from repro.sim.profiler import KernelRecord, Profile, profile_trace
-from repro.sim.timeline import render_timeline, utilization_summary
-from repro.sim.vectorized import (
-    all_reduce_times,
-    closed_form_breakdown,
-    cluster_all_reduce_times,
-    elementwise_times,
-    gemm_times,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Breakdown",
-    "all_reduce_times",
-    "closed_form_breakdown",
-    "cluster_all_reduce_times",
-    "elementwise_times",
-    "gemm_times",
-    "ExecutionResult",
-    "KernelRecord",
-    "Profile",
-    "Schedule",
-    "Task",
-    "TimingModels",
-    "check_enabled",
-    "differential_oracle",
-    "execute_trace",
-    "execute_with_decomposition",
-    "fault_selftest",
-    "op_duration",
-    "profile_trace",
-    "render_timeline",
-    "run_schedule",
-    "schedule_with_durations",
-    "seeded_faults",
-    "utilization_summary",
-    "validate_batch",
-    "validate_execution",
-    "validate_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "Breakdown": "repro.sim.breakdown",
+    "all_reduce_times": "repro.sim.vectorized",
+    "closed_form_breakdown": "repro.sim.vectorized",
+    "cluster_all_reduce_times": "repro.sim.vectorized",
+    "elementwise_times": "repro.sim.vectorized",
+    "gemm_times": "repro.sim.vectorized",
+    "ExecutionResult": "repro.sim.executor",
+    "KernelRecord": "repro.sim.profiler",
+    "Profile": "repro.sim.profiler",
+    "Schedule": "repro.sim.engine",
+    "Task": "repro.sim.engine",
+    "TimingModels": "repro.sim.executor",
+    "check_enabled": "repro.sim.checkflag",
+    "differential_oracle": "repro.sim.checker",
+    "execute_trace": "repro.sim.executor",
+    "execute_with_decomposition": "repro.sim.overlap",
+    "fault_selftest": "repro.sim.checker",
+    "op_duration": "repro.sim.executor",
+    "profile_trace": "repro.sim.profiler",
+    "render_timeline": "repro.sim.timeline",
+    "run_schedule": "repro.sim.engine",
+    "schedule_with_durations": "repro.sim.executor",
+    "seeded_faults": "repro.sim.checker",
+    "utilization_summary": "repro.sim.timeline",
+    "validate_batch": "repro.sim.checker",
+    "validate_execution": "repro.sim.checker",
+    "validate_schedule": "repro.sim.checker",
+})

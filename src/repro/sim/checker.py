@@ -49,7 +49,6 @@ Run every layer from the command line with ``python -m repro check``.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -66,6 +65,7 @@ from repro.core.invariants import (
 )
 from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.models.trace import layer_trace
+from repro.sim.checkflag import CHECK_ENV, check_enabled
 from repro.sim.engine import Schedule, ScheduledTask
 from repro.sim.executor import (
     DEFAULT_TIMING,
@@ -98,24 +98,6 @@ __all__ = [
     "PruneReport",
     "prune_oracle",
 ]
-
-#: Environment variable that turns invariant checking on everywhere a
-#: :class:`~repro.runtime.session.Session` executes or batches a trace.
-CHECK_ENV = "REPRO_CHECK"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def check_enabled(explicit: Optional[bool] = None) -> bool:
-    """Whether invariant checking is on.
-
-    An explicit ``True``/``False`` wins; ``None`` defers to the
-    :data:`CHECK_ENV` environment variable (``1``/``true``/``yes``/``on``).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get(CHECK_ENV, "").strip().lower() in _TRUTHY
-
 
 def validate_schedule(schedule: Schedule) -> None:
     """Raise :class:`InvariantError` unless the schedule is valid."""

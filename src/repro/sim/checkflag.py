@@ -1,0 +1,31 @@
+"""The invariant-checking switch, with no dependencies beyond the stdlib.
+
+Deciding whether to check must not cost the checker's import:
+:class:`~repro.runtime.session.Session`, the streaming sweep and the CLI
+read :func:`check_enabled` first and import :mod:`repro.sim.checker`
+only when it is true.  The checker re-exports both names.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Optional
+
+__all__ = ["CHECK_ENV", "check_enabled"]
+
+#: Environment variable that turns invariant checking on everywhere a
+#: :class:`~repro.runtime.session.Session` executes or batches a trace.
+CHECK_ENV = "REPRO_CHECK"
+
+_TRUTHY = ("1", "true", "yes", "on")
+
+
+def check_enabled(explicit: Optional[bool] = None) -> bool:
+    """Whether invariant checking is on.
+
+    An explicit ``True``/``False`` wins; ``None`` defers to the
+    :data:`CHECK_ENV` environment variable (``1``/``true``/``yes``/``on``).
+    """
+    if explicit is not None:
+        return bool(explicit)
+    return os.environ.get(CHECK_ENV, "").strip().lower() in _TRUTHY
