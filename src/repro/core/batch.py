@@ -4,22 +4,23 @@ The scalar path pays a per-configuration Python tax: every grid point of
 the Figure 10-13 sweeps builds a per-op :class:`~repro.models.graph.Trace`
 and runs the discrete-event scheduler.  But a Transformer layer's trace
 has *fixed structure* for a given parallelism parity -- the same ~34
-operator slots in the same order, only the shapes change -- so a whole
-grid can be evaluated at once:
+operators in the same order, only the shapes change -- so a whole grid
+can be evaluated at once:
 
 * :class:`ConfigGrid` holds the (H, SL, B, TP, DP) columns as int64
-  arrays;
+  arrays, under the attribute names of
+  :class:`~repro.models.layers.LayerDims`;
 * the grid is partitioned by ``(TP > 1, DP > 1)`` parity, and each
-  partition's slot list is built once by mirroring
-  :mod:`repro.models.layers` (and cross-checked against a real
-  :func:`~repro.models.trace.layer_trace` exemplar, so structural drift
-  fails loudly instead of silently diverging);
-* per-slot duration arrays come from the vectorized timing mirrors in
+  partition's op list comes from the operator table in
+  :mod:`repro.models.layers` evaluated on the grid's columns
+  (:func:`~repro.models.layers.layer_records`) -- the same table the
+  scalar trace is built from, so there is no second copy to drift;
+* per-op duration arrays come from the vectorized timing mirrors in
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
   (projection), reproducing the scalar engines bit-for-bit;
 * data parallelism changes only the gradient all-reduces, so every other
-  slot (all GEMMs, element-wise ops and TP all-reduces) is timed once
+  op (all GEMMs, element-wise ops and TP all-reduces) is timed once
   per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` and
   gathered back per row (:func:`_dp_free_rows`); only the DP-group
   all-reduces are timed on every row;
@@ -29,13 +30,15 @@ grid can be evaluated at once:
   ``max(0, comm - remaining_compute)`` slack.
 
 The scalar engine stays the reference implementation and the fallback
-for irregular traces (multi-layer pipelines, MoE, mixed precisions).
+for irregular traces (multi-layer pipelines, MoE, mixed precisions);
+checker layer 4 (:mod:`repro.sim.checker`) compares the two engines op
+by op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +50,13 @@ from repro.core.hyperparams import (
 )
 from repro.core.projection import OperatorModelSuite, _ring_factor
 from repro.hardware.cluster import ClusterSpec
-from repro.models.graph import (
-    CommGroup,
-    CommOp,
-    ElementwiseOp,
-    GemmOp,
+from repro.models.graph import CommGroup, Phase
+from repro.models.layers import (
+    COMM,
+    ELEMENTWISE,
+    GEMM,
+    OpRecord,
+    layer_records,
 )
 from repro.models.trace import layer_trace
 from repro.sim import vectorized
@@ -229,7 +234,7 @@ class ConfigGrid:
         )
 
     def at(self, index: int) -> Tuple[ModelConfig, ParallelConfig]:
-        """Scalar ``(model, parallel)`` exemplar of one grid entry."""
+        """Scalar ``(model, parallel)`` pair of one grid entry."""
         model = ModelConfig(
             name=f"batch-{index}",
             hidden=int(self.hidden[index]),
@@ -244,197 +249,18 @@ class ConfigGrid:
         return model, parallel
 
 
-# -- slot mirror of repro.models.layers ---------------------------------
+# -- timing the op table on a grid ----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _GemmSlot:
-    name: str
-    m: np.ndarray
-    n: np.ndarray
-    k: np.ndarray
-    batch: Union[np.ndarray, int] = 1
-    has_weights: bool = True
-    backward: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class _EwSlot:
-    name: str
-    elements: np.ndarray
-    rw_factor: float
-    kind: str
-
-
-@dataclass(frozen=True, eq=False)
-class _CommSlot:
-    name: str
-    nbytes: np.ndarray
-    group: str  # "tp" | "dp"
-    overlappable: bool
-
-
-_Slot = Union[_GemmSlot, _EwSlot, _CommSlot]
-
-
-def _attention_forward_slots(grid: ConfigGrid,
-                             tp_parallel: bool) -> List[_Slot]:
-    tokens = grid.batch * grid.seq_len
-    heads = grid.num_heads // grid.tp
-    head_dim = grid.hidden // grid.num_heads
-    sl = grid.seq_len
-    act_bytes = grid.precision.bytes * grid.batch * grid.seq_len * grid.hidden
-    bsl_h = grid.batch * grid.seq_len * grid.hidden
-    slots: List[_Slot] = [
-        _EwSlot("attn.ln", bsl_h, 3.0, "layernorm"),
-        _GemmSlot("attn.qkv", m=tokens, k=grid.hidden,
-                  n=3 * grid.hidden // grid.tp, batch=1),
-        _GemmSlot("attn.scores", m=sl, n=sl, k=head_dim,
-                  batch=grid.batch * heads, has_weights=False),
-        _EwSlot("attn.softmax", grid.batch * heads * sl * sl, 3.0,
-                "softmax"),
-        _GemmSlot("attn.context", m=sl, n=head_dim, k=sl,
-                  batch=grid.batch * heads, has_weights=False),
-        _GemmSlot("attn.out_proj", m=tokens, k=grid.hidden // grid.tp,
-                  n=grid.hidden),
-    ]
-    if tp_parallel:
-        slots.append(_CommSlot("attn.ar_fwd", act_bytes, "tp", False))
-    slots.append(_EwSlot("attn.residual", bsl_h, 3.0, "residual"))
-    return slots
-
-
-def _fc_forward_slots(grid: ConfigGrid, tp_parallel: bool) -> List[_Slot]:
-    tokens = grid.batch * grid.seq_len
-    ffn = grid.ffn_dim // grid.tp
-    act_bytes = grid.precision.bytes * grid.batch * grid.seq_len * grid.hidden
-    bsl_h = grid.batch * grid.seq_len * grid.hidden
-    slots: List[_Slot] = [
-        _EwSlot("fc.ln", bsl_h, 3.0, "layernorm"),
-        _GemmSlot("fc.fc1", m=tokens, k=grid.hidden, n=ffn, batch=1),
-        _EwSlot("fc.gelu", tokens * ffn, 2.0, "gelu"),
-        _GemmSlot("fc.fc2", m=tokens, k=ffn, n=grid.hidden, batch=1),
-    ]
-    if tp_parallel:
-        slots.append(_CommSlot("fc.ar_fwd", act_bytes, "tp", False))
-    slots.append(_EwSlot("fc.residual", bsl_h, 3.0, "residual"))
-    return slots
-
-
-def _backward_slots(forward: List[_Slot], dp_parallel: bool,
-                    sublayer: str, weight_bytes: np.ndarray) -> List[_Slot]:
-    """Mechanical mirror of :func:`repro.models.layers._sublayer_backward`."""
-    slots: List[_Slot] = []
-    for slot in reversed(forward):
-        if isinstance(slot, _GemmSlot):
-            slots.append(_GemmSlot(f"{slot.name}.ig", m=slot.m, n=slot.k,
-                                   k=slot.n, batch=slot.batch,
-                                   has_weights=slot.has_weights,
-                                   backward=True))
-            slots.append(_GemmSlot(f"{slot.name}.wg", m=slot.k, n=slot.n,
-                                   k=slot.m, batch=slot.batch,
-                                   has_weights=slot.has_weights,
-                                   backward=True))
-        elif isinstance(slot, _EwSlot):
-            slots.append(_EwSlot(f"{slot.name}.grad", slot.elements,
-                                 slot.rw_factor, f"{slot.kind}_grad"))
-        else:
-            prefix = slot.name.split(".")[0]
-            slots.append(_CommSlot(f"{prefix}.ar_bwd", slot.nbytes, "tp",
-                                   False))
-    if dp_parallel:
-        slots.append(_CommSlot(f"{sublayer}.grad_ar", weight_bytes, "dp",
-                               True))
-    return slots
-
-
-def _layer_slots(grid: ConfigGrid, tp_parallel: bool,
-                 dp_parallel: bool) -> List[_Slot]:
-    """One layer's forward + backward slot list for a parity partition."""
-    attn_fwd = _attention_forward_slots(grid, tp_parallel)
-    fc_fwd = _fc_forward_slots(grid, tp_parallel)
-    attn_wbytes = grid.precision.bytes * (
-        4 * grid.hidden * grid.hidden // grid.tp
-    )
-    fc_wbytes = grid.precision.bytes * (
-        2 * grid.hidden * grid.ffn_dim // grid.tp
-    )
-    return (
-        attn_fwd
-        + fc_fwd
-        + _backward_slots(fc_fwd, dp_parallel, "fc", fc_wbytes)
-        + _backward_slots(attn_fwd, dp_parallel, "attention", attn_wbytes)
-    )
-
-
-def _slot_scalar(value, index: int) -> int:
-    if isinstance(value, np.ndarray):
-        return int(value[index])
-    return int(value)
-
-
-def _check_against_exemplar(slots: Sequence[_Slot], grid: ConfigGrid,
-                            index: int = 0) -> None:
-    """Cross-check the slot mirror against a real scalar trace.
-
-    Runs once per parity partition; any structural drift between
-    :mod:`repro.models.layers` and this module raises instead of
-    silently producing wrong batched breakdowns.
-    """
-    model, parallel = grid.at(index)
-    trace = layer_trace(model, parallel)
-    if len(trace.ops) != len(slots):
-        raise RuntimeError(
-            f"batch slot structure diverged from layer_trace: "
-            f"{len(slots)} slots vs {len(trace.ops)} ops"
-        )
-    for op, slot in zip(trace.ops, slots):
-        ok = op.name == slot.name
-        if ok and isinstance(op, GemmOp):
-            ok = (
-                isinstance(slot, _GemmSlot)
-                and op.shape.m == _slot_scalar(slot.m, index)
-                and op.shape.n == _slot_scalar(slot.n, index)
-                and op.shape.k == _slot_scalar(slot.k, index)
-                and op.shape.batch == _slot_scalar(slot.batch, index)
-                and op.has_weights == slot.has_weights
-                and (op.phase.value == "backward") == slot.backward
-            )
-        elif ok and isinstance(op, ElementwiseOp):
-            ok = (
-                isinstance(slot, _EwSlot)
-                and op.elements == _slot_scalar(slot.elements, index)
-                and op.rw_factor == slot.rw_factor
-                and op.kind == slot.kind
-            )
-        elif ok and isinstance(op, CommOp):
-            ok = (
-                isinstance(slot, _CommSlot)
-                and op.nbytes == _slot_scalar(slot.nbytes, index)
-                and op.group.value == slot.group
-                and op.overlappable == slot.overlappable
-            )
-        if not ok:
-            raise RuntimeError(
-                f"batch slot structure diverged from layer_trace at "
-                f"{op.name!r} (slot {slot.name!r})"
-            )
-
-
-def _slot_kind(slot: _Slot) -> str:
-    if isinstance(slot, _CommSlot):
-        return (vectorized.KIND_OVERLAPPED if slot.overlappable
+def _slot_kind(op: OpRecord) -> str:
+    if op.family == COMM:
+        return (vectorized.KIND_OVERLAPPED if op.overlappable
                 else vectorized.KIND_SERIALIZED)
     return vectorized.KIND_COMPUTE
 
 
-def _group_sizes(grid: ConfigGrid, slot: _CommSlot) -> np.ndarray:
-    return grid.tp if slot.group == "tp" else grid.dp
-
-
-def _reads_dp(slot: _Slot) -> bool:
-    """Whether a slot's duration depends on the DP degree."""
-    return isinstance(slot, _CommSlot) and slot.group == "dp"
+def _group_sizes(grid: ConfigGrid, op: OpRecord) -> np.ndarray:
+    return grid.tp if op.group is CommGroup.TP else grid.dp
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,23 +281,23 @@ class _DpFreeRows:
         return int(self.starts.size)
 
     def compress(self, value):
-        """A per-row slot value restricted to the run representatives."""
+        """A per-row op field restricted to the run representatives."""
         if self.inverse is None:
             return value
         array = np.asarray(value)
         return array[self.starts] if array.ndim else value
 
     def expand(self, times: np.ndarray, slots: int) -> np.ndarray:
-        """Per-run stacked times of ``slots`` slots, gathered per row."""
+        """Per-run stacked times of ``slots`` ops, gathered per row."""
         if self.inverse is None:
             return times
         return times.reshape(slots, self.count)[:, self.inverse].reshape(-1)
 
 
 def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
-    """Detect runs of rows whose DP-free slot shapes are all equal.
+    """Detect runs of rows whose DP-free op shapes are all equal.
 
-    Every slot shape except the DP group size of the gradient
+    Every op shape except the DP group size of the gradient
     all-reduces is a function of ``(H, SL, B, TP, heads, FFN)``, and DP
     is the fastest-varying axis of :class:`~repro.core.gridplan.GridSpec`
     chunks, so consecutive rows repeat the same key.  The timing models
@@ -493,84 +319,104 @@ def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
     return _DpFreeRows(starts=starts, inverse=inverse)
 
 
-def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
+def _group_key(op: OpRecord) -> tuple:
+    """The timing call an op is stacked into (see :func:`_time_groups`)."""
+    if op.family == GEMM:
+        return (GEMM,)
+    if op.family == ELEMENTWISE:
+        return (ELEMENTWISE, op.kind, op.rw_factor)
+    # Only the DP-group all-reduces read DP; they are timed per row.
+    return (COMM, op.overlappable, op.group is CommGroup.DP)
+
+
+def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
+                 stack: Callable, evaluate: Callable
+                 ) -> Tuple[List[np.ndarray], ...]:
+    """Time an op list group by group, one stacked call per group.
+
+    GEMMs form one group, element-wise ops one per ``(kind,
+    rw_factor)`` and collectives one per ``(overlappable, reads DP)``:
+    the parameters each timing call takes once.  The timing formulas
+    are element-wise, so stacking changes the fixed NumPy overhead --
+    from per-op to per-group -- without touching any computed value.
+    Groups that do not read DP are timed on the DP-free run
+    representatives only (:func:`_dp_free_rows`) and expanded back per
+    row.
+
+    Args:
+        stack: ``stack(tag, values, width)`` -> one flat int64 array of
+            the values, each broadcast to ``width``.
+        evaluate: ``evaluate(key, column, expand)`` -> a tuple of flat
+            per-row duration arrays for the group ``key`` (``(GEMM,)``,
+            ``(ELEMENTWISE, kind, rw_factor)`` or ``(COMM, overlappable,
+            reads_dp)``).  ``column(field)`` stacks the group's ``field``
+            values (``column("group")``: their group sizes) and
+            ``expand(times)`` gathers times computed on those columns
+            back to every row.
+
+    Returns:
+        Per-op duration arrays, one list per array ``evaluate`` returns.
+    """
+    n = len(grid)
+    rows = _dp_free_rows(grid)
+    groups: Dict[tuple, List[int]] = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(_group_key(op), []).append(i)
+    outputs: Tuple[List[np.ndarray], ...] = ()
+    for key, indices in groups.items():
+        per_row = key[0] == COMM and key[2]
+
+        def column(field: str, indices=indices, per_row=per_row):
+            values = [_group_sizes(grid, ops[i]) if field == "group"
+                      else getattr(ops[i], field) for i in indices]
+            if per_row:
+                return stack(field, values, n)
+            return stack(field, [rows.compress(value) for value in values],
+                         rows.count)
+
+        def expand(times: np.ndarray, indices=indices, per_row=per_row):
+            return times if per_row else rows.expand(times, len(indices))
+
+        results = evaluate(key, column, expand)
+        if not outputs:
+            outputs = tuple([None] * len(ops) for _ in results)
+        for durations, times in zip(outputs, results):
+            for row, i in enumerate(indices):
+                durations[i] = times[row * n:(row + 1) * n]
+    return outputs
+
+
+def _slot_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
                     cluster: ClusterSpec,
                     timing: TimingModels) -> List[np.ndarray]:
-    """Ground-truth per-slot duration arrays (vectorized timing models).
+    """Ground-truth per-op duration arrays (vectorized timing models).
 
-    Same-type slots are stacked into one flat vectorized call per kind
-    (all GEMMs together, element-wise ops per jitter kind, collectives
-    per overlap class and group): the timing formulas are element-wise,
-    so the stacking changes the fixed NumPy overhead -- from per-slot to
-    per-partition -- without touching any computed value.  Slots that
-    do not read DP are timed on the DP-free run representatives only
-    (:func:`_dp_free_rows`) and expanded back per row.  Stacks go
-    through :func:`repro.sim.vectorized.stack_columns`, which reuses
-    one scratch buffer per argument position across chunks; each stack
-    is consumed by its timing-model call before the tag is reused.
+    Groups are stacked through :func:`repro.sim.vectorized.stack_columns`,
+    which reuses one scratch buffer per field across chunks; each stack
+    is consumed by its timing-model call before the field is reused.
     """
-    n = int(grid.hidden.shape[0])
-    rows = _dp_free_rows(grid)
-    width = rows.count
-    durations: List[Optional[np.ndarray]] = [None] * len(slots)
+    device, precision = cluster.device, grid.precision
 
-    def stack(tag: str, values: List[object],
-              per_row: bool = False) -> np.ndarray:
-        if per_row:
-            return vectorized.stack_columns(tag, values, n)
-        return vectorized.stack_columns(
-            tag, [rows.compress(value) for value in values], width
-        )
-
-    def place(times: np.ndarray, indices: List[int],
-              per_row: bool = False) -> None:
-        if not per_row:
-            times = rows.expand(times, len(indices))
-        for row, i in enumerate(indices):
-            durations[i] = times[row * n:(row + 1) * n]
-
-    gemms = [i for i, slot in enumerate(slots)
-             if isinstance(slot, _GemmSlot)]
-    if gemms:
-        times = vectorized.gemm_times(
-            stack("gemm.m", [slots[i].m for i in gemms]),
-            stack("gemm.n", [slots[i].n for i in gemms]),
-            stack("gemm.k", [slots[i].k for i in gemms]),
-            stack("gemm.batch", [slots[i].batch for i in gemms]),
-            cluster.device, grid.precision, timing.gemm,
-        )
-        place(times, gemms)
-
-    ew_groups: dict = {}
-    for i, slot in enumerate(slots):
-        if isinstance(slot, _EwSlot):
-            ew_groups.setdefault((slot.kind, slot.rw_factor),
-                                 []).append(i)
-    for (kind, rw_factor), indices in ew_groups.items():
-        times = vectorized.elementwise_times(
-            stack("ew.elements", [slots[i].elements for i in indices]),
-            cluster.device, grid.precision, rw_factor, kind,
-            timing.elementwise,
-        )
-        place(times, indices)
-
-    for overlapped in (False, True):
-        for per_row in (False, True):
-            comms = [i for i, slot in enumerate(slots)
-                     if isinstance(slot, _CommSlot)
-                     and slot.overlappable == overlapped
-                     and _reads_dp(slot) == per_row]
-            if not comms:
-                continue
-            times = vectorized.cluster_all_reduce_times(
-                stack("comm.nbytes", [slots[i].nbytes for i in comms],
-                      per_row),
-                stack("comm.group", [_group_sizes(grid, slots[i])
-                                     for i in comms], per_row),
-                cluster, overlapped=overlapped,
+    def evaluate(key: tuple, column: Callable,
+                 expand: Callable) -> Tuple[np.ndarray]:
+        if key[0] == GEMM:
+            times = vectorized.gemm_times(
+                column("m"), column("n"), column("k"), column("batch"),
+                device, precision, timing.gemm,
             )
-            place(times, comms, per_row)
-    return durations
+        elif key[0] == ELEMENTWISE:
+            times = vectorized.elementwise_times(
+                column("elements"), device, precision, key[2], key[1],
+                timing.elementwise,
+            )
+        else:
+            times = vectorized.cluster_all_reduce_times(
+                column("nbytes"), column("group"), cluster,
+                overlapped=key[1],
+            )
+        return (expand(times),)
+
+    return _time_groups(ops, grid, vectorized.stack_columns, evaluate)[0]
 
 
 def _partitions(grid: ConfigGrid) -> Iterator[Tuple[np.ndarray, ConfigGrid,
@@ -655,10 +501,9 @@ def _scatter(out: Tuple[np.ndarray, ...], mask: np.ndarray,
 
 
 def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
-                  timing: TimingModels = DEFAULT_TIMING,
-                  validate: bool = True) -> BatchBreakdown:
+                  timing: TimingModels = DEFAULT_TIMING) -> BatchBreakdown:
     """Ground-truth breakdowns for a whole grid at once, timing every
-    slot that does not read DP once per run of equal DP-free rows.
+    op that does not read DP once per run of equal DP-free rows.
 
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
     ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Within
@@ -666,53 +511,46 @@ def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
     all-reduces are timed on one representative per run of equal
     ``(H, SL, B, TP, heads, FFN)`` rows and gathered back per row; only
     the DP-group gradient all-reduces are timed on every row.
-
-    Args:
-        validate: Cross-check each parity partition's slot structure
-            against a scalar exemplar trace (cheap; on by default).
     """
     n = len(grid)
     out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
     for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
-        durations = _slot_durations(slots, sub, cluster, timing)
-        kinds = [_slot_kind(slot) for slot in slots]
+        ops = layer_records(sub, tp_flag, dp_flag)
+        durations = _slot_durations(ops, sub, cluster, timing)
+        kinds = [_slot_kind(op) for op in ops]
         _scatter(out, mask, vectorized.closed_form_breakdown(kinds,
                                                              durations))
     return BatchBreakdown(*out)
 
 
-def _project_slot(slot: _Slot, grid: ConfigGrid,
+def _project_slot(op: OpRecord, grid: ConfigGrid,
                   suite: OperatorModelSuite) -> np.ndarray:
-    """Projected duration array for one slot (operator scaling laws)."""
-    if isinstance(slot, _CommSlot):
+    """Projected duration array for one op (operator scaling laws)."""
+    if op.family == COMM:
         from repro.models.graph import CollectiveKind
 
         reference = suite.collective_references[CollectiveKind.ALL_REDUCE]
-        group = _group_sizes(grid, slot)
-        scale = (slot.nbytes / reference.nbytes) * (
+        group = _group_sizes(grid, op)
+        scale = (op.nbytes / reference.nbytes) * (
             ((group - 1) / group) / _ring_factor(reference.group_size)
         )
         projected = reference.time * scale
-        return np.where((group > 1) & (slot.nbytes > 0), projected, 0.0)
+        return np.where((group > 1) & (op.nbytes > 0), projected, 0.0)
     try:
-        base_op, base_time = suite.compute_reference[slot.name]
+        base_op, base_time = suite.compute_reference[op.name]
     except KeyError:
         raise KeyError(
-            f"baseline profile has no operator named {slot.name!r}"
+            f"baseline profile has no operator named {op.name!r}"
         ) from None
-    if isinstance(slot, _GemmSlot):
-        flops = 2 * np.asarray(slot.batch, dtype=np.int64) * slot.m \
-            * slot.n * slot.k
+    if op.family == GEMM:
+        flops = 2 * np.asarray(op.batch, dtype=np.int64) * op.m * op.n * op.k
         return base_time * flops / base_op.shape.flops
-    return base_time * slot.elements / base_op.elements
+    return base_time * op.elements / base_op.elements
 
 
 def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
-                  scenario: Optional[HardwareScenario] = None,
-                  validate: bool = True) -> BatchBreakdown:
+                  scenario: Optional[HardwareScenario] = None
+                  ) -> BatchBreakdown:
     """Projected breakdowns for a whole grid (the paper's method).
 
     Equivalent to ``suite.project_execution(layer_trace(*grid.at(i)))``
@@ -723,34 +561,29 @@ def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
     n = len(grid)
     out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
     for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
-        durations = [_project_slot(slot, sub, suite) for slot in slots]
+        ops = layer_records(sub, tp_flag, dp_flag)
+        durations = [_project_slot(op, sub, suite) for op in ops]
         if scenario is not None:
             durations = [
-                duration / (scenario.network_scale
-                            if isinstance(slot, _CommSlot)
+                duration / (scenario.network_scale if op.family == COMM
                             else scenario.compute_scale)
-                for slot, duration in zip(slots, durations)
+                for op, duration in zip(ops, durations)
             ]
-        kinds = [_slot_kind(slot) for slot in slots]
+        kinds = [_slot_kind(op) for op in ops]
         _scatter(out, mask, vectorized.closed_form_breakdown(kinds,
                                                              durations))
     return BatchBreakdown(*out)
 
 
 def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
-                      timing: TimingModels = DEFAULT_TIMING,
-                      validate: bool = True
+                      timing: TimingModels = DEFAULT_TIMING
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """ROI compute/comm time arrays (Figure 11/13 numerator/denominator).
 
     Equivalent to :func:`repro.core.roi.overlap_roi_timing` per entry:
     sums the backprop weight-bearing IG/WG GEMM times and the
-    overlappable gradient all-reduce times in trace order.  The GEMMs
-    are timed once per run of equal DP-free rows, as in
-    :func:`batch_execute`.
+    overlappable gradient all-reduce times in trace order.  The ops are
+    timed as in :func:`batch_execute`.
 
     Raises:
         ValueError: if any entry has DP = 1 (no overlappable comm; same
@@ -765,27 +598,19 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
     compute = np.zeros(n, dtype=np.float64)
     comm = np.zeros(n, dtype=np.float64)
     for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
-        # The GEMMs never read DP: time them once per DP-free run.
-        rows = _dp_free_rows(sub)
-        compute_part = np.zeros(rows.count, dtype=np.float64)
+        ops = [op for op in layer_records(sub, tp_flag, dp_flag)
+               if (op.family == COMM and op.overlappable)
+               or (op.family == GEMM and op.has_weights
+                   and op.phase is Phase.BACKWARD)]
+        compute_part = np.zeros(len(sub), dtype=np.float64)
         comm_part = np.zeros(len(sub), dtype=np.float64)
-        for slot in slots:
-            if isinstance(slot, _GemmSlot) and slot.backward \
-                    and slot.has_weights:
-                compute_part = compute_part + vectorized.gemm_times(
-                    rows.compress(slot.m), rows.compress(slot.n),
-                    rows.compress(slot.k), rows.compress(slot.batch),
-                    cluster.device, sub.precision, timing.gemm,
-                )
-            elif isinstance(slot, _CommSlot) and slot.overlappable:
-                comm_part = comm_part + vectorized.cluster_all_reduce_times(
-                    slot.nbytes, _group_sizes(sub, slot), cluster,
-                    overlapped=True,
-                )
-        compute[mask] = rows.expand(compute_part, 1)
+        for op, duration in zip(ops, _slot_durations(ops, sub, cluster,
+                                                     timing)):
+            if op.family == GEMM:
+                compute_part = compute_part + duration
+            else:
+                comm_part = comm_part + duration
+        compute[mask] = compute_part
         comm[mask] = comm_part
     return compute, comm
 
@@ -798,8 +623,9 @@ def serialized_fractions_for_pairs(
 ) -> List[float]:
     """Serialized-comm fractions for explicit ``(model, parallel)`` pairs.
 
-    Batch path with automatic scalar fallback (mixed precisions or other
-    grid-ineligible inputs); ``engine="batch"`` re-raises instead of
+    Batch path with automatic scalar fallback on the ``ValueError`` of a
+    grid-ineligible input (mixed precisions, a TP that does not divide);
+    any other error propagates.  ``engine="batch"`` re-raises instead of
     falling back, ``engine="scalar"`` skips the batch path entirely.
     """
     if engine != "scalar":
@@ -807,7 +633,7 @@ def serialized_fractions_for_pairs(
             grid = ConfigGrid.from_models(pairs)
             breakdown = batch_execute(grid, cluster, timing)
             return [float(f) for f in breakdown.serialized_comm_fraction]
-        except Exception:
+        except ValueError:
             if engine == "batch":
                 raise
     from repro.sim.executor import execute_trace

@@ -57,21 +57,11 @@ bound cache keys (:meth:`repro.core.gridplan.GridSpec.chunk_key`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import (
-    ConfigGrid,
-    _CommSlot,
-    _EwSlot,
-    _GemmSlot,
-    _dp_free_rows,
-    _group_sizes,
-    _layer_slots,
-    _reads_dp,
-    _slot_kind,
-)
+from repro.core.batch import ConfigGrid, _slot_kind, _time_groups
 from repro.core.evolution import HardwareScenario
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
@@ -80,6 +70,7 @@ from repro.core.gridplan import (
 )
 from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
+from repro.models.layers import ELEMENTWISE, GEMM, OpRecord, layer_records
 from repro.sim import vectorized
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
@@ -236,98 +227,63 @@ def _gemm_bound_durations(m, n, k, batch, device, precision,
             upper * ((1.0 + amp) * (1.0 + _ENVELOPE_MARGIN)))
 
 
+def _fresh_stack(tag: str, values: List[object], width: int) -> np.ndarray:
+    """Stack values (scalars broadcast by the fill) into a new flat
+    int64 array; the ``tag`` of the engine's stacking is ignored."""
+    out = np.empty((len(values), width), dtype=np.int64)
+    for row, value in enumerate(values):
+        out[row] = value
+    return out.reshape(-1)
+
+
 def _slot_bound_durations(
-    slots: Sequence[object],
+    ops: Sequence[OpRecord],
     grid: ConfigGrid,
     cluster: ClusterSpec,
     timing: TimingModels,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-slot (lower, upper) duration arrays, stacked per family.
+    """Per-op (lower, upper) duration arrays, stacked per group.
 
-    Mirrors :func:`repro.core.batch._slot_durations` slot-for-slot, with
-    the exact timing models replaced by the family envelopes.  Stacking
-    uses fresh buffers, never the engine's scratch stacks, so bound
-    evaluation cannot clobber an in-flight engine stack.
+    Groups the ops exactly as :func:`repro.core.batch._slot_durations`
+    does (:func:`repro.core.batch._time_groups`), with the exact timing
+    models replaced by the family envelopes.  Stacking uses fresh
+    buffers, never the engine's scratch stacks, so bound evaluation
+    cannot clobber an in-flight engine stack.
     """
-    n = int(grid.hidden.shape[0])
-    lowers: List[Optional[np.ndarray]] = [None] * len(slots)
-    uppers: List[Optional[np.ndarray]] = [None] * len(slots)
-    if n == 0:
+    if len(grid) == 0:
         empty = np.zeros(0, dtype=np.float64)
-        return [empty] * len(slots), [empty] * len(slots)
-
-    # Every slot except the DP-group all-reduces is bounded once per run
-    # of equal DP-free rows, exactly as in the exact engine.
-    rows = _dp_free_rows(grid)
-
-    def stack(values: List[object], per_row: bool = False) -> np.ndarray:
-        """Stack per-slot scalar-or-array values into one flat int64 row
-        block; numpy broadcasts scalars in the C fill."""
-        if not per_row:
-            values = [rows.compress(value) for value in values]
-        out = np.empty((len(values), n if per_row else rows.count),
-                       dtype=np.int64)
-        for row, value in enumerate(values):
-            out[row] = value
-        return out.reshape(-1)
-
-    def place(lo: np.ndarray, up: np.ndarray, indices: List[int],
-              per_row: bool = False) -> None:
-        if not per_row:
-            lo = rows.expand(lo, len(indices))
-            up = rows.expand(up, len(indices))
-        for row, i in enumerate(indices):
-            lowers[i] = lo[row * n:(row + 1) * n]
-            uppers[i] = up[row * n:(row + 1) * n]
-
-    gemms = [i for i, slot in enumerate(slots)
-             if isinstance(slot, _GemmSlot)]
-    if gemms:
-        lo, up = _gemm_bound_durations(
-            stack([slots[i].m for i in gemms]),
-            stack([slots[i].n for i in gemms]),
-            stack([slots[i].k for i in gemms]),
-            stack([slots[i].batch for i in gemms]),
-            cluster.device, grid.precision, timing.gemm,
-        )
-        place(lo, up, gemms)
-
+        return [empty] * len(ops), [empty] * len(ops)
+    device, precision = cluster.device, grid.precision
     ew_quiet = timing.elementwise.without_jitter()
     ew_amp = timing.elementwise.jitter_amplitude
-    ew_groups: dict = {}
-    for i, slot in enumerate(slots):
-        if isinstance(slot, _EwSlot):
-            ew_groups.setdefault((slot.kind, slot.rw_factor), []).append(i)
-    for (kind, rw_factor), indices in ew_groups.items():
-        base = rows.expand(vectorized.elementwise_times(
-            stack([slots[i].elements for i in indices]),
-            cluster.device, grid.precision, rw_factor, kind, ew_quiet,
-        ), len(indices))
-        place(base * (1.0 - ew_amp), base * (1.0 + ew_amp), indices,
-              per_row=True)
-
     comm_amp = cluster.collective_model.jitter_amplitude
     comm_lo = (1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN)
     comm_up = (1.0 + comm_amp) * (1.0 + _ENVELOPE_MARGIN)
     quiet_cluster = replace(
         cluster, collective_model=cluster.collective_model.without_jitter()
     )
-    for overlapped in (False, True):
-        for per_row in (False, True):
-            comms = [i for i, slot in enumerate(slots)
-                     if isinstance(slot, _CommSlot)
-                     and slot.overlappable == overlapped
-                     and _reads_dp(slot) == per_row]
-            if not comms:
-                continue
-            base = vectorized.cluster_all_reduce_times(
-                stack([slots[i].nbytes for i in comms], per_row),
-                stack([_group_sizes(grid, slots[i]) for i in comms],
-                      per_row),
-                quiet_cluster, overlapped=overlapped,
+
+    def evaluate(key: tuple, column: Callable, expand: Callable
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        if key[0] == GEMM:
+            lo, up = _gemm_bound_durations(
+                column("m"), column("n"), column("k"), column("batch"),
+                device, precision, timing.gemm,
             )
-            place(base * comm_lo, base * comm_up, comms, per_row)
-    return lowers, uppers
+            return expand(lo), expand(up)
+        if key[0] == ELEMENTWISE:
+            base = expand(vectorized.elementwise_times(
+                column("elements"), device, precision, key[2], key[1],
+                ew_quiet,
+            ))
+            return base * (1.0 - ew_amp), base * (1.0 + ew_amp)
+        base = expand(vectorized.cluster_all_reduce_times(
+            column("nbytes"), column("group"), quiet_cluster,
+            overlapped=key[1],
+        ))
+        return base * comm_lo, base * comm_up
+
+    return _time_groups(ops, grid, _fresh_stack, evaluate)
 
 
 # -- grid-level bounds ---------------------------------------------------
@@ -350,10 +306,10 @@ def _exposed_bounds(lower: Dict[str, np.ndarray],
 
 def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
                    timing: TimingModels) -> MetricBounds:
-    """Bounds for every row in one pass over the widest slot list.
+    """Bounds for every row in one pass over the widest op list.
 
     The exact engine evaluates each ``(TP > 1, DP > 1)`` parity
-    partition with its own slot list; here every row takes the list
+    partition with its own op list; here every row takes the list
     with both TP and DP all-reduces.  A collective over a one-device
     group times as exactly 0.0, and a zero-duration slot leaves every
     closed-form sum and maximum bit-for-bit unchanged (durations are
@@ -362,9 +318,9 @@ def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
     paying the per-slot Python overhead once per grid instead of once
     per partition.
     """
-    slots = _layer_slots(grid, True, True)
-    kinds = [_slot_kind(slot) for slot in slots]
-    lo_durations, up_durations = _slot_bound_durations(slots, grid, cluster,
+    ops = layer_records(grid, True, True)
+    kinds = [_slot_kind(op) for op in ops]
+    lo_durations, up_durations = _slot_bound_durations(ops, grid, cluster,
                                                        timing)
     lower = dict(zip(_STORED,
                      vectorized.closed_form_breakdown(kinds, lo_durations)))
@@ -379,8 +335,7 @@ def _bound_project(grid: ConfigGrid, suite: OperatorModelSuite,
     """Projection is deterministic: exact metrics, zero interval width."""
     from repro.core.batch import batch_project
 
-    breakdown = batch_project(grid, suite, scenario=scenario,
-                              validate=False)
+    breakdown = batch_project(grid, suite, scenario=scenario)
     exact = {name: np.asarray(getattr(breakdown, name), dtype=np.float64)
              for name in BOUNDED_METRICS}
     return MetricBounds(lower=dict(exact), upper=dict(exact))

@@ -140,8 +140,8 @@ class OperatorModelSuite:
     Attributes:
         baseline_model: The profiled baseline configuration.
         compute_reference: Baseline per-operator records, keyed by op name
-            (``"fc.fc1"``, ``"attn.softmax"``, ...), carrying the measured
-            time and the shape it was measured at.
+            (the names of the :mod:`repro.models.layers` op table),
+            carrying the measured time and the shape it was measured at.
         collective_references: One reference point per collective kind.
         baseline_cost: Testbed wall time spent obtaining the baseline
             profile (for profiling-speedup accounting).

@@ -186,7 +186,9 @@ def serialized_sweep(
 
     With the batch engine (the default via ``"auto"``), the whole grid
     is evaluated at once through :mod:`repro.core.batch`; results are
-    bit-identical to the scalar path.  ``engine="scalar"`` forces the
+    bit-identical to the scalar path.  ``"auto"`` falls back to the
+    scalar path only on the ``ValueError`` of a grid-ineligible input;
+    any other batch error propagates.  ``engine="scalar"`` forces the
     per-config reference path, which evaluates configurations through
     the runtime parallel executor (``jobs`` worker threads; serial by
     default).  Fractions come back in input order either way.
@@ -196,7 +198,7 @@ def serialized_sweep(
         try:
             return _serialized_sweep_batch(configs, cluster, scenario,
                                            suite, timing, session)
-        except Exception:
+        except ValueError:
             if resolved == "batch":
                 raise
     return parallel_map(
@@ -306,7 +308,7 @@ def overlap_sweep(
         try:
             return _overlap_sweep_batch(points, cluster, scenario, timing,
                                         session)
-        except Exception:
+        except ValueError:
             if resolved == "batch":
                 raise
     return parallel_map(

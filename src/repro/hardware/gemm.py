@@ -31,12 +31,29 @@ from repro.hardware.specs import DeviceSpec
 __all__ = ["GemmShape", "GemmTimingModel", "DEFAULT_GEMM_MODEL", "gemm_time"]
 
 
+#: Key-part types whose ``repr`` is stable.  A NumPy scalar is excluded:
+#: under NumPy 2 ``repr(np.int64(5))`` is ``'np.int64(5)'``, which would
+#: silently shift every jittered value it reaches.
+_KEY_TYPES = (int, str, float)
+
+
 def stable_unit_hash(*key: object) -> float:
     """Deterministic pseudo-uniform value in [0, 1) from a key tuple.
 
     Uses CRC32 of the key's repr so results are stable across processes and
     Python versions (the built-in ``hash`` is salted per process).
+
+    Raises:
+        TypeError: if a key part's type is not exactly ``int``, ``str``
+            or ``float`` (subclasses such as ``bool`` and NumPy scalars
+            included).
     """
+    for part in key:
+        if type(part) not in _KEY_TYPES:
+            raise TypeError(
+                f"jitter key part {part!r} has type {type(part).__name__}; "
+                f"expected a built-in int, str or float"
+            )
     digest = zlib.crc32(repr(key).encode("utf-8"))
     return (digest & 0xFFFFFFFF) / 2**32
 

@@ -289,17 +289,14 @@ def _op_diffs(trace, model: ModelConfig, parallel: ParallelConfig,
               cluster: ClusterSpec, timing: TimingModels
               ) -> Tuple[OpDiff, ...]:
     """Per-operator duration diff between scalar and batch timing paths."""
-    from repro.core.batch import (
-        ConfigGrid,
-        _layer_slots,
-        _slot_durations,
-    )
+    from repro.core.batch import ConfigGrid, _slot_durations
+    from repro.models.layers import layer_records
 
     grid = ConfigGrid.from_models([(model, parallel)])
-    slots = _layer_slots(grid, parallel.tp > 1, parallel.dp > 1)
-    batch_durations = _slot_durations(slots, grid, cluster, timing)
+    records = layer_records(grid, parallel.tp > 1, parallel.dp > 1)
+    batch_durations = _slot_durations(records, grid, cluster, timing)
     diffs = []
-    for op, slot, batch_values in zip(trace.ops, slots, batch_durations):
+    for op, batch_values in zip(trace.ops, batch_durations):
         scalar_value = op_duration(op, trace, cluster, timing)
         batch_value = float(batch_values[0])
         if scalar_value != batch_value:

@@ -29,7 +29,7 @@ class KernelRecord:
     """One profiled kernel execution.
 
     Attributes:
-        name: Operator name (e.g. ``"fc.fc1"``).
+        name: Operator name (as in :mod:`repro.models.layers`).
         category: Kernel family: ``"gemm"``, the element-wise kind
             (``"layernorm"``, ``"softmax"``, ...), or the collective kind
             (``"all-reduce"``, ...).

@@ -299,6 +299,64 @@ def test_jitter_keys_are_builtin_python_scalars(cluster, monkeypatch):
     assert {"gemm", "collective", "layernorm"} <= set(seen)
 
 
+def test_stable_unit_hash_rejects_numpy_scalars():
+    from repro.hardware.gemm import stable_unit_hash
+
+    assert stable_unit_hash("gemm", 5, 2.5) == \
+        stable_unit_hash("gemm", 5, 2.5)
+    for part in (np.int64(5), np.float64(2.5), np.int32(5), True):
+        with pytest.raises(TypeError, match="jitter key part"):
+            stable_unit_hash("gemm", part, "fp16")
+
+
+def test_every_hash_call_site_gets_builtin_keys(cluster, monkeypatch):
+    """The GEMM, element-wise and collective jitter hashes see only
+    built-in key parts on both engines: ``stable_unit_hash`` raises on
+    anything else, so a run that completes proves it."""
+    from repro.hardware import collectives, elementwise, gemm
+    from repro.sim import vectorized
+    from repro.sim.checker import random_configs
+
+    real_hash = gemm.stable_unit_hash
+    seen = []
+
+    def recording(*parts):
+        seen.append(parts[0])
+        return real_hash(*parts)
+
+    for module in (gemm, elementwise, collectives, vectorized):
+        monkeypatch.setattr(module, "stable_unit_hash", recording)
+    monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
+    pairs = random_configs(24, seed=5)
+    for model, parallel in pairs:
+        execute_trace(layer_trace(model, parallel), cluster)
+    scalar_kinds = set(seen)
+    seen.clear()
+    batch_execute(ConfigGrid.from_models(pairs), cluster)
+    for kinds in (scalar_kinds, set(seen)):
+        assert {"gemm", "collective", "layernorm", "gelu_grad"} <= kinds
+
+
+def test_engine_auto_reraises_non_value_errors(cluster, monkeypatch):
+    """``engine="auto"`` falls back to the scalar path only on the
+    ValueError of a grid-ineligible input; an engine bug propagates."""
+    import repro.core.batch as batch_module
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(batch_module, "batch_execute", broken)
+    monkeypatch.setattr(batch_module, "batch_overlap_roi", broken)
+    pairs = [(ModelConfig(name="a", hidden=1024, seq_len=512, batch=1,
+                          num_heads=8), ParallelConfig(tp=4, dp=1))]
+    with pytest.raises(RuntimeError, match="engine bug"):
+        serialized_fractions_for_pairs(pairs, cluster)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        sweeps.serialized_sweep([(4096, 1024, 8)], cluster, engine="auto")
+    with pytest.raises(RuntimeError, match="engine bug"):
+        sweeps.overlap_sweep([(1024, 4096)], cluster, engine="auto")
+
+
 # -- projection path (operator scaling laws) ----------------------------
 
 

@@ -108,10 +108,11 @@ class TestAdmissibility:
     @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
                              ids=("node", "multi-node"))
     def test_one_pass_equals_parity_partitions(self, cluster):
-        """Bounding every row with the TP+DP slot list is bit-identical
-        to bounding each parity partition with its own slot list."""
-        from repro.core.batch import _layer_slots, _partitions, _slot_kind
+        """Bounding every row with the TP+DP op list is bit-identical
+        to bounding each parity partition with its own op list."""
+        from repro.core.batch import _partitions, _slot_kind
         from repro.core.bounds import _slot_bound_durations
+        from repro.models.layers import layer_records
         from repro.sim.vectorized import closed_form_breakdown
 
         grid = ConfigGrid.from_models(random_configs(120, seed=11))
@@ -120,11 +121,11 @@ class TestAdmissibility:
                   "overlapped_comm_time", "iteration_time")
         seen = 0
         for mask, sub, tp_flag, dp_flag in _partitions(grid):
-            slots = _layer_slots(sub, tp_flag, dp_flag)
-            kinds = [_slot_kind(slot) for slot in slots]
+            ops = layer_records(sub, tp_flag, dp_flag)
+            kinds = [_slot_kind(op) for op in ops]
             for side, durations in zip(
                     (bounds.lower, bounds.upper),
-                    _slot_bound_durations(slots, sub, cluster,
+                    _slot_bound_durations(ops, sub, cluster,
                                           DEFAULT_TIMING)):
                 parts = closed_form_breakdown(kinds, durations)
                 for name, part in zip(stored, parts):
