@@ -11,7 +11,7 @@ its overlap opportunity (Figure 3(a)).
 from __future__ import annotations
 
 import functools
-from typing import List
+from typing import List, Tuple
 
 from repro.core.hyperparams import (
     ModelConfig,
@@ -19,9 +19,28 @@ from repro.core.hyperparams import (
     validate_model_parallel,
 )
 from repro.models import layers
-from repro.models.graph import Op, Trace
+from repro.models.graph import Op, Phase, Trace
 
 __all__ = ["training_trace", "forward_trace", "layer_trace"]
+
+
+def _records(model: ModelConfig, parallel: ParallelConfig
+             ) -> Tuple[List[layers.OpRecord], List[layers.OpRecord]]:
+    """One layer's forward and backward op records.
+
+    Every layer has the same operators and differs only in its index, so
+    a trace builds the records once and stamps them per layer.
+    """
+    d = layers.LayerDims.of(model, parallel)
+    records = layers.layer_records(d, parallel.uses_tensor_parallelism,
+                                   parallel.uses_data_parallelism)
+    split = sum(record.phase is Phase.FORWARD for record in records)
+    return records[:split], records[split:]
+
+
+def _stamp(records: List[layers.OpRecord], layer_ids) -> Tuple[Op, ...]:
+    return tuple(record.to_op(layer) for layer in layer_ids
+                 for record in records)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -38,10 +57,9 @@ def layer_trace(model: ModelConfig, parallel: ParallelConfig,
     cold-path benchmarks).
     """
     validate_model_parallel(model, parallel)
-    ops: List[Op] = []
-    ops.extend(layers.layer_forward_ops(model, parallel, layer))
-    ops.extend(layers.layer_backward_ops(model, parallel, layer))
-    return Trace(model=model, parallel=parallel, ops=tuple(ops))
+    forward, backward = _records(model, parallel)
+    return Trace(model=model, parallel=parallel,
+                 ops=_stamp(forward + backward, (layer,)))
 
 
 def training_trace(model: ModelConfig, parallel: ParallelConfig) -> Trace:
@@ -53,18 +71,16 @@ def training_trace(model: ModelConfig, parallel: ParallelConfig) -> Trace:
     slack the paper analyzes (Section 3.4).
     """
     validate_model_parallel(model, parallel)
-    ops: List[Op] = []
-    for layer in range(model.num_layers):
-        ops.extend(layers.layer_forward_ops(model, parallel, layer))
-    for layer in reversed(range(model.num_layers)):
-        ops.extend(layers.layer_backward_ops(model, parallel, layer))
-    return Trace(model=model, parallel=parallel, ops=tuple(ops))
+    forward, backward = _records(model, parallel)
+    layer_ids = range(model.num_layers)
+    return Trace(model=model, parallel=parallel,
+                 ops=(_stamp(forward, layer_ids)
+                      + _stamp(backward, reversed(layer_ids))))
 
 
 def forward_trace(model: ModelConfig, parallel: ParallelConfig) -> Trace:
     """Forward-only trace (distributed inference, Section 6.3)."""
     validate_model_parallel(model, parallel)
-    ops: List[Op] = []
-    for layer in range(model.num_layers):
-        ops.extend(layers.layer_forward_ops(model, parallel, layer))
-    return Trace(model=model, parallel=parallel, ops=tuple(ops))
+    forward, _ = _records(model, parallel)
+    return Trace(model=model, parallel=parallel,
+                 ops=_stamp(forward, range(model.num_layers)))
