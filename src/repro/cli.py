@@ -4,7 +4,7 @@ Eight subcommands cover the common workflows::
 
     python -m repro analyze --hidden 8192 --tp 16 --dp 8   # one config
     python -m repro experiment figure-10                   # reproduce art.
-    python -m repro experiment all --jobs 4                # everything
+    python -m repro experiment all                         # everything
     python -m repro zoo --format csv                        # Table 2
     python -m repro forecast --start 2023 --end 2027        # future models
     python -m repro cache info                              # result cache
@@ -15,8 +15,8 @@ Eight subcommands cover the common workflows::
 ``analyze`` prints the Comp-vs-Comm breakdown of one configuration on the
 simulated MI210 testbed (optionally scaled to future hardware);
 ``experiment`` regenerates any registered paper table/figure through the
-shared runtime session (memoized model fits, keyed result cache, and an
-optional ``--jobs`` thread pool); ``cache`` inspects or clears the
+shared runtime session (memoized model fits and a keyed result cache),
+one experiment after another; ``cache`` inspects or clears the
 on-disk result store; ``check`` runs the differential oracle, the
 fault-seeding self-test, and the streamed-vs-one-shot oracle of
 :mod:`repro.sim.checker`; ``search`` streams an arbitrarily large
@@ -106,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output format (default text)")
     experiment.add_argument("--output", "-o", default=None,
                             help="write to a file instead of stdout")
-    experiment.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker threads for 'all' (default 1; "
-                                 "output order is deterministic)")
     experiment.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="persist the result cache under DIR "
                                  "(default: in-memory only)")
@@ -149,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-equality)")
     check.add_argument("--stream-jobs", type=int, default=2, metavar="N",
                        help="max worker processes exercised by the "
-                            "stream and prune oracles (default 2)")
+                            "stream oracle (default 2)")
 
     search = subparsers.add_parser(
         "search", help="stream a large (H, SL, B, TP, DP) grid through "
@@ -183,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rows evaluated per chunk (default 4096); "
                              "bounds peak memory")
     search.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (default 1 = in-process; "
-                             "-1 = CPU count)")
+                        help="worker processes for exhaustive sweeps "
+                             "(default 1 = in-process; -1 = CPU count; "
+                             "--prune always runs in-process)")
     search.add_argument("--reduce", action="append",
                         choices=("top-k", "pareto", "hist", "extrema"),
                         default=None,
@@ -377,7 +375,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     session = _experiment_session(args)
     use_cache = not args.no_cache
     if args.id == "all":
-        results = session.run_all(jobs=args.jobs, use_cache=use_cache)
+        results = session.run_all(use_cache=use_cache)
         rendered = [_render(result, args.format, include_meta=args.meta)
                     for result in results]
         _emit("\n\n".join(rendered), args.output)
@@ -496,8 +494,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(stream.summary())
         failed = failed or not stream.ok
     if not args.skip_prune:
-        jobs = sorted({1, max(1, args.stream_jobs)})
-        prune = prune_oracle(seed=args.seed, jobs=jobs)
+        prune = prune_oracle(seed=args.seed)
         print(prune.summary())
         failed = failed or not prune.ok
     return 1 if failed else 0

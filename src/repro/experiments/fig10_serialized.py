@@ -25,7 +25,6 @@ __all__ = ["run", "main"]
 def run(cluster: Optional[ClusterSpec] = None,
         suite: Optional[OperatorModelSuite] = None,
         session: Optional["Session"] = None,
-        jobs: int = 1,
         engine: Optional[str] = None) -> ExperimentResult:
     """Reproduce the Figure 10 sweep.
 
@@ -36,7 +35,6 @@ def run(cluster: Optional[ClusterSpec] = None,
             ground-truth simulation.
         session: Runtime session supplying the default cluster and the
             per-trace duration cache (default: the shared session).
-        jobs: Worker threads for the scalar-path sweep grid (1 = serial).
         engine: Sweep engine override (``"auto"``/``"scalar"``/
             ``"batch"``; default: the session's engine).
     """
@@ -49,7 +47,7 @@ def run(cluster: Optional[ClusterSpec] = None,
             for tp in sweeps.TP_DEGREES]
     fractions = sweeps.serialized_sweep(
         [(line.hidden, line.seq_len, tp) for line, tp in grid],
-        cluster, suite=suite, session=session, jobs=jobs, engine=engine,
+        cluster, suite=suite, session=session, engine=engine,
     )
     rows = []
     for (line, tp), fraction in zip(grid, fractions):

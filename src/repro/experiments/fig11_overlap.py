@@ -23,7 +23,6 @@ __all__ = ["run", "main"]
 
 def run(cluster: Optional[ClusterSpec] = None,
         session: Optional["Session"] = None,
-        jobs: int = 1,
         engine: Optional[str] = None) -> ExperimentResult:
     """Reproduce the Figure 11 sweep."""
     from repro.runtime.session import resolve_session
@@ -34,7 +33,7 @@ def run(cluster: Optional[ClusterSpec] = None,
               for hidden in sweeps.OVERLAP_H_VALUES
               for slb in sweeps.OVERLAP_SLB_VALUES]
     ratios = sweeps.overlap_sweep(points, cluster, session=session,
-                                  jobs=jobs, engine=engine)
+                                  engine=engine)
     rows = []
     for (hidden, slb), ratio in zip(points, ratios):
         rows.append((

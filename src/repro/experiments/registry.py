@@ -4,9 +4,8 @@
 and figure; :func:`get_experiment` is the lookup the benchmark harness
 uses.  :func:`run_all` executes through the shared runtime
 :class:`~repro.runtime.session.Session`, so operator-model suites are
-fitted once per process, results replay from the keyed cache, and
-``jobs > 1`` fans experiments out over a thread pool while preserving
-registry order.
+fitted once per process and results replay from the keyed cache;
+experiments run serially, in registry order.
 """
 
 from __future__ import annotations
@@ -111,14 +110,11 @@ def get_experiment(experiment_id: str) -> Callable[[], ExperimentResult]:
     return EXPERIMENTS[experiment_id]
 
 
-def run_all(jobs: int = 1,
-            session: Optional["Session"] = None,
+def run_all(session: Optional["Session"] = None,
             use_cache: bool = True) -> List[ExperimentResult]:
-    """Run every registered experiment, in registry order.
+    """Run every registered experiment serially, in registry order.
 
     Args:
-        jobs: Worker threads (1 = serial; results keep registry order
-            either way).
         session: Runtime session to execute under (default: the
             process-wide shared session, so repeated calls replay from
             its cache and reuse its fitted suites).
@@ -126,8 +122,7 @@ def run_all(jobs: int = 1,
     """
     from repro.runtime.session import resolve_session
 
-    return resolve_session(session).run_all(jobs=jobs,
-                                            use_cache=use_cache)
+    return resolve_session(session).run_all(use_cache=use_cache)
 
 
 def main() -> None:

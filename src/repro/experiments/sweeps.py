@@ -5,10 +5,9 @@ sized after T-NLG, PaLM, and a 3x-PaLM futuristic Transformer -- across
 TP degrees; the overlapped-communication figures sweep H against the
 ``SL * B`` product at the paper's fixed TP of 16.
 
-When a runtime :class:`~repro.runtime.session.Session` is threaded in,
+When a runtime :class:`~repro.runtime.session.Session` is passed in,
 per-trace ground-truth durations replay from its keyed cache, and the
-``*_sweep`` helpers evaluate whole grids through the session's parallel
-executor while keeping deterministic input order.
+``*_sweep`` helpers return results in input order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.projection import OperatorModelSuite
 from repro.core.strategy import sweep_num_heads
 from repro.hardware.cluster import ClusterSpec
 from repro.models.trace import layer_trace
-from repro.runtime.parallel import parallel_map
 from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 
 if TYPE_CHECKING:
@@ -179,7 +177,6 @@ def serialized_sweep(
     suite: Optional[OperatorModelSuite] = None,
     timing: TimingModels = DEFAULT_TIMING,
     session: Optional["Session"] = None,
-    jobs: int = 1,
     engine: Optional[str] = None,
 ) -> List[float]:
     """Serialized fractions for a grid of ``(hidden, seq_len, tp)``.
@@ -189,9 +186,8 @@ def serialized_sweep(
     bit-identical to the scalar path.  ``"auto"`` falls back to the
     scalar path only on the ``ValueError`` of a grid-ineligible input;
     any other batch error propagates.  ``engine="scalar"`` forces the
-    per-config reference path, which evaluates configurations through
-    the runtime parallel executor (``jobs`` worker threads; serial by
-    default).  Fractions come back in input order either way.
+    per-config reference path, which evaluates configurations one by
+    one.  Fractions come back in input order either way.
     """
     resolved = _resolve_engine(engine, session)
     if resolved != "scalar":
@@ -201,14 +197,12 @@ def serialized_sweep(
         except ValueError:
             if resolved == "batch":
                 raise
-    return parallel_map(
-        lambda cfg: serialized_fraction(
-            cfg[0], cfg[1], cfg[2], cluster,
-            scenario=scenario, suite=suite, timing=timing, session=session,
-        ),
-        configs,
-        jobs=jobs,
-    )
+    return [
+        serialized_fraction(hidden, seq_len, tp, cluster,
+                            scenario=scenario, suite=suite, timing=timing,
+                            session=session)
+        for hidden, seq_len, tp in configs
+    ]
 
 
 def overlap_model(hidden: int, slb: int) -> ModelConfig:
@@ -293,15 +287,13 @@ def overlap_sweep(
     scenario: Optional[HardwareScenario] = None,
     timing: TimingModels = DEFAULT_TIMING,
     session: Optional["Session"] = None,
-    jobs: int = 1,
     engine: Optional[str] = None,
 ) -> List[float]:
     """Overlap ratios for a grid of ``(hidden, slb)`` points.
 
     Batch-engine contract mirrors :func:`serialized_sweep` (whole grid
-    at once, bit-identical, scalar fallback); the scalar path keeps the
-    parallel-executor contract: ``jobs`` worker threads, results in
-    input order.
+    at once, bit-identical, scalar fallback); the scalar path evaluates
+    points one by one, results in input order.
     """
     resolved = _resolve_engine(engine, session)
     if resolved != "scalar":
@@ -311,11 +303,8 @@ def overlap_sweep(
         except ValueError:
             if resolved == "batch":
                 raise
-    return parallel_map(
-        lambda point: overlap_ratio(
-            point[0], point[1], cluster,
-            scenario=scenario, timing=timing, session=session,
-        ),
-        points,
-        jobs=jobs,
-    )
+    return [
+        overlap_ratio(hidden, slb, cluster, scenario=scenario,
+                      timing=timing, session=session)
+        for hidden, slb in points
+    ]

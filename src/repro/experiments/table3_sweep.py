@@ -4,31 +4,14 @@ from __future__ import annotations
 
 from repro.core.strategy import TABLE3_SWEEP
 from repro.experiments.base import ExperimentResult
-from repro.runtime.parallel import parallel_map
 
 __all__ = ["run", "main"]
 
 
-def _count_serialized_configs(jobs: int = 1) -> int:
-    """Size of the B=1 sweep, counted per hidden-dimension slice.
-
-    The cross product is embarrassingly parallel in H, so the inner
-    enumeration fans out over the runtime executor when ``jobs > 1``.
-    """
-    sweep = TABLE3_SWEEP
-
-    def count_for_hidden(hidden: int) -> int:
-        slice_spec = type(sweep)(hidden=(hidden,), batch=sweep.batch,
-                                 seq_len=sweep.seq_len, tp=sweep.tp)
-        return sum(1 for _ in slice_spec.configs(batch=1))
-
-    return sum(parallel_map(count_for_hidden, sweep.hidden, jobs=jobs))
-
-
-def run(jobs: int = 1) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Reproduce Table 3 (the sweep definition) with its config counts."""
     sweep = TABLE3_SWEEP
-    serialized_configs = _count_serialized_configs(jobs=jobs)
+    serialized_configs = sum(1 for _ in sweep.configs(batch=1))
     rows = (
         ("H", ", ".join(f"{h // 1024}K" for h in sweep.hidden)),
         ("B", ", ".join(str(b) for b in sweep.batch)),

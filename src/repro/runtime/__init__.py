@@ -1,12 +1,13 @@
-"""Shared runtime layer: sessions, caching, and parallel execution.
+"""Shared runtime layer: sessions, caching, and streaming sweeps.
 
 Applies the paper's own cost-amortization principle to the harness:
 :class:`Session` fits each operator-model suite exactly once per
-process, replays cached :class:`~repro.experiments.base.ExperimentResult`
-documents and per-trace durations through a content-keyed
-:class:`ResultCache` (optionally persisted under ``~/.cache/repro``),
-and fans experiment execution out over a deterministic,
-order-preserving thread pool.
+process and replays cached
+:class:`~repro.experiments.base.ExperimentResult` documents and
+per-trace durations through a content-keyed :class:`ResultCache`
+(optionally persisted under ``~/.cache/repro``).  Experiments run
+serially; the only parallelism is the process pool of exhaustive
+:func:`~repro.runtime.megasweep.stream_sweep` sweeps.
 """
 
 from repro._lazy import lazy_namespace
@@ -21,8 +22,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "default_cache_dir": "repro.runtime.cache",
     "fingerprint": "repro.runtime.keys",
     "get_session": "repro.runtime.session",
-    "parallel_map": "repro.runtime.parallel",
-    "resolve_jobs": "repro.runtime.parallel",
     "resolve_session": "repro.runtime.session",
     "set_session": "repro.runtime.session",
 })

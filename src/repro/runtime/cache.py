@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -70,7 +69,6 @@ class ResultCache:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
         self._memory: Dict[str, object] = {}
-        self._lock = threading.RLock()
 
     @property
     def persistent(self) -> bool:
@@ -84,31 +82,27 @@ class ResultCache:
         """The payload stored under ``key``, or ``default`` on a miss.
 
         A cached ``None`` payload is a hit (and is returned as None), on
-        both the memory and the disk path.  The whole
-        miss -> disk read -> memory promote path runs under the cache
-        lock, so concurrent readers of one key account exactly one
-        hit/miss each and never double-promote.
+        both the memory and the disk path.  A disk hit is promoted to
+        memory.
         """
-        with self._lock:
-            if key in self._memory:
-                self.stats.hits += 1
-                return self._memory[key]
-            found, payload = self._read_disk(key)
-            if found:
-                self._memory[key] = payload
-                self.stats.hits += 1
-                return payload
-            self.stats.misses += 1
-            return default
+        if key in self._memory:
+            self.stats.hits += 1
+            return self._memory[key]
+        found, payload = self._read_disk(key)
+        if found:
+            self._memory[key] = payload
+            self.stats.hits += 1
+            return payload
+        self.stats.misses += 1
+        return default
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` is cached (memory or disk), without touching
         the hit/miss counters or promoting the entry to memory."""
-        with self._lock:
-            if key in self._memory:
-                return True
-            found, _ = self._read_disk(key)
-            return found
+        if key in self._memory:
+            return True
+        found, _ = self._read_disk(key)
+        return found
 
     __contains__ = contains
 
@@ -140,21 +134,18 @@ class ResultCache:
         ``None`` is a legitimate payload: the envelope carries a
         ``present`` flag, so a later :meth:`get` reports a hit.
         """
-        with self._lock:
-            self._memory[key] = payload
-            self.stats.writes += 1
+        self._memory[key] = payload
+        self.stats.writes += 1
         if not self.persistent:
             return
         envelope = {"version": self.version, "key": key,
                     "payload": payload, "present": True}
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        # Tmp name must be unique per writer: concurrent processes (or
-        # threads) store identical content under the same key, and a
-        # shared tmp path would let one writer's os.replace steal the
-        # other's file.
-        tmp = path.with_suffix(
-            f".json.{os.getpid()}.{threading.get_ident()}.tmp")
+        # Tmp name must be unique per writer: concurrent processes store
+        # identical content under the same key, and a shared tmp path
+        # would let one writer's os.replace steal the other's file.
+        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(envelope, sort_keys=True),
                        encoding="utf-8")
         try:
@@ -165,8 +156,7 @@ class ResultCache:
 
     def info(self) -> Dict[str, object]:
         """Cache shape and counters (the ``repro cache info`` payload)."""
-        with self._lock:
-            memory_entries = len(self._memory)
+        memory_entries = len(self._memory)
         disk_entries = 0
         disk_bytes = 0
         if self.persistent and self.cache_dir.is_dir():
@@ -187,9 +177,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Drop every entry (memory and disk); returns entries removed."""
-        with self._lock:
-            removed = len(self._memory)
-            self._memory.clear()
+        removed = len(self._memory)
+        self._memory.clear()
         if self.persistent and self.cache_dir.is_dir():
             for path in self.cache_dir.glob("*.json"):
                 try:

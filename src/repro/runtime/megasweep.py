@@ -9,10 +9,11 @@ one core idle.  :func:`stream_sweep` fixes both at once:
 
 * chunks come lazily from a :class:`~repro.core.gridplan.GridSpec`,
   so peak additional memory is O(chunk size), never O(grid);
-* workers are **processes** (the NumPy evaluation is CPU-bound, so the
-  thread pool in :mod:`repro.runtime.parallel` cannot scale it); each
-  worker receives the grid *spec* once at startup and thereafter only
-  integer chunk indices -- no arrays ever cross the pipe inbound;
+* an exhaustive sweep with ``jobs > 1`` evaluates on a pool of
+  **processes** (the NumPy evaluation is CPU-bound); each worker
+  receives the grid *spec* once at startup and thereafter only integer
+  chunk indices -- no arrays ever cross the pipe inbound.  This pool is
+  the package's only parallelism;
 * results come back as compact reducer payloads
   (:mod:`repro.core.reducers`), kilobytes per chunk regardless of
   chunk size.
@@ -25,24 +26,26 @@ are merged in whatever order they arrive: cache replays first, then
 chunks as they complete.
 
 One scheduler serves every sweep.  It replays cached exact chunks,
-then evaluates the rest through a bounded in-flight window.
-``prune=True`` adds a **bound-and-prune** step in between: it computes
-cheap admissible chunk intervals (:mod:`repro.core.bounds`), orders the
-chunks best-bound-first, and skips any chunk whose interval proves --
-via the reducers' :meth:`~repro.core.reducers.Reducer.can_prune`
-protocol -- that none of its rows can reach the output against the
-incumbent merged so far.  The *result* stays bit-identical to the
-exhaustive sweep for any ``jobs``; only the pruned-chunk *count* may
-vary with pool timing (a fresher incumbent prunes more).  Any
-non-prunable reducer (``Histogram``, ``Collect``) disables pruning
-automatically and the sweep reports why -- no silent result caps, ever.
+then evaluates the rest.  ``prune=True`` adds a **bound-and-prune**
+step in between: it computes cheap admissible chunk intervals
+(:mod:`repro.core.bounds`), orders the chunks best-bound-first, and
+skips any chunk whose interval proves -- via the reducers'
+:meth:`~repro.core.reducers.Reducer.can_prune` protocol -- that none of
+its rows can reach the output against the incumbent merged so far.  A
+pruned sweep always runs serially in this process, merging each chunk
+before the next prune test: a pool's in-flight chunks would only make
+the incumbent staler and evaluate more rows.  The *result* stays
+bit-identical to the exhaustive sweep, and ``meta["prune"]`` is the
+same for any ``jobs``.  Any non-prunable reducer (``Histogram``,
+``Collect``) disables pruning automatically and the sweep reports why
+-- no silent result caps, ever.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -56,7 +59,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future
 
 from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridSpec
 from repro.core.projection import OperatorModelSuite
@@ -64,11 +67,10 @@ from repro.core.reducers import EvaluatedChunk, Reducer
 from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
-from repro.runtime.parallel import resolve_jobs
 from repro.sim.checkflag import check_enabled
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
-__all__ = ["SweepResult", "stream_sweep", "MODES"]
+__all__ = ["SweepResult", "stream_sweep", "resolve_jobs", "MODES"]
 
 #: Supported evaluation modes: ground-truth execution vs paper-style
 #: operator-model projection.
@@ -77,6 +79,15 @@ MODES = ("execute", "project")
 #: One chunk record: raw rows, evaluated rows, one payload per
 #: reducer.  JSON-serializable end to end (cacheable as-is).
 ChunkRecord = Dict[str, object]
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value: None/0 -> 1, negative -> CPU count."""
+    if jobs is None or jobs == 0:
+        return 1
+    if jobs < 0:
+        return max(1, os.cpu_count() or 1)
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,16 @@ class SweepResult:
         evaluated_points: Rows that survived constraints and were
             evaluated.
         chunk_count: Chunks the grid was split into.
+        chunk_size: Target rows per chunk the grid was cut with.
+        jobs: Worker processes actually used: the requested count for
+            an exhaustive sweep that evaluated more than one chunk on
+            the pool, else 1 (pruned sweeps always run serially).
+        mode: ``"execute"`` or ``"project"``.
+        wall_time_s: End-to-end wall time of the sweep.
         cache_hits: Chunks replayed from a cache instead of evaluated
             (only nonzero when the caller supplies a cache).
-        wall_time_s: End-to-end wall time of the sweep.
+        meta: ``spec_key`` plus, when ``prune=True`` was requested, the
+            ``prune`` accounting.
     """
 
     reductions: Dict[str, Dict[str, object]]
@@ -182,11 +200,6 @@ def _chunk_bound_record(ctx: _SweepContext, index: int) -> ChunkRecord:
     ).to_record()
 
 
-def _bound_chunk_task(index: int) -> Tuple[int, ChunkRecord]:
-    assert _WORKER_CTX is not None, "worker initialized without context"
-    return index, _chunk_bound_record(_WORKER_CTX, index)
-
-
 def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
                     pending: Sequence[int]) -> List[int]:
     """Best-bound-first chunk order across all reducer objectives.
@@ -238,12 +251,6 @@ def _record_key(ctx: _SweepContext,
         index, ctx.chunk_size, bound_version=bound_version))
 
 
-def _completed(value: object) -> Future:
-    future: Future = Future()
-    future.set_result(value)
-    return future
-
-
 def stream_sweep(spec: GridSpec,
                  reducers: Sequence[Reducer],
                  cluster: Optional[ClusterSpec] = None,
@@ -270,17 +277,20 @@ def stream_sweep(spec: GridSpec,
             scalar sweeps do.
         chunk_size: Target rows per chunk; peak additional memory is
             proportional to this, never to the grid.
-        jobs: Worker processes.  1 (default) evaluates serially in this
-            process; ``n > 1`` uses a process pool with a bounded
-            in-flight window of ``2 * n`` chunk indices.  Negative
-            means CPU count.
+        jobs: Worker processes for an exhaustive sweep.  1 (default)
+            evaluates serially in this process; ``n > 1`` uses a
+            process pool with a bounded in-flight window of ``2 * n``
+            chunk indices when more than one chunk needs evaluating.
+            Negative means CPU count.  Pruned sweeps ignore it and run
+            serially.
         check: Run the invariant validator on every chunk's breakdown;
             ``None`` defers to ``REPRO_CHECK``.
-        prune: Use the bound-and-prune scheduler.  Results stay
-            bit-identical to the exhaustive sweep; only wall time and
-            ``meta["prune"]`` accounting change.  Falls back to
-            exhaustive evaluation (with ``meta["prune"]["reason"]``
-            explaining why) when any reducer is not prunable.
+        prune: Use the bound-and-prune scheduler, serially in this
+            process.  Results stay bit-identical to the exhaustive
+            sweep; only wall time and ``meta["prune"]`` accounting
+            change.  Falls back to exhaustive evaluation (with
+            ``meta["prune"]["reason"]`` explaining why) when any
+            reducer is not prunable.
         cache: Optional :class:`~repro.runtime.cache.ResultCache` for
             per-chunk records.  Exact chunk records are keyed by the
             chunk (:meth:`~repro.core.gridplan.GridSpec.chunk_key`), the
@@ -360,71 +370,55 @@ def stream_sweep(spec: GridSpec,
             merge(cached)
     cache_hits = n_chunks - len(pending)
 
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
-        if workers > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if prune:
+        from repro.core.bounds import BOUND_MODEL_VERSION, ChunkBounds
 
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(ctx,))
-        if prune:
-            from repro.core.bounds import BOUND_MODEL_VERSION, ChunkBounds
-
-            bound_key = (_record_key(ctx, BOUND_MODEL_VERSION)
-                         if cache is not None else None)
-            bounds: Dict[int, ChunkBounds] = {}
-            to_bound: List[int] = []
-            for index in pending:
-                record = lookup(bound_key, index)
-                if record is None:
-                    to_bound.append(index)
-                else:
-                    bounds[index] = ChunkBounds.from_record(record)
-            if pool is not None and len(to_bound) > 1:
-                results = pool.map(
-                    _bound_chunk_task, to_bound,
-                    chunksize=max(1, len(to_bound) // (4 * workers)))
-            else:
-                results = ((index, _chunk_bound_record(ctx, index))
-                           for index in to_bound)
-            for index, record in results:
+        bound_key = (_record_key(ctx, BOUND_MODEL_VERSION)
+                     if cache is not None else None)
+        bounds: Dict[int, ChunkBounds] = {}
+        for index in pending:
+            record = lookup(bound_key, index)
+            if record is None:
+                record = _chunk_bound_record(ctx, index)
                 store(bound_key, index, record)
-                bounds[index] = ChunkBounds.from_record(record)
-            feasible = evaluated + sum(entry.rows
-                                       for entry in bounds.values())
-            order = _priority_order(
-                ctx.reducers, bounds,
-                [index for index in pending if bounds[index].rows > 0])
-        else:
-            order = pending
+            bounds[index] = ChunkBounds.from_record(record)
+        feasible = evaluated + sum(entry.rows for entry in bounds.values())
+        order = _priority_order(
+            ctx.reducers, bounds,
+            [index for index in pending if bounds[index].rows > 0])
+    else:
+        order = pending
 
-        # In-process, a window of one merges each chunk before the next
-        # prune test; a pool keeps 2 x workers chunks in flight.
-        window = 2 * workers if pool is not None else 1
-        inflight: Deque[Future] = deque()
-        pruned_chunks = 0
+    def finish(index: int, record: ChunkRecord) -> None:
+        store(exact_key, index, record)
+        merge(record)
 
-        def drain() -> None:
-            index, record = inflight.popleft().result()
-            store(exact_key, index, record)
-            merge(record)
-
+    pruned_chunks = 0
+    if prune or workers == 1 or len(order) < 2:
+        # Each chunk merges before the next prune test.
+        workers = 1
         for index in order:
             if prune and all(reducer.can_prune(payload, bounds[index])
                              for reducer, payload in zip(ctx.reducers,
                                                          payloads)):
                 pruned_chunks += 1
                 continue
-            inflight.append(
-                pool.submit(_eval_chunk_task, index) if pool is not None
-                else _completed((index, _evaluate_chunk(ctx, index))))
-            if len(inflight) >= window:
-                drain()
-        while inflight:
-            drain()
-    finally:
-        if pool is not None:
+            finish(index, _evaluate_chunk(ctx, index))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_init_worker,
+                                   initargs=(ctx,))
+        inflight: Deque[Future] = deque()
+        try:
+            for index in order:
+                inflight.append(pool.submit(_eval_chunk_task, index))
+                if len(inflight) >= 2 * workers:
+                    finish(*inflight.popleft().result())
+            while inflight:
+                finish(*inflight.popleft().result())
+        finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
     if prune:

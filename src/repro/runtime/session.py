@@ -12,19 +12,17 @@ fit operator models once, and project every other configuration.  The
 * it fronts a content-keyed :class:`~repro.runtime.cache.ResultCache`
   for whole :class:`~repro.experiments.base.ExperimentResult` documents
   and per-trace duration vectors (optionally persisted on disk), and
-* it runs the experiment registry serially or with a thread pool
-  (``jobs``), preserving registry order either way.
+* it runs the experiment registry serially, in registry order.
 
 A process-wide default session (:func:`get_session`) lets module-level
-``run()`` functions share the memoized state without any threading of
-arguments; passing an explicit ``Session`` overrides it everywhere the
-experiment layer accepts one.
+``run()`` functions share the memoized state without passing it
+through every call; passing an explicit ``Session`` overrides it
+everywhere the experiment layer accepts one.
 """
 
 from __future__ import annotations
 
 import inspect
-import threading
 import time
 from typing import (
     TYPE_CHECKING,
@@ -52,7 +50,6 @@ from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.models.graph import Trace
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
-from repro.runtime.parallel import resolve_jobs
 from repro.sim.checkflag import check_enabled
 from repro.sim.executor import (
     DEFAULT_TIMING,
@@ -76,7 +73,6 @@ class Session:
         cache_dir: Directory for a persistent on-disk cache; when both
             ``cache`` and ``cache_dir`` are None the cache is
             memory-only.
-        jobs: Default parallelism for :meth:`run_all` (1 = serial).
         engine: Sweep-evaluation engine: ``"auto"`` (batch with scalar
             fallback, the default), ``"batch"`` (vectorized grids only;
             ineligible grids raise), or ``"scalar"`` (reference
@@ -95,7 +91,6 @@ class Session:
                  timing: Optional[TimingModels] = None,
                  cache: Optional[ResultCache] = None,
                  cache_dir: Optional[str] = None,
-                 jobs: int = 1,
                  engine: str = "auto",
                  check: Optional[bool] = None) -> None:
         if cache is not None and cache_dir is not None:
@@ -111,10 +106,8 @@ class Session:
         self.cache = cache if cache is not None else (
             ResultCache(cache_dir=cache_dir)
         )
-        self.jobs = resolve_jobs(jobs)
         self._suites: Dict[str, OperatorModelSuite] = {}
         self._suite_fits: Dict[str, int] = {}
-        self._suite_lock = threading.Lock()
         self._fingerprint: Optional[str] = None
 
     @property
@@ -138,24 +131,23 @@ class Session:
 
         The key covers the cluster, baseline model, timing models, and
         collective reference parameters; equal configurations share one
-        fit per process, even across concurrent callers.
+        fit per process.
         """
         cluster = cluster if cluster is not None else self.cluster
         timing = timing if timing is not None else self.timing
         key = fingerprint("suite", cluster, baseline_model, timing,
                           reference_ar_bytes, reference_group)
-        with self._suite_lock:
-            suite = self._suites.get(key)
-            if suite is None:
-                suite = fit_operator_models(
-                    cluster,
-                    baseline_model=baseline_model,
-                    timing=timing,
-                    reference_ar_bytes=reference_ar_bytes,
-                    reference_group=reference_group,
-                )
-                self._suites[key] = suite
-                self._suite_fits[key] = self._suite_fits.get(key, 0) + 1
+        suite = self._suites.get(key)
+        if suite is None:
+            suite = fit_operator_models(
+                cluster,
+                baseline_model=baseline_model,
+                timing=timing,
+                reference_ar_bytes=reference_ar_bytes,
+                reference_group=reference_group,
+            )
+            self._suites[key] = suite
+            self._suite_fits[key] = self._suite_fits.get(key, 0) + 1
         return suite
 
     @property
@@ -267,7 +259,7 @@ class Session:
                      mode: str = "execute",
                      scenario: Optional[object] = None,
                      chunk_size: Optional[int] = None,
-                     jobs: Optional[int] = None,
+                     jobs: Optional[int] = 1,
                      prune: bool = False,
                      use_cache: bool = True) -> "SweepResult":
         """Cache-backed streaming sweep over a lazy grid.
@@ -282,7 +274,8 @@ class Session:
 
         In ``"project"`` mode the operator-model suite comes from
         :meth:`suite` (fitted once per session).  The sweep inherits
-        the session's ``check`` flag and default ``jobs``.
+        the session's ``check`` flag; ``jobs`` passes through to
+        :func:`~repro.runtime.megasweep.stream_sweep`.
         """
         from repro.core.gridplan import DEFAULT_CHUNK_SIZE
         from repro.runtime.megasweep import stream_sweep
@@ -300,7 +293,7 @@ class Session:
             scenario=scenario,
             chunk_size=(chunk_size if chunk_size is not None
                         else DEFAULT_CHUNK_SIZE),
-            jobs=self.jobs if jobs is None else jobs,
+            jobs=jobs,
             check=self.check,
             prune=prune,
             cache=self.cache if use_cache else None,
@@ -347,29 +340,20 @@ class Session:
         return result.with_meta(meta)
 
     def run_all(self,
-                jobs: Optional[int] = None,
                 experiment_ids: Optional[Sequence[str]] = None,
                 use_cache: bool = True) -> List[ExperimentResult]:
-        """Run every registered experiment, in registry order.
+        """Run every registered experiment serially, in registry order.
 
         Args:
-            jobs: Worker threads (default: the session's ``jobs``).
-                Results come back in registry order regardless.
             experiment_ids: Restrict to a subset, preserving the given
                 order.
         """
         from repro.experiments import registry
-        from repro.runtime.parallel import parallel_map
 
         if experiment_ids is None:
             experiment_ids = list(registry.EXPERIMENTS)
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        return parallel_map(
-            lambda experiment_id: self.run(experiment_id,
-                                           use_cache=use_cache),
-            experiment_ids,
-            jobs=jobs,
-        )
+        return [self.run(experiment_id, use_cache=use_cache)
+                for experiment_id in experiment_ids]
 
 
 _PARAMS_CACHE: Dict[object, frozenset] = {}
@@ -387,16 +371,14 @@ def _runner_params(runner: Callable[..., object]) -> frozenset:
 
 
 _default_session: Optional[Session] = None
-_default_lock = threading.Lock()
 
 
 def get_session() -> Session:
     """The process-wide default session (created lazily, memory-only)."""
     global _default_session
-    with _default_lock:
-        if _default_session is None:
-            _default_session = Session()
-        return _default_session
+    if _default_session is None:
+        _default_session = Session()
+    return _default_session
 
 
 def set_session(session: Optional[Session]) -> Optional[Session]:
@@ -406,10 +388,9 @@ def set_session(session: Optional[Session]) -> Optional[Session]:
     builds a fresh one (useful in tests).
     """
     global _default_session
-    with _default_lock:
-        previous = _default_session
-        _default_session = session
-        return previous
+    previous = _default_session
+    _default_session = session
+    return previous
 
 
 def resolve_session(session: Optional[Session]) -> Session:

@@ -672,7 +672,7 @@ class PruneReport:
         points: Grid rows of the pruned-vs-exhaustive sweep (after
             constraints).
         variants: Pruned sweep variants compared against the exhaustive
-            reference, as ``chunk<size>-jobs<n>`` labels.
+            reference, as ``<set>-chunk<size>`` labels.
         mismatches: ``variant/reduction`` labels whose pruned output
             diverged from the exhaustive reference.
         exact_fraction: Mean fraction of non-empty chunks the pruned
@@ -725,18 +725,17 @@ def prune_oracle(cluster: Optional[ClusterSpec] = None,
                  timing: TimingModels = DEFAULT_TIMING,
                  n: int = 160,
                  seed: int = 0,
-                 chunk_sizes: Sequence[int] = (4, 16),
-                 jobs: Sequence[int] = (1, 2)) -> PruneReport:
+                 chunk_sizes: Sequence[int] = (4, 16)) -> PruneReport:
     """Bound admissibility plus pruned-vs-exhaustive bit-equality.
 
     Part one evaluates seeded random configurations with both
     :func:`repro.core.bounds.bound_grid` and the exact batch engine and
     asserts ``lower <= exact <= upper`` elementwise for every bounded
     metric.  Part two streams a seeded mixed-parity grid through
-    ``stream_sweep(prune=True)`` for every ``(chunk_size, jobs)``
-    variant and requires each finalized reduction to equal the
-    exhaustive sweep's output exactly -- the bound-and-prune scheduler
-    may only ever skip work, never change results.
+    ``stream_sweep(prune=True)`` (always serial) for every chunk size
+    and requires each finalized reduction to equal the exhaustive
+    sweep's output exactly -- the bound-and-prune scheduler may only
+    ever skip work, never change results.
     """
     import numpy as np
 
@@ -784,22 +783,20 @@ def prune_oracle(cluster: Optional[ClusterSpec] = None,
                                  timing=timing, chunk_size=16, jobs=1)
         points = reference.evaluated_points
         for chunk_size in chunk_sizes:
-            for n_jobs in jobs:
-                label = f"{set_name}-chunk{chunk_size}-jobs{n_jobs}"
-                variants.append(label)
-                pruned = stream_sweep(spec, make_reducers(),
-                                      cluster=cluster, timing=timing,
-                                      chunk_size=chunk_size, jobs=n_jobs,
-                                      prune=True)
-                meta = pruned.meta["prune"]
-                if not meta["enabled"]:
-                    mismatches.append(f"{label}/prune-disabled")
-                    continue
-                if set_name == "select":
-                    fractions.append(float(meta["exact_chunk_fraction"]))
-                for key, reference_value in reference.reductions.items():
-                    if pruned.reductions[key] != reference_value:
-                        mismatches.append(f"{label}/{key}")
+            label = f"{set_name}-chunk{chunk_size}"
+            variants.append(label)
+            pruned = stream_sweep(spec, make_reducers(), cluster=cluster,
+                                  timing=timing, chunk_size=chunk_size,
+                                  prune=True)
+            meta = pruned.meta["prune"]
+            if not meta["enabled"]:
+                mismatches.append(f"{label}/prune-disabled")
+                continue
+            if set_name == "select":
+                fractions.append(float(meta["exact_chunk_fraction"]))
+            for key, reference_value in reference.reductions.items():
+                if pruned.reductions[key] != reference_value:
+                    mismatches.append(f"{label}/{key}")
     exact_fraction = (sum(fractions) / len(fractions)) if fractions else 1.0
     return PruneReport(
         configs=n,

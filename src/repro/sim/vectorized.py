@@ -28,8 +28,7 @@ task by task.
 from __future__ import annotations
 
 import itertools
-import threading
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,12 +86,11 @@ def _cached_unit_hash(key: tuple) -> float:
 
 # -- reusable stacking buffers -------------------------------------------
 
-#: Thread-local pool of int64 stacking buffers, keyed by call-site tag.
-#: Grids are evaluated slot-kind by slot-kind with the same stacked
-#: shapes chunk after chunk; reusing one buffer per (tag) removes the
-#: per-chunk allocation tax without sharing state across threads (each
-#: sweep worker process likewise gets its own pool).
-_SCRATCH = threading.local()
+#: Pool of int64 stacking buffers, keyed by call-site tag.  Grids are
+#: evaluated slot-kind by slot-kind with the same stacked shapes chunk
+#: after chunk; reusing one buffer per tag removes the per-chunk
+#: allocation tax (each sweep worker process has its own pool).
+_SCRATCH: Dict[str, np.ndarray] = {}
 
 
 def stack_columns(tag: str, columns: Sequence[object],
@@ -101,18 +99,15 @@ def stack_columns(tag: str, columns: Sequence[object],
 
     Scalar entries are broadcast to ``n`` copies by the fill itself.
     Bit-identical to ``np.concatenate(columns)`` for int64 inputs; the
-    returned array is a view of a thread-local scratch buffer, valid
+    returned array is a view of a module-level scratch buffer, valid
     only until the next :func:`stack_columns` call with the same
     ``tag`` -- callers must consume it (e.g. feed it to a timing
     model) before stacking into that tag again.
     """
-    pool = getattr(_SCRATCH, "pool", None)
-    if pool is None:
-        pool = _SCRATCH.pool = {}
     needed = len(columns) * n
-    buffer = pool.get(tag)
+    buffer = _SCRATCH.get(tag)
     if buffer is None or buffer.shape[0] < needed:
-        buffer = pool[tag] = np.empty(max(needed, 1), dtype=np.int64)
+        buffer = _SCRATCH[tag] = np.empty(max(needed, 1), dtype=np.int64)
     out = buffer[:needed]
     for row, column in enumerate(columns):
         out[row * n:(row + 1) * n] = column

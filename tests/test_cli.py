@@ -134,14 +134,6 @@ class TestPlan:
 
 
 class TestExperimentRuntime:
-    def test_jobs_matches_serial_output(self, tmp_path, capsys):
-        serial = tmp_path / "serial.txt"
-        threaded = tmp_path / "threaded.txt"
-        assert main(["experiment", "all", "-o", str(serial)]) == 0
-        assert main(["experiment", "all", "--jobs", "4",
-                     "-o", str(threaded)]) == 0
-        assert serial.read_text() == threaded.read_text()
-
     def test_cache_dir_cold_then_warm_identical(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cold = tmp_path / "cold.txt"

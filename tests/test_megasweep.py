@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import multiprocessing
-import threading
 
 import numpy as np
 import pytest
@@ -21,8 +21,7 @@ from repro.core.reducers import (
 )
 from repro.hardware.cluster import mi210_node
 from repro.runtime.cache import ResultCache
-from repro.runtime.megasweep import stream_sweep
-from repro.runtime.parallel import parallel_map
+from repro.runtime.megasweep import resolve_jobs, stream_sweep
 from repro.runtime.session import Session
 from repro.sim import vectorized
 from repro.sim.checker import stream_oracle
@@ -127,6 +126,12 @@ class TestStreamedEquivalence:
         report = stream_oracle(chunk_sizes=(5,), jobs=(1,))
         assert report.ok, report.summary()
         assert report.points > 0
+
+    def test_resolve_jobs(self):
+        assert resolve_jobs(None) == 1
+        assert resolve_jobs(0) == 1
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(-1) >= 1
 
     def test_validation_errors(self):
         spec = spec_with()
@@ -304,6 +309,23 @@ class TestBoundAndPrune:
         assert warm.cache_hits == cold.meta["prune"]["exact_chunks"]
         assert warm.meta["prune"]["cached_chunks"] == warm.cache_hits
 
+    def test_pruned_sweep_never_starts_a_pool(self, monkeypatch):
+        spec = spec_with()
+        serial = stream_sweep(spec, PRUNABLE, cluster=CLUSTER,
+                              chunk_size=4, jobs=1, prune=True)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pruned sweep started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        result = stream_sweep(spec, PRUNABLE, cluster=CLUSTER,
+                              chunk_size=4, jobs=2, prune=True)
+        assert result.jobs == 1
+        assert result.reductions == serial.reductions
+        assert result.evaluated_points == serial.evaluated_points
+        assert result.meta["prune"] == serial.meta["prune"]
+
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_pruned_and_exhaustive_share_exact_records(self, jobs):
         session = Session(cluster=CLUSTER)
@@ -343,59 +365,6 @@ class TestBoundAndPrune:
                               prune=True)
         assert result.reductions == reference
         assert result.meta["prune"]["enabled"]
-
-
-class TestParallelMapLazy:
-    def test_lazy_consumption_bounded_window(self):
-        high_water = [0]
-        outstanding = [0]
-        lock = threading.Lock()
-
-        def produce():
-            for value in range(64):
-                with lock:
-                    outstanding[0] += 1
-                    high_water[0] = max(high_water[0], outstanding[0])
-                yield value
-
-        def consume(value):
-            with lock:
-                outstanding[0] -= 1
-            return value * 2
-
-        results = parallel_map(consume, produce(), jobs=2, window=4)
-        assert results == [value * 2 for value in range(64)]
-        assert high_water[0] <= 4 + 2  # window + workers in flight
-
-    def test_serial_accepts_generator(self):
-        results = parallel_map(lambda v: v + 1, (v for v in range(5)))
-        assert results == [1, 2, 3, 4, 5]
-
-    def test_failure_stops_consumption(self):
-        consumed = []
-
-        def produce():
-            for value in range(100):
-                consumed.append(value)
-                yield value
-
-        def boom(value):
-            if value == 3:
-                raise RuntimeError("stop here")
-            return value
-
-        with pytest.raises(RuntimeError, match="stop here"):
-            parallel_map(boom, produce(), jobs=2, window=2)
-        assert len(consumed) < 100
-
-    def test_order_preserved(self):
-        import time
-
-        def jittered(value):
-            time.sleep(0.001 * ((value * 7) % 3))
-            return value
-
-        assert parallel_map(jittered, range(20), jobs=4) == list(range(20))
 
 
 class TestVectorizedBuffers:

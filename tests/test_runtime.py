@@ -1,8 +1,9 @@
-"""Tests for the shared runtime layer (session, cache, parallel map)."""
+"""Tests for the shared runtime layer (session, cache, keys)."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -20,11 +21,17 @@ from repro.runtime import (
     cache_key,
     fingerprint,
     get_session,
-    parallel_map,
-    resolve_jobs,
     set_session,
 )
 from repro.sim.executor import execute_trace
+
+
+def _put_same_key(cache_dir, start, rounds):
+    """Writer process: store one payload under one key, many times."""
+    cache = ResultCache(cache_dir=cache_dir)
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        cache.put("k", {"value": 7})
 
 
 @pytest.fixture()
@@ -95,12 +102,19 @@ class TestResultCache:
         assert cache.get("bad") is None
 
     def test_concurrent_same_key_writers(self, tmp_path):
-        # Two writers racing on one key must not steal each other's
+        # Two processes racing on one key must not steal each other's
         # tmp file (a shared tmp name made the loser's os.replace fail).
-        a = ResultCache(cache_dir=tmp_path)
-        b = ResultCache(cache_dir=tmp_path)
-        parallel_map(lambda c: c.put("k", {"value": 7}), [a, b] * 8,
-                     jobs=8)
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(2)
+        writers = [context.Process(target=_put_same_key,
+                                   args=(str(tmp_path), start, 300))
+                   for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+            assert not writer.is_alive()
+            assert writer.exitcode == 0
         assert ResultCache(cache_dir=tmp_path).get("k") == {"value": 7}
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -158,16 +172,6 @@ class TestResultCache:
         )
         assert ResultCache(cache_dir=tmp_path).get("old") == {"value": 5}
 
-    def test_concurrent_readers_account_once_each(self, tmp_path):
-        # The miss -> disk -> promote path is atomic w.r.t. stats:
-        # N readers of one warm key account exactly N hits.
-        ResultCache(cache_dir=tmp_path).put("k", {"value": 7})
-        reader = ResultCache(cache_dir=tmp_path)
-        parallel_map(lambda _: reader.get("k"), range(16), jobs=8)
-        stats = reader.stats.as_dict()
-        assert stats["hits"] == 16
-        assert stats["misses"] == 0
-
     def test_clear_removes_memory_and_disk(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
         cache.put("k1", {"value": 1})
@@ -191,28 +195,6 @@ class TestResultCache:
         assert info["disk_entries"] == 0
 
 
-class TestParallelMap:
-    def test_preserves_order_serial(self):
-        assert parallel_map(lambda x: x * x, range(8)) == [
-            0, 1, 4, 9, 16, 25, 36, 49]
-
-    def test_preserves_order_parallel(self):
-        assert parallel_map(lambda x: x * x, range(32), jobs=4) == [
-            x * x for x in range(32)]
-
-    def test_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("boom")
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], jobs=2)
-
-    def test_resolve_jobs(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(0) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(-1) >= 1
-
-
 class TestSuiteMemoization:
     def test_fits_at_most_once_per_key(self, session):
         first = session.suite()
@@ -232,10 +214,6 @@ class TestSuiteMemoization:
         session.suite()
         session.suite(cluster=multi_node_cluster())
         assert session.suite_fit_count == 2
-
-    def test_fit_once_under_concurrency(self, session):
-        parallel_map(lambda _: session.suite(), range(16), jobs=8)
-        assert session.suite_fit_count == 1
 
     def test_experiments_share_one_default_fit(self, session):
         fig15_opmodel.run(session=session)
@@ -311,15 +289,6 @@ class TestSessionRun:
 
 
 class TestRunAll:
-    def test_parallel_matches_serial_order(self, tmp_path):
-        serial = Session(cache_dir=tmp_path / "a").run_all()
-        parallel = Session(cache_dir=tmp_path / "b").run_all(jobs=4)
-        assert [r.experiment_id for r in serial] == list(
-            registry.EXPERIMENTS)
-        assert [r.experiment_id for r in parallel] == list(
-            registry.EXPERIMENTS)
-        assert parallel == serial
-
     def test_warm_run_all_replays_hits(self, session):
         session.run_all()
         warm = session.run_all()
@@ -366,7 +335,7 @@ class TestSessionDefaults:
         assert fresh_default_session.suite_fit_count == 1
 
     def test_explicit_session_overrides_default(self, session):
-        result = fig10_serialized.run(session=session, jobs=2)
+        result = fig10_serialized.run(session=session)
         assert result.experiment_id == "figure-10"
         # The sweep's per-trace durations landed in this session's cache.
         assert session.cache.stats.writes > 0
@@ -411,8 +380,7 @@ class TestSweepHelpers:
     def test_serialized_sweep_matches_pointwise(self, session):
         cluster = session.cluster
         configs = [(4096, 1024, tp) for tp in (4, 8, 16)]
-        swept = sweeps.serialized_sweep(configs, cluster, session=session,
-                                        jobs=2)
+        swept = sweeps.serialized_sweep(configs, cluster, session=session)
         pointwise = [sweeps.serialized_fraction(h, sl, tp, cluster)
                      for h, sl, tp in configs]
         assert swept == pointwise
@@ -420,8 +388,7 @@ class TestSweepHelpers:
     def test_overlap_sweep_matches_pointwise(self, session):
         cluster = session.cluster
         points = [(2048, 1024), (4096, 2048)]
-        swept = sweeps.overlap_sweep(points, cluster, session=session,
-                                     jobs=2)
+        swept = sweeps.overlap_sweep(points, cluster, session=session)
         pointwise = [sweeps.overlap_ratio(h, slb, cluster)
                      for h, slb in points]
         assert swept == pointwise
