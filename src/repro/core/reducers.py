@@ -338,7 +338,13 @@ class ParetoFront(Reducer):
     communication.  A point is dominated when another point is <= on
     both metrics and either strictly better on one or an exact duplicate
     with a lower offset -- a strict partial order, so union-then-filter
-    merging is associative and the frontier is duplicate-free.
+    merging is associative and the frontier is duplicate-free.  A row
+    whose y is NaN is never kept.
+
+    :meth:`observe` finds a chunk's frontier with array operations (a
+    lexicographic sort and a running minimum) and builds payload entries
+    only for the frontier rows; :meth:`merge` filters the short entry
+    lists with the same rule in Python.
     """
 
     metric_x: str = "compute_time"
@@ -377,13 +383,22 @@ class ParetoFront(Reducer):
             return self.empty()
         xs = metric_values(self.metric_x, chunk.breakdown)
         ys = metric_values(self.metric_y, chunk.breakdown)
-        configs = chunk.config_rows(np.arange(len(chunk)))
+        # The list frontier in arrays: sort by (x, y, offset), then keep
+        # each row whose y is strictly below every earlier y.  fmin skips
+        # NaN, so a NaN y is never kept and never lowers the running best.
+        order = np.lexsort((chunk.offsets, ys, xs))
+        sorted_y = ys[order]
+        best_before = np.fmin.accumulate(
+            np.concatenate(([math.inf], sorted_y[:-1])))
+        kept = order[sorted_y < best_before]
+        configs = chunk.config_rows(kept)
         entries = [
             {"x": float(x), "y": float(y), "offset": int(offset),
              "config": config}
-            for x, y, offset, config in zip(xs, ys, chunk.offsets, configs)
+            for x, y, offset, config in zip(xs[kept], ys[kept],
+                                            chunk.offsets[kept], configs)
         ]
-        return {"entries": self._frontier(entries)}
+        return {"entries": entries}
 
     def merge(self, a: Dict[str, object],
               b: Dict[str, object]) -> Dict[str, object]:

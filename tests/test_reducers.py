@@ -174,6 +174,48 @@ class TestTopK:
             TopK("iteration_time", k=0)
 
 
+def list_frontier(reducer: ParetoFront,
+                  chunk: EvaluatedChunk) -> dict:
+    """Reference: the per-row list frontier ``observe`` used to build."""
+    xs = metric_values(reducer.metric_x, chunk.breakdown)
+    ys = metric_values(reducer.metric_y, chunk.breakdown)
+    configs = chunk.config_rows(np.arange(len(chunk)))
+    entries = [
+        {"x": float(x), "y": float(y), "offset": int(offset),
+         "config": config}
+        for x, y, offset, config in zip(xs, ys, chunk.offsets, configs)
+    ]
+    entries.sort(key=lambda e: (e["x"], e["y"], e["offset"]))
+    kept = []
+    best_y = math.inf
+    for entry in entries:
+        if entry["y"] < best_y:
+            kept.append(entry)
+            best_y = entry["y"]
+    return {"entries": kept}
+
+
+def xy_chunk(xs, ys, offsets) -> EvaluatedChunk:
+    """A chunk whose compute and serialized-comm times are ``xs``/``ys``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    columns = {name: (offsets * (i + 3)) % 97
+               for i, name in enumerate(("hidden", "seq_len", "batch",
+                                         "tp", "dp"))}
+    return EvaluatedChunk(
+        offsets=offsets, columns=columns,
+        breakdown=BatchBreakdown(
+            compute_time=xs, serialized_comm_time=ys,
+            overlapped_comm_time=np.zeros_like(xs),
+            iteration_time=xs + ys,
+        ),
+    )
+
+
+XY_PARETO = ParetoFront("compute_time", "serialized_comm_time")
+
+
 class TestParetoFront:
     def test_no_dominated_points_survive(self):
         chunks = synthetic_chunks()
@@ -201,6 +243,77 @@ class TestParetoFront:
         entries = fold(ParetoFront(), chunks)["entries"]
         assert len(entries) == 1
         assert entries[0]["offset"] == 0
+
+    @staticmethod
+    def assert_same(chunk: EvaluatedChunk) -> None:
+        observed = XY_PARETO.observe(chunk)
+        # JSON keeps the sign of zero, which ``==`` on floats ignores.
+        assert json.dumps(observed) == json.dumps(
+            list_frontier(XY_PARETO, chunk))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_chunks_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        # Few distinct values: tied x, tied y and duplicate (x, y) pairs
+        # at different offsets, with both signs of zero in each column.
+        xs = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], size=n)
+        ys = rng.choice([-0.0, 0.0, 0.25, 1.0, 3.0], size=n)
+        offsets = rng.permutation(10 * n)[:n]
+        self.assert_same(xy_chunk(xs, ys, offsets))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_chunks_with_nan_y(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 80))
+        xs = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        ys = rng.choice([0.0, 1.0, 2.0], size=n)
+        # NaN y at x values no other row has: the list reference's sort
+        # never compares two NaN-y keys, so it is well defined there.
+        nan_rows = rng.choice(n, size=max(1, n // 5), replace=False)
+        xs[nan_rows] = 0.5 + np.arange(len(nan_rows))
+        ys[nan_rows] = np.nan
+        offsets = rng.permutation(n)
+        self.assert_same(xy_chunk(xs, ys, offsets))
+
+    def test_nan_y_never_kept_and_never_lowers_best(self):
+        chunk = xy_chunk([0.5, 1.0, 2.0, 3.0], [np.nan, 5.0, np.nan, 4.0],
+                         [0, 1, 2, 3])
+        entries = XY_PARETO.observe(chunk)["entries"]
+        assert [e["offset"] for e in entries] == [1, 3]
+        self.assert_same(chunk)
+
+    def test_signed_zero_ties_break_on_offset(self):
+        # -0.0 == 0.0, so each pair below ties and the lower offset wins,
+        # keeping the sign of zero that row has.
+        tied_x = xy_chunk([-0.0, 0.0], [1.0, 1.0], [5, 2])
+        entry, = XY_PARETO.observe(tied_x)["entries"]
+        assert entry["offset"] == 2
+        assert math.copysign(1.0, entry["x"]) == 1.0
+        tied_y = xy_chunk([1.0, 1.0], [0.0, -0.0], [4, 3])
+        entry, = XY_PARETO.observe(tied_y)["entries"]
+        assert entry["offset"] == 3
+        assert math.copysign(1.0, entry["y"]) == -1.0
+        self.assert_same(tied_x)
+        self.assert_same(tied_y)
+
+    def test_observe_then_merge_equals_reference_on_union(self):
+        rng = np.random.default_rng(7)
+        n = 200
+        xs = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], size=n)
+        ys = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        offsets = rng.permutation(n)
+        whole = xy_chunk(xs, ys, offsets)
+        merged = XY_PARETO.empty()
+        for lo in range(0, n, 37):
+            part = xy_chunk(xs[lo:lo + 37], ys[lo:lo + 37],
+                            offsets[lo:lo + 37])
+            merged = XY_PARETO.merge(merged, XY_PARETO.observe(part))
+        assert json.dumps(merged) == json.dumps(
+            list_frontier(XY_PARETO, whole))
+
+    def test_empty_chunk(self):
+        assert XY_PARETO.observe(xy_chunk([], [], [])) == {"entries": []}
 
 
 class TestHistogram:
