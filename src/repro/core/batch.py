@@ -10,20 +10,22 @@ can be evaluated at once:
 * :class:`ConfigGrid` holds the (H, SL, B, TP, DP) columns as int64
   arrays, under the attribute names of
   :class:`~repro.models.layers.LayerDims`;
-* the grid is partitioned by ``(TP > 1, DP > 1)`` parity, and each
-  partition's op list comes from the operator table in
-  :mod:`repro.models.layers` evaluated on the grid's columns
-  (:func:`~repro.models.layers.layer_records`) -- the same table the
-  scalar trace is built from, so there is no second copy to drift;
+* every row takes one op list, the operator table in
+  :mod:`repro.models.layers` evaluated on the grid's columns with both
+  TP and DP all-reduces (:func:`~repro.models.layers.layer_records`) --
+  the same table the scalar trace is built from, so there is no second
+  copy to drift -- and a whole grid is evaluated in one pass whatever
+  its mix of ``(TP > 1, DP > 1)`` parities (:func:`_layer_ops`);
 * per-op duration arrays come from the vectorized timing mirrors in
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
   (projection), reproducing the scalar engines bit-for-bit;
 * data parallelism changes only the gradient all-reduces, so every other
   op (all GEMMs, element-wise ops and TP all-reduces) is timed once
-  per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` and
-  gathered back per row (:func:`_dp_free_rows`); only the DP-group
-  all-reduces are timed on every row;
+  per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` -- DP = 1
+  and DP > 1 rows alike -- and gathered back per row
+  (:func:`_dp_free_rows`); only the DP-group all-reduces are timed on
+  every row;
 * the two-stream schedule collapses to closed-form prefix sums
   (:func:`repro.sim.vectorized.closed_form_breakdown`): serialized comm
   adds to the critical path, overlappable DP all-reduces expose only
@@ -38,7 +40,7 @@ by op.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,9 +302,10 @@ def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
     Every op shape except the DP group size of the gradient
     all-reduces is a function of ``(H, SL, B, TP, heads, FFN)``, and DP
     is the fastest-varying axis of :class:`~repro.core.gridplan.GridSpec`
-    chunks, so consecutive rows repeat the same key.  The timing models
-    are element-wise, so timing one row per run and gathering the
-    results back is bit-identical to timing every row.  heads and FFN
+    chunks, so consecutive rows repeat the same key; a run spans DP = 1
+    and DP > 1 rows, since every row shares one op list.  The timing
+    models are element-wise, so timing one row per run and gathering
+    the results back is bit-identical to timing every row.  heads and FFN
     belong in the key: ``from_models`` grids can put models with equal
     (H, SL, B, TP) but different head counts on adjacent rows, and head
     count changes the attention GEMM shapes.
@@ -419,18 +422,6 @@ def _slot_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
     return _time_groups(ops, grid, vectorized.stack_columns, evaluate)[0]
 
 
-def _partitions(grid: ConfigGrid) -> Iterator[Tuple[np.ndarray, ConfigGrid,
-                                                    bool, bool]]:
-    """Split a grid into (TP > 1, DP > 1) parity partitions."""
-    tp_par = grid.tp > 1
-    dp_par = grid.dp > 1
-    for tp_flag in (False, True):
-        for dp_flag in (False, True):
-            mask = (tp_par == tp_flag) & (dp_par == dp_flag)
-            if mask.any():
-                yield mask, grid.subset(mask), tp_flag, dp_flag
-
-
 # -- batched breakdown --------------------------------------------------
 
 
@@ -494,33 +485,37 @@ class BatchBreakdown:
         )
 
 
-def _scatter(out: Tuple[np.ndarray, ...], mask: np.ndarray,
-             parts: Tuple[np.ndarray, ...]) -> None:
-    for target, part in zip(out, parts):
-        target[mask] = part
+def _layer_ops(grid: ConfigGrid) -> List[OpRecord]:
+    """Every row's op list: the widest one, with TP and DP all-reduces.
+
+    A collective over a one-device group times as exactly 0.0, in the
+    timing models and in projection alike, and a zero-duration slot
+    leaves every closed-form sum and maximum bit-for-bit unchanged
+    (durations are non-negative, so an async chain of zeros never
+    outlasts the blocking chain).  A row with TP = 1 or DP = 1 thus gets
+    the same bits as from its own parity's shorter op list, and rows of
+    every ``(TP > 1, DP > 1)`` parity share one evaluation.
+    """
+    return layer_records(grid, True, True)
 
 
 def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
                   timing: TimingModels = DEFAULT_TIMING) -> BatchBreakdown:
-    """Ground-truth breakdowns for a whole grid at once, timing every
-    op that does not read DP once per run of equal DP-free rows.
+    """Ground-truth breakdowns for a whole grid in one pass.
 
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
-    ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Within
-    each parity partition, all GEMMs, element-wise ops and TP-group
-    all-reduces are timed on one representative per run of equal
-    ``(H, SL, B, TP, heads, FFN)`` rows and gathered back per row; only
-    the DP-group gradient all-reduces are timed on every row.
+    ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Every
+    row takes the same op list (:func:`_layer_ops`); all GEMMs,
+    element-wise ops and TP-group all-reduces are timed on one
+    representative per run of equal ``(H, SL, B, TP, heads, FFN)`` rows
+    -- runs that span DP = 1 and DP > 1 -- and gathered back per row;
+    only the DP-group gradient all-reduces are timed on every row.
     """
-    n = len(grid)
-    out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        ops = layer_records(sub, tp_flag, dp_flag)
-        durations = _slot_durations(ops, sub, cluster, timing)
-        kinds = [_slot_kind(op) for op in ops]
-        _scatter(out, mask, vectorized.closed_form_breakdown(kinds,
-                                                             durations))
-    return BatchBreakdown(*out)
+    ops = _layer_ops(grid)
+    durations = _slot_durations(ops, grid, cluster, timing)
+    kinds = [_slot_kind(op) for op in ops]
+    return BatchBreakdown(*vectorized.closed_form_breakdown(kinds,
+                                                            durations))
 
 
 def _project_slot(op: OpRecord, grid: ConfigGrid,
@@ -558,21 +553,17 @@ def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
     (compute durations divided by ``compute_scale``, communication by
     ``network_scale``) applied to the projected durations.
     """
-    n = len(grid)
-    out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        ops = layer_records(sub, tp_flag, dp_flag)
-        durations = [_project_slot(op, sub, suite) for op in ops]
-        if scenario is not None:
-            durations = [
-                duration / (scenario.network_scale if op.family == COMM
-                            else scenario.compute_scale)
-                for op, duration in zip(ops, durations)
-            ]
-        kinds = [_slot_kind(op) for op in ops]
-        _scatter(out, mask, vectorized.closed_form_breakdown(kinds,
-                                                             durations))
-    return BatchBreakdown(*out)
+    ops = _layer_ops(grid)
+    durations = [_project_slot(op, grid, suite) for op in ops]
+    if scenario is not None:
+        durations = [
+            duration / (scenario.network_scale if op.family == COMM
+                        else scenario.compute_scale)
+            for op, duration in zip(ops, durations)
+        ]
+    kinds = [_slot_kind(op) for op in ops]
+    return BatchBreakdown(*vectorized.closed_form_breakdown(kinds,
+                                                            durations))
 
 
 def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
@@ -594,24 +585,18 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
             "trace has no overlappable communication; the overlap ROI is "
             "only defined for data-parallel setups (DP > 1)"
         )
-    n = len(grid)
-    compute = np.zeros(n, dtype=np.float64)
-    comm = np.zeros(n, dtype=np.float64)
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        ops = [op for op in layer_records(sub, tp_flag, dp_flag)
-               if (op.family == COMM and op.overlappable)
-               or (op.family == GEMM and op.has_weights
-                   and op.phase is Phase.BACKWARD)]
-        compute_part = np.zeros(len(sub), dtype=np.float64)
-        comm_part = np.zeros(len(sub), dtype=np.float64)
-        for op, duration in zip(ops, _slot_durations(ops, sub, cluster,
-                                                     timing)):
-            if op.family == GEMM:
-                compute_part = compute_part + duration
-            else:
-                comm_part = comm_part + duration
-        compute[mask] = compute_part
-        comm[mask] = comm_part
+    ops = [op for op in _layer_ops(grid)
+           if (op.family == COMM and op.overlappable)
+           or (op.family == GEMM and op.has_weights
+               and op.phase is Phase.BACKWARD)]
+    compute = np.zeros(len(grid), dtype=np.float64)
+    comm = np.zeros(len(grid), dtype=np.float64)
+    for op, duration in zip(ops, _slot_durations(ops, grid, cluster,
+                                                 timing)):
+        if op.family == GEMM:
+            compute = compute + duration
+        else:
+            comm = comm + duration
     return compute, comm
 
 

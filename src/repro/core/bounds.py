@@ -61,7 +61,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import ConfigGrid, _slot_kind, _time_groups
+from repro.core.batch import ConfigGrid, _layer_ops, _slot_kind, _time_groups
 from repro.core.evolution import HardwareScenario
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
@@ -70,7 +70,7 @@ from repro.core.gridplan import (
 )
 from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
-from repro.models.layers import ELEMENTWISE, GEMM, OpRecord, layer_records
+from repro.models.layers import ELEMENTWISE, GEMM, OpRecord
 from repro.sim import vectorized
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
@@ -308,17 +308,12 @@ def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
                    timing: TimingModels) -> MetricBounds:
     """Bounds for every row in one pass over the widest op list.
 
-    The exact engine evaluates each ``(TP > 1, DP > 1)`` parity
-    partition with its own op list; here every row takes the list
-    with both TP and DP all-reduces.  A collective over a one-device
-    group times as exactly 0.0, and a zero-duration slot leaves every
-    closed-form sum and maximum bit-for-bit unchanged (durations are
-    non-negative, so an async chain of zeros never outlasts the blocking
-    chain).  The result equals the per-partition evaluation while
-    paying the per-slot Python overhead once per grid instead of once
-    per partition.
+    Uses the exact engine's op list (:func:`repro.core.batch._layer_ops`)
+    and grouping, with the exact timing models replaced by the family
+    envelopes, so each bound slot lines up with the exact slot it
+    brackets.
     """
-    ops = layer_records(grid, True, True)
+    ops = _layer_ops(grid)
     kinds = [_slot_kind(op) for op in ops]
     lo_durations, up_durations = _slot_bound_durations(ops, grid, cluster,
                                                        timing)

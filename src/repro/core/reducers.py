@@ -127,14 +127,20 @@ class EvaluatedChunk:
 # -- exactly-rounded streaming sums --------------------------------------
 
 
-def exact_sum_add(partials: List[float], values: Sequence[float]
-                  ) -> List[float]:
-    """Fold ``values`` into a Shewchuk exact-partials accumulator.
+#: Bits in the low half of a split 53-bit mantissa (see :func:`_exact_terms`).
+_SPLIT_BITS = 26
+_LO_MASK = (1 << _SPLIT_BITS) - 1
+#: Rows per :func:`_exact_terms` pass: every per-exponent half sum stays
+#: within 2**53 in magnitude (2**26 rows of |half| <= 2**27), where
+#: float64 adds integers exactly.
+_TERMS_ROWS = 1 << 26
+#: Values at or above this magnitude take the plain Shewchuk loop: a
+#: half sum (< 2**53) scaled back to such an exponent could overflow.
+_TERMS_LIMIT = 2.0 ** 960
 
-    The partials represent the running sum *exactly* (they are
-    non-overlapping floats), so folding is associative and commutative in
-    exact arithmetic; only :func:`exact_sum_value` rounds, once.
-    """
+
+def _fold(partials: List[float], values: Sequence[float]) -> List[float]:
+    """Shewchuk's exact-partials fold, one value at a time."""
     for x in values:
         i = 0
         for y in partials:
@@ -150,9 +156,58 @@ def exact_sum_add(partials: List[float], values: Sequence[float]
     return partials
 
 
+def _exact_terms(values: np.ndarray) -> List[float]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Each finite value is ``ints * 2**(exp - 53)`` with ``ints`` its
+    53-bit integer mantissa (``np.frexp``).  ``ints`` splits into a high
+    half ``ints >> 26`` and a low half ``ints & (2**26 - 1)``, and each
+    half is summed per distinct exponent with ``np.bincount``; the sums
+    are integers below 2**53 (see :data:`_TERMS_ROWS`), so float64 adds
+    them exactly.  Scaling a sum back by its power of two is exact too:
+    the result is an integer under 2**53 times ``2**k`` with ``k >=
+    -1074``, or a multiple of ``2**-1074`` for subnormal inputs.  The
+    terms number at most two per distinct exponent.
+    """
+    mantissas, exponents = np.frexp(values)
+    ints = np.ldexp(mantissas, 53).astype(np.int64)
+    offset = int(exponents.min())
+    index = exponents - offset
+    scale = np.arange(int(index.max()) + 1) + (offset - 53)
+    terms = np.concatenate([
+        np.ldexp(np.bincount(index, weights=ints >> _SPLIT_BITS),
+                 scale + _SPLIT_BITS),
+        np.ldexp(np.bincount(index, weights=ints & _LO_MASK), scale),
+    ])
+    return terms[terms != 0].tolist()
+
+
+def exact_sum_add(partials: List[float], values: Sequence[float]
+                  ) -> List[float]:
+    """Fold ``values`` into a Shewchuk exact-partials accumulator.
+
+    The partials represent the running sum *exactly* (they are
+    non-overlapping floats), so folding is associative and commutative in
+    exact arithmetic; only :func:`exact_sum_value` rounds, once.  A
+    chunk of finite values below :data:`_TERMS_LIMIT` with at least one
+    nonzero is first reduced in NumPy to a few exact terms
+    (:func:`_exact_terms`), and those go through the fold; anything
+    else (non-finite or huge values, all zeros, whose signed zero the
+    fold keeps) takes the fold directly.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    magnitudes = np.abs(array)
+    if not (array.size and magnitudes.max() < _TERMS_LIMIT
+            and magnitudes.any()):
+        return _fold(partials, array.tolist())
+    for start in range(0, array.size, _TERMS_ROWS):
+        _fold(partials, _exact_terms(array[start:start + _TERMS_ROWS]))
+    return partials
+
+
 def exact_sum_merge(a: List[float], b: List[float]) -> List[float]:
     """Merge two exact-partial accumulators (still exact)."""
-    return exact_sum_add(list(a), b)
+    return _fold(list(a), b)
 
 
 def exact_sum_value(partials: Sequence[float]) -> float:
@@ -510,7 +565,7 @@ class Histogram(Reducer):
             "under": int((values < self.lo).sum()),
             "over": int((values > self.hi).sum()),
             "count": int(values.shape[0]),
-            "sum_partials": exact_sum_add([], values.tolist()),
+            "sum_partials": exact_sum_add([], values),
             "min": float(values.min()),
             "max": float(values.max()),
         }

@@ -365,10 +365,11 @@ def layer_records(d, tp_parallel: bool, dp_parallel: bool
     """One layer's forward + backward records, in trace order.
 
     ``d`` is a :class:`LayerDims` or a ``ConfigGrid`` whose rows all
-    share the ``(TP > 1, DP > 1)`` parity given by the flags (the prune
-    bounds pass ``True, True`` for every row: a collective over one
-    device times as 0).  TP divisibility is checked on ``LayerDims``
-    only; ``ConfigGrid`` validates its columns on construction.
+    share the ``(TP > 1, DP > 1)`` parity given by the flags (the batch
+    engine and the prune bounds pass ``True, True`` for every row: a
+    collective over one device times as 0).  TP divisibility is checked
+    on ``LayerDims`` only; ``ConfigGrid`` validates its columns on
+    construction.
     """
     attention = _forward(_ATTENTION, d, tp_parallel)
     fc = _forward(_FC, d, tp_parallel)

@@ -65,9 +65,11 @@ def _as_i64(values) -> np.ndarray:
 
 
 #: Memoized ``stable_unit_hash`` values.  The hash is pure, keys are
-#: small tuples, and sweep grids repeat them heavily (the same operator
-#: shape appears in several slots and parity partitions), so caching
-#: roughly halves cold-grid hashing and makes warm grids nearly free.
+#: small tuples, and each timing call hashes its distinct keys only, but
+#: the same key recurs across the calls of a grid (the same operator
+#: shape in several slots and timing groups) and across chunks.  On the
+#: 30 cold seed-1 ``search-scan`` perfbench queries, 49% of 482,482
+#: lookups hit (246,617 hashes computed); warm grids are nearly free.
 _HASH_CACHE: dict = {}
 _HASH_CACHE_LIMIT = 1 << 18
 

@@ -36,6 +36,7 @@ from repro.sim.executor import (
     execute_trace,
     schedule_with_durations,
 )
+from tests.parity import parity_partitions
 
 REL = 1e-12
 
@@ -355,6 +356,117 @@ def test_engine_auto_reraises_non_value_errors(cluster, monkeypatch):
         sweeps.serialized_sweep([(4096, 1024, 8)], cluster, engine="auto")
     with pytest.raises(RuntimeError, match="engine bug"):
         sweeps.overlap_sweep([(1024, 4096)], cluster, engine="auto")
+
+
+# -- one pass over every parity -----------------------------------------
+#
+# Every row takes the op list with both TP and DP all-reduces; a
+# one-device collective is a 0.0 slot.  Each entry point must equal the
+# per-parity evaluation -- every (TP > 1, DP > 1) partition with its own
+# op list -- bit for bit.
+
+
+def one_pass_grid(seed: int) -> ConfigGrid:
+    """Seeded random rows, plus runs of equal DP-free rows whose DP
+    crosses 1, so DP = 1 and DP > 1 rows share timing runs."""
+    from repro.sim.checker import random_configs
+
+    pairs = random_configs(60, seed)
+    runs = [(model, ParallelConfig(tp=parallel.tp, dp=dp))
+            for model, parallel in pairs[:20]
+            for dp in (1, 4, 1, parallel.dp)]
+    grid = ConfigGrid.from_models(pairs + runs)
+    parities = set(zip((grid.tp > 1).tolist(), (grid.dp > 1).tolist()))
+    assert len(parities) == 4
+    return grid
+
+
+def per_parity_breakdown(grid: ConfigGrid, durations_of) -> tuple:
+    """The four breakdown columns evaluated partition by partition;
+    ``durations_of(ops, sub)`` times one partition's op list."""
+    from repro.core.batch import _slot_kind
+    from repro.models.layers import layer_records
+    from repro.sim.vectorized import closed_form_breakdown
+
+    out = tuple(np.zeros(len(grid)) for _ in range(4))
+    for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
+        ops = layer_records(sub, tp_flag, dp_flag)
+        kinds = [_slot_kind(op) for op in ops]
+        parts = closed_form_breakdown(kinds, durations_of(ops, sub))
+        for column, part in zip(out, parts):
+            column[mask] = part
+    return out
+
+
+def assert_columns_equal(breakdown: BatchBreakdown, expected) -> None:
+    for name, column in zip(("compute_time", "serialized_comm_time",
+                             "overlapped_comm_time", "iteration_time"),
+                            expected):
+        assert np.array_equal(getattr(breakdown, name), column), name
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+@pytest.mark.parametrize("node", ("node", "multi-node"))
+def test_one_pass_execute_equals_parity_partitions(node, seed):
+    from repro.core.batch import _slot_durations
+    from repro.hardware.cluster import mi210_node, multi_node_cluster
+
+    target = mi210_node() if node == "node" else multi_node_cluster()
+    grid = one_pass_grid(seed)
+    expected = per_parity_breakdown(
+        grid, lambda ops, sub: _slot_durations(ops, sub, target,
+                                               DEFAULT_TIMING))
+    assert_columns_equal(batch_execute(grid, target, DEFAULT_TIMING),
+                         expected)
+
+
+@pytest.mark.parametrize("scenario", (None, PAPER_SCENARIOS[2]),
+                         ids=("no-scenario", "scenario"))
+def test_one_pass_project_equals_parity_partitions(suite, scenario):
+    from repro.core.batch import _project_slot
+    from repro.models.layers import COMM
+
+    def durations_of(ops, sub):
+        durations = [_project_slot(op, sub, suite) for op in ops]
+        if scenario is None:
+            return durations
+        return [duration / (scenario.network_scale if op.family == COMM
+                            else scenario.compute_scale)
+                for op, duration in zip(ops, durations)]
+
+    grid = one_pass_grid(5)
+    assert_columns_equal(batch_project(grid, suite, scenario=scenario),
+                         per_parity_breakdown(grid, durations_of))
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+def test_one_pass_overlap_roi_equals_parity_partitions(cluster, seed):
+    from repro.core.batch import _slot_durations
+    from repro.models.graph import Phase
+    from repro.models.layers import COMM, GEMM, layer_records
+
+    full = one_pass_grid(seed)
+    grid = full.subset(full.dp > 1)
+    compute = np.zeros(len(grid))
+    comm = np.zeros(len(grid))
+    for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
+        ops = [op for op in layer_records(sub, tp_flag, dp_flag)
+               if (op.family == COMM and op.overlappable)
+               or (op.family == GEMM and op.has_weights
+                   and op.phase is Phase.BACKWARD)]
+        compute_part = np.zeros(len(sub))
+        comm_part = np.zeros(len(sub))
+        for op, duration in zip(ops, _slot_durations(ops, sub, cluster,
+                                                     DEFAULT_TIMING)):
+            if op.family == GEMM:
+                compute_part = compute_part + duration
+            else:
+                comm_part = comm_part + duration
+        compute[mask] = compute_part
+        comm[mask] = comm_part
+    roi_compute, roi_comm = batch_overlap_roi(grid, cluster)
+    assert np.array_equal(roi_compute, compute)
+    assert np.array_equal(roi_comm, comm)
 
 
 # -- projection path (operator scaling laws) ----------------------------

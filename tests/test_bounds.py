@@ -33,6 +33,7 @@ from repro.hardware.cluster import mi210_node, multi_node_cluster
 from repro.models.zoo import MODEL_ZOO
 from repro.sim.checker import random_configs
 from repro.sim.executor import DEFAULT_TIMING
+from tests.parity import parity_partitions
 
 CLUSTER = mi210_node()
 
@@ -110,7 +111,7 @@ class TestAdmissibility:
     def test_one_pass_equals_parity_partitions(self, cluster):
         """Bounding every row with the TP+DP op list is bit-identical
         to bounding each parity partition with its own op list."""
-        from repro.core.batch import _partitions, _slot_kind
+        from repro.core.batch import _slot_kind
         from repro.core.bounds import _slot_bound_durations
         from repro.models.layers import layer_records
         from repro.sim.vectorized import closed_form_breakdown
@@ -120,7 +121,7 @@ class TestAdmissibility:
         stored = ("compute_time", "serialized_comm_time",
                   "overlapped_comm_time", "iteration_time")
         seen = 0
-        for mask, sub, tp_flag, dp_flag in _partitions(grid):
+        for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
             ops = layer_records(sub, tp_flag, dp_flag)
             kinds = [_slot_kind(op) for op in ops]
             for side, durations in zip(

@@ -234,13 +234,14 @@ class TestOpTable:
         """The table evaluated on int64 grid columns equals the scalar
         trace op for op, field for field, in all four parity
         partitions."""
-        from repro.core.batch import ConfigGrid, _partitions
+        from repro.core.batch import ConfigGrid
         from repro.models.trace import layer_trace
         from repro.sim.checker import random_configs
+        from tests.parity import parity_partitions
 
         grid = ConfigGrid.from_models(random_configs(80, seed))
         parities = set()
-        for _, sub, tp_flag, dp_flag in _partitions(grid):
+        for _, sub, tp_flag, dp_flag in parity_partitions(grid):
             parities.add((tp_flag, dp_flag))
             records = layers.layer_records(sub, tp_flag, dp_flag)
             for row in range(len(sub)):

@@ -359,6 +359,97 @@ class TestHistogram:
         assert (hist.lo, hist.hi) == (0.0, 1.0)
 
 
+def loop_sum_add(partials, values):
+    """Reference: the plain Shewchuk fold, one value at a time."""
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
+
+
+def exact_sum_cases():
+    rng = np.random.default_rng(2023)
+
+    def signed(n, exponents):
+        return rng.standard_normal(n) * np.power(10.0, exponents)
+
+    huge = np.ldexp(rng.standard_normal(6), rng.integers(960, 1000, 6))
+    return {
+        "mixed-signs": signed(4096, rng.integers(-8, 8, 4096)),
+        "subnormals": np.ldexp(rng.standard_normal(3000),
+                               rng.integers(-1074, -1000, 3000)),
+        "wide-exponents": signed(3000, rng.integers(-300, 301, 3000)),
+        "huge": np.concatenate([huge, signed(500, rng.integers(-5, 5,
+                                                               500))]),
+        "cancelling": np.array([1e16, 1.0, -1e16, 1e-8, 3.0, -2.0] * 50),
+        "timings": rng.random(4096) * 1e-3,
+        "empty": np.zeros(0),
+        "single": np.array([rng.standard_normal()]),
+        "single-huge": np.array([2.0 ** 1000]),
+        "zeros": np.array([0.0, -0.0, 0.0]),
+    }
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("name", sorted(exact_sum_cases()))
+    def test_value_equals_fsum(self, name):
+        values = exact_sum_cases()[name]
+        assert exact_sum_value(exact_sum_add([], values)) == \
+            math.fsum(values.tolist())
+        assert exact_sum_value(exact_sum_add([], values.tolist())) == \
+            math.fsum(values.tolist())
+
+    @pytest.mark.parametrize("values", (
+        [math.nan], [1.0, math.nan, -2.5], [math.inf], [-math.inf],
+        [2.0, math.inf, 3.0], [math.inf, -math.inf, 1.0], [2.0 ** 1000, 1.5],
+    ), ids=str)
+    def test_non_finite_and_huge_take_the_loop(self, values):
+        partials = exact_sum_add([], np.array(values))
+        reference = loop_sum_add([], list(values))
+        assert np.array_equal(partials, reference, equal_nan=True)
+
+    def test_nan_and_inf_values(self):
+        assert math.isnan(exact_sum_value(exact_sum_add([], [1.0, math.nan])))
+        assert exact_sum_value(exact_sum_add([], [math.inf])) == math.inf
+
+    def test_rows_above_the_pass_limit(self, monkeypatch):
+        from repro.core import reducers
+
+        monkeypatch.setattr(reducers, "_TERMS_ROWS", 64)
+        values = exact_sum_cases()["wide-exponents"]
+        assert exact_sum_value(exact_sum_add([], values)) == \
+            math.fsum(values.tolist())
+
+    def test_merging_with_loop_partials_is_grouping_invariant(self):
+        """Partials stored by the plain fold (e.g. in an older cache
+        record) merge with NumPy-reduced ones to the same exact sum."""
+        cases = exact_sum_cases()
+        values = np.concatenate([cases["mixed-signs"], cases["cancelling"],
+                                 cases["subnormals"], cases["timings"]])
+        expected = math.fsum(values.tolist())
+        rng = random.Random(7)
+        for size in (1, 97, 1000, len(values)):
+            chunks = [values[start:start + size]
+                      for start in range(0, len(values), size)]
+            parts = [loop_sum_add([], chunk.tolist()) if i % 2
+                     else exact_sum_add([], chunk)
+                     for i, chunk in enumerate(chunks)]
+            rng.shuffle(parts)
+            partials = []
+            for part in parts:
+                partials = exact_sum_merge(partials, part)
+            assert exact_sum_value(partials) == expected, size
+
+
 class TestArgExtremaAndCollect:
     def test_extrema_match_numpy(self):
         chunks = synthetic_chunks()
