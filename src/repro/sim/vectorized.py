@@ -11,11 +11,15 @@ scalar models of :mod:`repro.hardware` bit-for-bit:
   -- tile efficiencies, roofline, base time and jitter -- and gathers
   the results back per element (the element-wise formula costs less
   than finding the distinct counts, so only its jitter is deduplicated);
-* the deterministic shape-keyed jitter is computed through the same
-  :func:`repro.hardware.gemm.stable_unit_hash` on keys built from Python
-  ints (NumPy 2.x scalars ``repr`` differently and would corrupt the
-  hashes); each distinct key is hashed once per call, and a FIFO memo
-  shares hashes across calls;
+* the deterministic shape-keyed jitter is
+  :func:`repro.hardware.gemm.stable_unit_hash` -- a CRC32 of the key's
+  ``repr`` -- computed for a whole column of keys at once by
+  :func:`_unit_hashes`: CRC32 is affine over GF(2), so each byte of the
+  repr contributes a table value that depends only on the byte and its
+  distance from the end.  Digits come from the int64 columns, constant
+  text from the key's ``str`` parts; the small tables are built on
+  first use.  The scalar engine keeps calling ``stable_unit_hash``, so
+  the differential checker compares two implementations of the hash;
 * integer helpers (`ceil`, power-of-two rounding, tree depth) use exact
   integer arithmetic that coincides with the scalar models' float-based
   forms over the representable range.
@@ -31,7 +35,9 @@ task by task.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
+import zlib
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +50,7 @@ from repro.hardware.collectives import (
     CollectiveTimingModel,
 )
 from repro.hardware.elementwise import ElementwiseTimingModel
-from repro.hardware.gemm import GemmTimingModel, stable_unit_hash
+from repro.hardware.gemm import GemmTimingModel
 from repro.hardware.network import Link
 from repro.hardware.specs import DeviceSpec
 
@@ -64,32 +70,6 @@ def _as_i64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-#: Memoized ``stable_unit_hash`` values.  The hash is pure, keys are
-#: small tuples, and each timing call hashes its distinct keys only, but
-#: the same key recurs across the calls of a grid (the same operator
-#: shape in several slots and timing groups) and across chunks.  On the
-#: 30 cold seed-1 ``search-scan`` perfbench queries, 49% of 482,482
-#: lookups hit (246,617 hashes computed); warm grids are nearly free.
-_HASH_CACHE: dict = {}
-_HASH_CACHE_LIMIT = 1 << 18
-
-
-def _cached_unit_hash(key: tuple) -> float:
-    value = _HASH_CACHE.get(key)
-    if value is None:
-        if len(_HASH_CACHE) >= _HASH_CACHE_LIMIT:
-            # Evict the oldest eighth (dict preserves insertion order)
-            # instead of dropping everything: streaming sweeps with
-            # per-config jitter keys cycle through far more keys than
-            # the limit, and a full clear would also throw away the
-            # small, hot set of shared-shape keys every chunk reuses.
-            evict = max(1, _HASH_CACHE_LIMIT // 8)
-            for stale in list(itertools.islice(_HASH_CACHE, evict)):
-                del _HASH_CACHE[stale]
-        value = _HASH_CACHE[key] = stable_unit_hash(*key)
-    return value
-
-
 # -- reusable stacking buffers -------------------------------------------
 
 #: Pool of int64 stacking buffers, keyed by call-site tag.  Grids are
@@ -97,6 +77,16 @@ def _cached_unit_hash(key: tuple) -> float:
 #: after chunk; reusing one buffer per tag removes the per-chunk
 #: allocation tax (each sweep worker process has its own pool).
 _SCRATCH: Dict[str, np.ndarray] = {}
+
+
+def _scratch(tag: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """An int64 array of ``shape`` viewing the pooled buffer ``tag``,
+    valid until the next request for that tag."""
+    needed = math.prod(shape)
+    buffer = _SCRATCH.get(tag)
+    if buffer is None or buffer.shape[0] < needed:
+        buffer = _SCRATCH[tag] = np.empty(max(needed, 1), dtype=np.int64)
+    return buffer[:needed].reshape(shape)
 
 
 def stack_columns(tag: str, columns: Sequence[object],
@@ -110,24 +100,10 @@ def stack_columns(tag: str, columns: Sequence[object],
     ``tag`` -- callers must consume it (e.g. feed it to a timing
     model) before stacking into that tag again.
     """
-    needed = len(columns) * n
-    buffer = _SCRATCH.get(tag)
-    if buffer is None or buffer.shape[0] < needed:
-        buffer = _SCRATCH[tag] = np.empty(max(needed, 1), dtype=np.int64)
-    out = buffer[:needed]
+    out = _scratch(tag, (len(columns) * n,))
     for row, column in enumerate(columns):
         out[row * n:(row + 1) * n] = column
     return out
-
-
-def _jitter_factors(amplitude: float, keys: Sequence[tuple]) -> np.ndarray:
-    """Per-element ``1 + amp * (2u - 1)`` multipliers for a key column."""
-    u = np.fromiter(
-        (_cached_unit_hash(key) for key in keys),
-        dtype=np.float64,
-        count=len(keys),
-    )
-    return 1.0 + amplitude * (2.0 * u - 1.0)
 
 
 def _distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,6 +135,199 @@ def _distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     for i, column in enumerate(columns):
         unique[:, i] = column[first]
     return unique, inverse
+
+
+# -- jitter hash --------------------------------------------------------
+#
+# ``stable_unit_hash(*key)`` is ``crc32(repr(key)) / 2**32``.  CRC32 is
+# affine over GF(2): for a message of length L,
+# ``crc32(msg) == crc32(bytes(L)) ^ XOR_i W(L - 1 - i, msg[i])``, where
+# ``W(d, b)`` is byte ``b``'s contribution when it sits ``d`` bytes
+# before the end.  A key's repr is constant text (the ``str`` parts,
+# quotes, ``", "`` separators, parentheses) around the decimal digits of
+# its int parts, so hashing a whole column of keys is a table lookup per
+# digit and per text, XOR-reduced along the row.
+
+#: Longest key repr, in bytes, the tables cover.
+_MAX_KEY_BYTES = 128
+#: A non-negative int's digit count is how many of these are <= it.
+_DIGIT_BOUNDS = np.array([0] + [10**k for k in range(1, 19)], dtype=np.int64)
+#: Rows of the digit-pair table.  An int's last digit sits at most
+#: ``_MAX_KEY_BYTES - 2`` bytes from the end (the repr opens with
+#: ``(``), and an int shorter than the widest in its call still looks
+#: up a zero entry for each missing pair, up to 18 bytes further.
+_PAIR_ROWS = _MAX_KEY_BYTES + 17
+#: Flat-table offset of each pair place beyond the distance term: the
+#: plane (0 for the last pair, 1 before it) and the place's own shift.
+_PAIR_OFFSETS = (np.arange(10) * 400
+                 + np.minimum(np.arange(10), 1) * _PAIR_ROWS * 200
+                 ).reshape(-1, 1, 1)
+
+
+class _Slot:
+    """Stand-in for an int column when rendering a template's text."""
+
+    def __repr__(self) -> str:
+        return "\0"  # repr() of a str never holds a raw NUL
+
+
+_SLOT = _Slot()
+
+
+def _shifted(table: List[int], seed: int, count: int) -> List[int]:
+    """Contributions at distances ``0 .. count - 1`` of bytes whose
+    contribution at distance 0 is ``seed`` (each step appends a zero
+    byte)."""
+    values = [seed]
+    for _ in range(count - 1):
+        seed = (seed >> 8) ^ table[seed & 0xFF]
+        values.append(seed)
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _crc_tables() -> Tuple[List[int], np.ndarray, List[int]]:
+    """``(byte_table, pairs, zeros)``, built on first use.
+
+    ``byte_table[b]`` is ``W(0, b)``; ``zeros[L]`` is
+    ``crc32(bytes(L))``.  ``pairs`` is a flat view of a
+    ``(2, _PAIR_ROWS, 200)`` table of two-digit groups by the distance
+    of the group's last byte: code ``c < 100`` is ``str(c)`` (a group
+    holding an int's leading digits) and ``100 + c`` is ``c`` padded to
+    two digits.  Plane 0 serves an int's last two digits, where code 0
+    is the digit ``0``; plane 1 serves the groups before them, where
+    code 0 is an int that has run out of digits and contributes 0.
+    """
+    zero = zlib.crc32(b"\0")
+    table = [zlib.crc32(bytes((b,))) ^ zero for b in range(256)]
+    digits = np.array([_shifted(table, table[ord("0") + value],
+                                _PAIR_ROWS + 1) for value in range(10)],
+                      dtype=np.uint32).T
+    code = np.arange(100)
+    padded = digits[:-1, code % 10] ^ digits[1:, code // 10]
+    natural = padded.copy()
+    natural[:, :10] = digits[:-1]
+    pairs = np.stack([np.concatenate([natural, padded], axis=1)] * 2)
+    pairs[1, :, 0] = 0
+    zeros = [0]
+    for _ in range(_MAX_KEY_BYTES):
+        zeros.append(zlib.crc32(b"\0", zeros[-1]))
+    return table, pairs.ravel(), zeros
+
+
+@functools.lru_cache(maxsize=None)
+def _text_contributions(text: bytes) -> np.ndarray:
+    """Contribution of ``text`` by the distance of its last byte from
+    the end of the message, for every distance a key can have."""
+    table = _crc_tables()[0]
+    seed = zlib.crc32(text) ^ zlib.crc32(bytes(len(text)))
+    return np.array(_shifted(table, seed, _MAX_KEY_BYTES - len(text) + 1),
+                    dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _template_tables(layout: tuple) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """``(table, lengths, starts)`` for a template's constant text.
+
+    ``layout`` is the template with ``None`` for each int column.  Its
+    repr splits into ``texts[0], column 0, texts[1], ..., texts[C]``;
+    ``lengths`` holds their byte lengths.  ``table`` is one flat lookup
+    table: ``crc32(bytes(L)) ^`` the last text's (constant) contribution
+    at ``starts[0] + L``, then ``texts[j]``'s contributions by the
+    distance of its last byte, from ``starts[j + 1]``.  Cached per
+    layout: the engine's templates come from a fixed set of operator
+    kinds, collective ops and precisions.
+    """
+    rendered = repr(tuple(_SLOT if part is None else part
+                          for part in layout))
+    texts = [text.encode("utf-8") for text in rendered.split("\0")]
+    last = _text_contributions(texts[-1])[0]
+    regions = [np.array(_crc_tables()[2], dtype=np.uint32) ^ last]
+    regions += [_text_contributions(text) for text in texts[:-1]]
+    starts = np.cumsum([0] + [len(region) for region in regions[:-1]])
+    return (np.concatenate(regions), np.array([len(t) for t in texts]),
+            starts[:, None])
+
+
+def _unit_hashes(template: tuple) -> np.ndarray:
+    """:func:`repro.hardware.gemm.stable_unit_hash` of every key row.
+
+    ``template`` is the key tuple with each int part replaced by an
+    integer array (broadcast together); ``str`` parts stay constant.
+    ``_unit_hashes(("gemm", m, n, k, batch, "fp16"))[i]`` equals
+    ``stable_unit_hash("gemm", int(m[i]), ..., "fp16")`` bit for bit.
+    Returns a flat float64 array, one value per broadcast row.
+
+    Raises:
+        TypeError: on a part that is neither a ``str`` nor an array, or
+            on a column of a non-integer dtype.
+        ValueError: on a negative value (a uint64 above the int64 range
+            included) or a key repr longer than
+            :data:`_MAX_KEY_BYTES`.
+    """
+    columns, layout = [], []
+    for part in template:
+        if isinstance(part, np.ndarray):
+            if part.dtype.kind not in "iu":
+                raise TypeError(f"jitter key column has dtype {part.dtype}; "
+                                f"expected integers")
+            columns.append(part)
+            part = None
+        elif type(part) is not str:
+            raise TypeError(f"jitter key part {part!r} has type "
+                            f"{type(part).__name__}; expected a str or an "
+                            f"integer array")
+        layout.append(part)
+    table, lengths, starts = _template_tables(tuple(layout))
+    shape = np.broadcast(*columns).shape
+    values = np.empty((len(columns),) + shape, dtype=np.int64)
+    for values_row, column in zip(values, columns):
+        values_row[...] = column
+    rows = math.prod(shape)
+    values = values.reshape(len(columns), rows)
+    if values.size and values.min() < 0:
+        raise ValueError("jitter key column has a negative value")
+    widths = np.searchsorted(_DIGIT_BOUNDS, values, side="right")
+    # Walk the repr right to left: ``ends[j + 1]`` is the distance from
+    # the end of the message to the end of texts[j], ``units[j]`` to
+    # column j's last digit, and ``ends[0]`` is the whole length.
+    ends = np.empty((len(columns) + 1, rows), dtype=np.int64)
+    units = np.empty_like(values)
+    distance = lengths[-1]
+    for j in range(len(columns) - 1, -1, -1):
+        units[j] = distance
+        distance = ends[j + 1] = distance + widths[j]
+        distance = distance + lengths[j]
+    ends[0] = distance
+    if ends[0].max(initial=0) > _MAX_KEY_BYTES:
+        raise ValueError(f"jitter key repr exceeds {_MAX_KEY_BYTES} bytes")
+    ends += starts
+    crc = np.bitwise_xor.reduce(table[ends], axis=0)
+    # Digits two at a time, last pair first (see ``_crc_tables``): pair
+    # ``place`` of column j ends ``2 * place`` bytes before its last digit.
+    places = (int(widths.max(initial=1)) + 1) // 2
+    rests = _scratch("hash.rests", (places + 1,) + values.shape)
+    rests[0] = values
+    for place in range(places):
+        np.floor_divide(rests[place], 100, out=rests[place + 1])
+    # A group's code is ``100 + rest % 100`` (two digits, zero-padded)
+    # or ``rest`` itself once fewer than three digits remain: the min.
+    codes = _scratch("hash.codes", rests[1:].shape)
+    np.multiply(rests[1:], -100, out=codes)
+    codes += rests[:-1]
+    codes += 100
+    np.minimum(codes, rests[:-1], out=codes)
+    codes += units * 200
+    codes += _PAIR_OFFSETS[:places]
+    groups = codes.reshape(places * len(columns), rows)
+    crc ^= np.bitwise_xor.reduce(_crc_tables()[1][groups], axis=0)
+    return crc / 2**32
+
+
+def _jitter(amplitude: float, template: tuple) -> np.ndarray:
+    """Per-row ``1 + amp * (2u - 1)`` multipliers for a key template."""
+    return 1.0 + amplitude * (2.0 * _unit_hashes(template) - 1.0)
 
 
 # -- GEMM ---------------------------------------------------------------
@@ -255,10 +424,8 @@ def gemm_times(
     )
     base = np.maximum(t_compute, t_memory) + device.compute_launch_overhead
     if model.jitter_amplitude != 0:
-        dtype = precision.value
-        keys = [("gemm", mi, ni, ki, bi, dtype)
-                for mi, ni, ki, bi in unique.tolist()]
-        base = base * _jitter_factors(model.jitter_amplitude, keys)
+        base = base * _jitter(model.jitter_amplitude,
+                              ("gemm", m, n, k, batch, precision.value))
     return base[inverse].reshape(shape)
 
 
@@ -289,9 +456,9 @@ def elementwise_times(
     if not model.jitter_amplitude:
         return base
     counts, inverse = np.unique(elements, return_inverse=True)
-    dtype = precision.value
-    keys = [(kind, count, dtype) for count in counts.tolist()]
-    return base * _jitter_factors(model.jitter_amplitude, keys)[inverse]
+    jitter = _jitter(model.jitter_amplitude,
+                     (kind, counts, precision.value))
+    return base * jitter[inverse]
 
 
 # -- collectives --------------------------------------------------------
@@ -310,16 +477,16 @@ def _collective_jitter(
 ):
     if model.jitter_amplitude == 0:
         return 1.0
-    # Dedupe on the float's bit pattern so distinct sizes never share a
-    # key row; the key itself stays ``int(size)`` as in the scalar model.
-    unique, inverse = _distinct_rows(
-        np.ascontiguousarray(nbytes, dtype=np.float64).view(np.int64),
-        n_devices,
-    )
-    sizes = unique[:, 0].view(np.float64).tolist()
-    keys = [("collective", op, int(size), devices)
-            for size, devices in zip(sizes, unique[:, 1].tolist())]
-    return _jitter_factors(model.jitter_amplitude, keys)[inverse]
+    # The scalar key holds ``int(nbytes)``: truncate, as ``int`` does.
+    if not np.isfinite(nbytes).all():
+        raise ValueError("collective jitter key needs finite byte counts")
+    sizes = np.trunc(nbytes)
+    if sizes.size and sizes.max() >= 2.0**63:
+        raise ValueError("collective byte count exceeds the int64 range")
+    unique, inverse = _distinct_rows(sizes.astype(np.int64), n_devices)
+    jitter = _jitter(model.jitter_amplitude,
+                     ("collective", op, unique[:, 0], unique[:, 1]))
+    return jitter[inverse]
 
 
 def all_reduce_times(
@@ -509,10 +676,3 @@ def closed_form_breakdown(
             raise ValueError(f"unknown slot kind {kind!r}")
     iteration = np.maximum(blocking, async_finish) if has_async else blocking
     return compute, serialized, overlapped, iteration
-
-
-def scalar_durations_reference(kinds: List[str],
-                               durations: List[float]) -> List[float]:
-    """Tiny self-check helper used by tests (single-config closed form)."""
-    arrays = [np.asarray([d], dtype=np.float64) for d in durations]
-    return [float(a[0]) for a in closed_form_breakdown(kinds, arrays)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import multiprocessing
 
 import numpy as np
@@ -368,34 +367,6 @@ class TestBoundAndPrune:
 
 
 class TestVectorizedBuffers:
-    def test_hash_cache_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
-        monkeypatch.setattr(vectorized, "_HASH_CACHE_LIMIT", 64)
-        values = {}
-        for index in range(500):
-            key = ("gemm", index, index + 1, index + 2, 0)
-            values[key] = vectorized._cached_unit_hash(key)
-            assert len(vectorized._HASH_CACHE) <= 64
-        # survivors still return correct values after evictions
-        from repro.hardware.gemm import stable_unit_hash
-
-        for key in itertools.islice(vectorized._HASH_CACHE, 10):
-            assert vectorized._cached_unit_hash(key) \
-                == stable_unit_hash(*key)
-        # recomputing an evicted key reproduces the original value
-        evicted = ("gemm", 0, 1, 2, 0)
-        assert vectorized._cached_unit_hash(evicted) == values[evicted]
-
-    def test_eviction_keeps_recent_entries(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
-        monkeypatch.setattr(vectorized, "_HASH_CACHE_LIMIT", 8)
-        keys = [("ew", index, 0) for index in range(8)]
-        for key in keys:
-            vectorized._cached_unit_hash(key)
-        vectorized._cached_unit_hash(("ew", 999, 0))  # triggers eviction
-        assert keys[-1] in vectorized._HASH_CACHE  # newest survivor kept
-        assert keys[0] not in vectorized._HASH_CACHE  # oldest evicted
-
     def test_stack_columns_matches_concatenate(self):
         columns = [np.arange(8, dtype=np.int64) * factor
                    for factor in (1, 3, 7)]

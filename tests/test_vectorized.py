@@ -1,25 +1,42 @@
-"""Distinct-row timing in repro.sim.vectorized.
+"""Distinct-row timing and the NumPy jitter hash in repro.sim.vectorized.
 
 :func:`gemm_times` times each distinct shape of a stacked call once
 and :func:`elementwise_times` hashes each distinct count once, and both
 gather the results back, so every element must still equal the scalar
 model's time for its own shape, bit for bit, however heavily the shapes
-repeat.
+repeat.  ``_unit_hashes`` computes ``stable_unit_hash`` for whole key
+columns from CRC32 tables; it must agree with the per-key hash on every
+key, and its tables with ``zlib.crc32``.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import ConfigGrid
 from repro.core.hyperparams import Precision
+from repro.hardware.collectives import (
+    AllReduceAlgorithm,
+    CollectiveTimingModel,
+)
 from repro.hardware.elementwise import DEFAULT_ELEMENTWISE_MODEL
-from repro.hardware.gemm import DEFAULT_GEMM_MODEL, GemmShape
+from repro.hardware.gemm import (
+    DEFAULT_GEMM_MODEL,
+    GemmShape,
+    stable_unit_hash,
+)
 from repro.hardware.specs import MI210
+from repro.models.layers import ELEMENTWISE, layer_records
 from repro.sim import vectorized
-from repro.sim.vectorized import _distinct_rows
+from repro.sim.checker import random_configs
+from repro.sim.vectorized import _distinct_rows, _unit_hashes
 
 
 def _void_unique(*columns: np.ndarray):
@@ -143,3 +160,190 @@ class TestElementwiseTimes:
             "layernorm", elementwise_model)
         assert times.shape == (0,)
         assert times.dtype == np.float64
+
+
+# -- jitter hash --------------------------------------------------------
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: 0, the digit-count boundaries, the float64-exact limit and the int64
+#: maximum.
+EDGE_VALUES = sorted({0, 9, 10, 2**53 - 1, 2**53, 2**53 + 1, INT64_MAX}
+                     | {10**k - 1 for k in range(1, 19)}
+                     | {10**k for k in range(19)})
+
+ELEMENTWISE_KINDS = sorted({
+    record.kind for record in layer_records(
+        ConfigGrid.from_models(random_configs(1, seed=0)), True, True)
+    if record.family == ELEMENTWISE})
+
+COLLECTIVE_OPS = ([f"allreduce-{algorithm.value}"
+                   for algorithm in AllReduceAlgorithm]
+                  + ["reduce-scatter", "all-gather"])
+
+
+def _scalar_hashes(template, rows):
+    """``stable_unit_hash`` per row, the int parts taken from ``rows``."""
+    out = []
+    for row in rows:
+        values = iter(row)
+        out.append(stable_unit_hash(*(
+            part if isinstance(part, str) else int(next(values))
+            for part in template)))
+    return out
+
+
+def _random_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Non-negative int64s of every digit count from 1 to 19."""
+    bits = rng.integers(0, 64, size=n)
+    return rng.integers(0, INT64_MAX, size=n, endpoint=True) >> (63 - bits)
+
+
+class TestUnitHashes:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_random_keys_match_stable_unit_hash(self, width):
+        rng = np.random.default_rng(width)
+        columns = [_random_values(rng, 3000) for _ in range(width)]
+        template = ("gemm",) + tuple(columns) + ("fp16",)
+        assert _unit_hashes(template).tolist() == _scalar_hashes(
+            template, zip(*columns))
+
+    def test_edge_values_in_every_position(self):
+        edges = np.array(EDGE_VALUES, dtype=np.int64)
+        filler = np.full_like(edges, 12288)
+        for position in range(4):
+            columns = [filler] * 4
+            columns[position] = edges
+            template = ("gemm", *columns, "bf16")
+            assert _unit_hashes(template).tolist() == _scalar_hashes(
+                template, zip(*columns))
+        widest = ("gemm", *[np.array([INT64_MAX])] * 4, "fp16")
+        assert _unit_hashes(widest).tolist() == _scalar_hashes(
+            widest, [[INT64_MAX] * 4])
+
+    def test_every_engine_template(self):
+        edges = np.array(EDGE_VALUES, dtype=np.int64)
+        devices = np.resize(np.array([1, 2, 8, 512, 4096]), edges.size)
+        templates = [("gemm", edges, edges[::-1], devices, edges,
+                      precision.value) for precision in Precision]
+        templates += [(kind, edges, precision.value)
+                      for kind in ELEMENTWISE_KINDS for precision in Precision]
+        templates += [("collective", op, edges, devices)
+                      for op in COLLECTIVE_OPS]
+        assert {"layernorm", "softmax", "gelu_grad"} <= set(ELEMENTWISE_KINDS)
+        for template in templates:
+            columns = [part for part in template
+                       if isinstance(part, np.ndarray)]
+            assert _unit_hashes(template).tolist() == _scalar_hashes(
+                template, zip(*columns)), template[:2]
+
+    def test_quoting_broadcasting_and_dtypes(self):
+        values = np.array([[0, 7], [10, 123456]], dtype=np.int32)
+        template = ("it's", values, 'say "hi"', np.uint16(3) * np.ones(
+            (1, 2), dtype=np.uint16))
+        expected = [stable_unit_hash("it's", int(v), 'say "hi"', 3)
+                    for v in values.ravel()]
+        assert _unit_hashes(template).tolist() == expected
+        assert _unit_hashes(("solo",)).tolist() == [
+            stable_unit_hash("solo")]
+        empty = _unit_hashes(("gemm", np.zeros(0, dtype=np.int64), "fp16"))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    def test_tables_match_zlib(self):
+        byte_table, pairs, zeros = vectorized._crc_tables()
+        zero = zlib.crc32(b"\0")
+        assert byte_table == [zlib.crc32(bytes((b,))) ^ zero
+                              for b in range(256)]
+        assert zeros == [zlib.crc32(bytes(length))
+                         for length in range(vectorized._MAX_KEY_BYTES + 1)]
+
+        def contribution(text: bytes, distance: int) -> int:
+            return (zlib.crc32(text + bytes(distance))
+                    ^ zlib.crc32(bytes(len(text) + distance)))
+
+        planes = pairs.reshape(2, vectorized._PAIR_ROWS, 200)
+        for distance in range(vectorized._PAIR_ROWS):
+            natural = [contribution(str(code).encode(), distance)
+                       for code in range(100)]
+            padded = [contribution(f"{code:02d}".encode(), distance)
+                      for code in range(100)]
+            assert planes[0, distance].tolist() == natural + padded
+            assert planes[1, distance].tolist() == [0] + natural[1:] + padded
+        for text in (b"('gemm', ", b", ", b", 'fp16')", b")"):
+            table = vectorized._text_contributions(text)
+            assert table.tolist() == [
+                contribution(text, distance) for distance in
+                range(vectorized._MAX_KEY_BYTES - len(text) + 1)]
+
+    def test_import_builds_no_tables(self):
+        code = ("import repro.sim.vectorized as v; "
+                "assert v._crc_tables.cache_info().currsize == 0; "
+                "assert v._template_tables.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("column", [
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array(["1", "2"]),
+    ])
+    def test_rejects_non_integer_columns(self, column):
+        with pytest.raises(TypeError, match="expected integers"):
+            _unit_hashes(("gemm", column, "fp16"))
+
+    @pytest.mark.parametrize("part", [5, np.int64(5), 2.5, None])
+    def test_rejects_non_str_constants(self, part):
+        with pytest.raises(TypeError, match="jitter key part"):
+            _unit_hashes(("gemm", np.array([1]), part))
+
+    @pytest.mark.parametrize("column", [
+        np.array([3, -1], dtype=np.int64),
+        np.array([np.iinfo(np.int64).min], dtype=np.int64),
+        np.array([2**63], dtype=np.uint64),
+    ])
+    def test_rejects_negative_values(self, column):
+        with pytest.raises(ValueError, match="negative"):
+            _unit_hashes(("gemm", column, "fp16"))
+
+    def test_longest_key_with_a_short_int(self):
+        # "(5, " + 19 digits + ", '" + text + "')" is exactly the limit,
+        # and the 5 still looks up all ten pair places of its call.
+        text = "x" * (vectorized._MAX_KEY_BYTES - 28)
+        template = (np.array([5, 0]), np.array([INT64_MAX, 7]), text)
+        assert _unit_hashes(template).tolist() == [
+            stable_unit_hash(5, INT64_MAX, text),
+            stable_unit_hash(0, 7, text)]
+
+    def test_rejects_keys_longer_than_the_tables(self):
+        limit = vectorized._MAX_KEY_BYTES
+        # repr is "('" + text + "', " + digits + ")": 6 bytes + digits.
+        text = "x" * (limit - 7)
+        fits = _unit_hashes((text, np.array([5])))
+        assert fits.tolist() == [stable_unit_hash(text, 5)]
+        with pytest.raises(ValueError, match="exceeds"):
+            _unit_hashes((text, np.array([5, 10])))
+
+
+class TestCollectiveJitter:
+    def test_truncates_sizes_like_int(self):
+        model = CollectiveTimingModel()
+        nbytes = np.array([0.0, 0.5, 1.9999, 2.0, 1e15 + 0.5, 2.0**53,
+                           3.5e18, 9.2e18])
+        devices = np.array([2, 2, 4, 4, 8, 16, 2, 512])
+        jitter = vectorized._collective_jitter(model, "all-gather", nbytes,
+                                               devices)
+        assert jitter.tolist() == [
+            model.jitter("all-gather", size, int(count))
+            for size, count in zip(nbytes.tolist(), devices)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**63])
+    def test_rejects_non_finite_and_huge_sizes(self, bad):
+        with pytest.raises(ValueError, match="finite|int64"):
+            vectorized._collective_jitter(
+                CollectiveTimingModel(), "reduce-scatter",
+                np.array([1024.0, bad]), np.array([2, 2]))
+
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(ValueError, match="negative"):
+            vectorized._collective_jitter(
+                CollectiveTimingModel(), "reduce-scatter",
+                np.array([-1.0]), np.array([2]))
