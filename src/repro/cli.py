@@ -31,6 +31,8 @@ or batched breakdown against the engine invariants.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from typing import List, Optional
 
@@ -654,8 +656,32 @@ _COMMANDS = {
 }
 
 
+_exit_freeze_registered = False
+
+
+def _freeze_at_exit() -> None:
+    """Skip the collector's final pass when the interpreter exits.
+
+    Everything a command built -- modules, the session, NumPy's state
+    -- lives until exit, and interpreter teardown would otherwise walk
+    it all in one last full collection.  ``gc.freeze`` at exit moves it
+    to the permanent generation first, so that pass has nothing to
+    scan.  Nothing relies on the pass: every file is closed before
+    ``main`` returns (output inside ``with``, cache entries by
+    ``write_text`` plus ``os.replace``), and the interpreter flushes
+    stdout whether or not the collector runs.  The collector stays on
+    while a command runs.  Registered once per process, however often
+    ``main`` is called.
+    """
+    global _exit_freeze_registered
+    if not _exit_freeze_registered:
+        atexit.register(gc.freeze)
+        _exit_freeze_registered = True
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    _freeze_at_exit()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -40,18 +40,25 @@ by op.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.evolution import HardwareScenario
 from repro.core.hyperparams import (
     ModelConfig,
     ParallelConfig,
     Precision,
 )
-from repro.core.projection import OperatorModelSuite, _ring_factor
 from repro.hardware.cluster import ClusterSpec
+from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.models.graph import CommGroup, Phase
 from repro.models.layers import (
     COMM,
@@ -60,10 +67,12 @@ from repro.models.layers import (
     OpRecord,
     layer_records,
 )
-from repro.models.trace import layer_trace
 from repro.sim import vectorized
-from repro.sim.breakdown import Breakdown
-from repro.sim.executor import DEFAULT_TIMING, TimingModels
+
+if TYPE_CHECKING:
+    from repro.core.evolution import HardwareScenario
+    from repro.core.projection import OperatorModelSuite
+    from repro.sim.breakdown import Breakdown
 
 __all__ = [
     "ConfigGrid",
@@ -477,6 +486,8 @@ class BatchBreakdown:
 
     def at(self, index: int) -> Breakdown:
         """Scalar :class:`Breakdown` of one grid entry."""
+        from repro.sim.breakdown import Breakdown
+
         return Breakdown(
             compute_time=float(self.compute_time[index]),
             serialized_comm_time=float(self.serialized_comm_time[index]),
@@ -522,6 +533,7 @@ def _project_slot(op: OpRecord, grid: ConfigGrid,
                   suite: OperatorModelSuite) -> np.ndarray:
     """Projected duration array for one op (operator scaling laws)."""
     if op.family == COMM:
+        from repro.core.projection import _ring_factor
         from repro.models.graph import CollectiveKind
 
         reference = suite.collective_references[CollectiveKind.ALL_REDUCE]
@@ -621,6 +633,7 @@ def serialized_fractions_for_pairs(
         except ValueError:
             if engine == "batch":
                 raise
+    from repro.models.trace import layer_trace
     from repro.sim.executor import execute_trace
 
     return [

@@ -57,22 +57,33 @@ bound cache keys (:meth:`repro.core.gridplan.GridSpec.chunk_key`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.core.batch import ConfigGrid, _layer_ops, _slot_kind, _time_groups
-from repro.core.evolution import HardwareScenario
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
     GridSpec,
     aggregate_bounds,
 )
-from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
+from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.models.layers import ELEMENTWISE, GEMM, OpRecord
 from repro.sim import vectorized
-from repro.sim.executor import DEFAULT_TIMING, TimingModels
+
+if TYPE_CHECKING:
+    from repro.core.evolution import HardwareScenario
+    from repro.core.projection import OperatorModelSuite
 
 __all__ = [
     "BOUND_MODEL_VERSION",

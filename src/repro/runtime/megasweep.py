@@ -61,14 +61,15 @@ from typing import (
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
+    from repro.core.projection import OperatorModelSuite
+
 from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridSpec
-from repro.core.projection import OperatorModelSuite
 from repro.core.reducers import EvaluatedChunk, Reducer
 from repro.hardware.cluster import ClusterSpec, mi210_node
+from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
 from repro.sim.checkflag import check_enabled
-from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
 __all__ = ["SweepResult", "stream_sweep", "resolve_jobs", "MODES"]
 

@@ -33,31 +33,22 @@ from typing import (
     Sequence,
 )
 
-if TYPE_CHECKING:
-    from repro.core.batch import BatchBreakdown, ConfigGrid
-    from repro.core.gridplan import GridSpec
-    from repro.core.reducers import Reducer
-    from repro.runtime.megasweep import SweepResult
-
-from repro.core.projection import (
-    DEFAULT_BASELINE,
-    OperatorModelSuite,
-    fit_operator_models,
-)
-from repro.core.hyperparams import ModelConfig
-from repro.experiments.base import ExperimentResult, RunMeta
 from repro.hardware.cluster import ClusterSpec, mi210_node
-from repro.models.graph import Trace
+from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
 from repro.sim.checkflag import check_enabled
-from repro.sim.executor import (
-    DEFAULT_TIMING,
-    ExecutionResult,
-    TimingModels,
-    op_duration,
-    schedule_with_durations,
-)
+
+if TYPE_CHECKING:
+    from repro.core.batch import BatchBreakdown, ConfigGrid
+    from repro.core.gridplan import GridSpec
+    from repro.core.hyperparams import ModelConfig
+    from repro.core.projection import OperatorModelSuite
+    from repro.core.reducers import Reducer
+    from repro.experiments.base import ExperimentResult
+    from repro.models.graph import Trace
+    from repro.runtime.megasweep import SweepResult
+    from repro.sim.executor import ExecutionResult
 
 __all__ = ["Session", "get_session", "set_session", "resolve_session"]
 
@@ -123,16 +114,25 @@ class Session:
 
     def suite(self,
               cluster: Optional[ClusterSpec] = None,
-              baseline_model: ModelConfig = DEFAULT_BASELINE,
+              baseline_model: Optional[ModelConfig] = None,
               timing: Optional[TimingModels] = None,
               reference_ar_bytes: int = 32 * 1024 * 1024,
-              reference_group: Optional[int] = None) -> OperatorModelSuite:
+              reference_group: Optional[int] = None
+              ) -> "OperatorModelSuite":
         """A fitted operator-model suite, memoized by content key.
 
-        The key covers the cluster, baseline model, timing models, and
-        collective reference parameters; equal configurations share one
-        fit per process.
+        The key covers the cluster, baseline model (default
+        :data:`~repro.core.projection.DEFAULT_BASELINE`), timing models,
+        and collective reference parameters; equal configurations share
+        one fit per process.
         """
+        from repro.core.projection import (
+            DEFAULT_BASELINE,
+            fit_operator_models,
+        )
+
+        if baseline_model is None:
+            baseline_model = DEFAULT_BASELINE
         cluster = cluster if cluster is not None else self.cluster
         timing = timing if timing is not None else self.timing
         key = fingerprint("suite", cluster, baseline_model, timing,
@@ -178,6 +178,8 @@ class Session:
                         timing: Optional[TimingModels] = None
                         ) -> List[float]:
         """Cached ground-truth per-op durations for one trace."""
+        from repro.sim.executor import op_duration
+
         cluster = cluster if cluster is not None else self.cluster
         timing = timing if timing is not None else self.timing
         durations = self.memo(
@@ -198,6 +200,8 @@ class Session:
         (it is cheap and keeps ``ExecutionResult`` bit-identical to a
         fresh ``execute_trace`` call).
         """
+        from repro.sim.executor import schedule_with_durations
+
         durations = self.trace_durations(trace, cluster, timing)
         result = schedule_with_durations(trace, durations,
                                          shared_network=shared_network)
@@ -317,6 +321,7 @@ class Session:
         entries.  The returned result carries :class:`RunMeta`.
         """
         from repro.experiments import registry
+        from repro.experiments.base import ExperimentResult, RunMeta
 
         if experiment_id not in registry.EXPERIMENTS:
             registry.get_experiment(experiment_id)  # KeyError naming ids

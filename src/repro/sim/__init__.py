@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "Profile": "repro.sim.profiler",
     "Schedule": "repro.sim.engine",
     "Task": "repro.sim.engine",
-    "TimingModels": "repro.sim.executor",
+    "TimingModels": "repro.hardware.timing",
     "check_enabled": "repro.sim.checkflag",
     "differential_oracle": "repro.sim.checker",
     "execute_trace": "repro.sim.executor",

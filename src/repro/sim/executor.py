@@ -12,6 +12,8 @@ two-stream execution on a cluster (:mod:`repro.hardware.cluster`):
 
 The result carries both the full schedule and the compute/serialized/
 overlapped/exposed breakdown the paper's figures are built from.
+:class:`TimingModels` and :data:`DEFAULT_TIMING` are defined in
+:mod:`repro.hardware.timing` and re-exported here.
 """
 
 from __future__ import annotations
@@ -21,11 +23,7 @@ from typing import List, Optional
 
 from repro.hardware import collectives
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.elementwise import (
-    DEFAULT_ELEMENTWISE_MODEL,
-    ElementwiseTimingModel,
-)
-from repro.hardware.gemm import DEFAULT_GEMM_MODEL, GemmTimingModel
+from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.models.graph import (
     CollectiveKind,
     CommOp,
@@ -52,29 +50,6 @@ __all__ = [
 COMPUTE_STREAM = "compute"
 COMM_STREAM = "comm"
 COMM_ASYNC_STREAM = "comm-async"
-
-
-@dataclass(frozen=True)
-class TimingModels:
-    """Bundle of the per-operator-family timing models.
-
-    ``without_jitter()`` yields idealized models whose runtimes follow the
-    analytical scaling laws exactly -- the configuration under which
-    operator-level projection is error-free (used to isolate what part of
-    projection error comes from hardware non-idealities).
-    """
-
-    gemm: GemmTimingModel = DEFAULT_GEMM_MODEL
-    elementwise: ElementwiseTimingModel = DEFAULT_ELEMENTWISE_MODEL
-
-    def without_jitter(self) -> "TimingModels":
-        return TimingModels(
-            gemm=self.gemm.without_jitter(),
-            elementwise=self.elementwise.without_jitter(),
-        )
-
-
-DEFAULT_TIMING = TimingModels()
 
 
 def _comm_duration(op: CommOp, group_size: int, cluster: ClusterSpec) -> float:

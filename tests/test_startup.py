@@ -13,7 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import pytest
 
@@ -28,6 +28,23 @@ HEAVY = ("numpy", "repro.sim.checker", "repro.core.autotune",
 
 #: The only ``repro.experiments`` modules that are not runners.
 EXPERIMENT_SUPPORT = {"repro.experiments.base", "repro.experiments.registry"}
+
+#: Scalar simulator and projection layers a warm experiment replay
+#: never runs.
+NOT_IN_REPLAY = ("repro.core.projection", "repro.sim.executor",
+                 "repro.sim.engine", "repro.sim.profiler",
+                 "repro.models.graph", "repro.models.trace")
+
+#: Layers an execute-mode search never runs: it times operators with the
+#: batch engine and neither fits, projects, schedules nor renders an
+#: experiment.
+NOT_IN_SEARCH = ("repro.core.projection", "repro.core.evolution",
+                 "repro.sim.engine", "repro.sim.profiler",
+                 "repro.models.trace", "repro.experiments.base")
+
+#: A small search whose reducers all prune.
+SEARCH = ["search", "--hidden", "1024,2048", "--seq-len", "512",
+          "--tp", "1,2", "--reduce", "top-k", "--reduce", "pareto"]
 
 PACKAGES = ("repro", "repro.core", "repro.sim", "repro.runtime",
             "repro.hardware", "repro.models", "repro.experiments")
@@ -47,6 +64,15 @@ def _loaded(code: str, env: Optional[Dict[str, str]] = None) -> Set[str]:
     )
     assert completed.returncode == 0, completed.stderr
     return set(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def _main(argv: List[str]) -> str:
+    """Code that runs ``repro.cli.main(argv)`` and asserts it succeeds."""
+    return f"from repro.cli import main\nassert main({argv!r}) == 0\n"
+
+
+def _assert_absent(modules: Set[str], names: Sequence[str]) -> None:
+    assert [name for name in names if name in modules] == []
 
 
 def _assert_light(modules: Set[str]) -> None:
@@ -69,23 +95,36 @@ class TestColdImports:
             "session = Session()\n"
             "session.fingerprint\n"
             "session.suite()\n"
+            "assert session.suite_fit_count == 1\n"
         )
         _assert_light(modules)
+        assert "repro.core.projection" in modules
 
     def test_warm_experiment_replay(self, tmp_path):
         def run(out: Path) -> Set[str]:
-            return _loaded(
-                "from repro.cli import main\n"
-                f"assert main(['experiment', 'table-2', '--cache-dir', "
-                f"{str(tmp_path / 'cache')!r}, '-o', {str(out)!r}]) == 0\n"
-            )
+            return _loaded(_main(["experiment", "table-2", "--cache-dir",
+                                  str(tmp_path / "cache"), "-o", str(out)]))
 
         cold = run(tmp_path / "cold.txt")
         warm = run(tmp_path / "warm.txt")
         assert "repro.experiments.table2_zoo" in cold
         _assert_light(warm)
+        _assert_absent(warm, NOT_IN_REPLAY)
         assert ((tmp_path / "warm.txt").read_bytes()
                 == (tmp_path / "cold.txt").read_bytes())
+
+    @pytest.mark.parametrize("extra", [[], ["--prune"]],
+                             ids=["exhaustive", "prune"])
+    def test_execute_search(self, tmp_path, extra):
+        modules = _loaded(_main(SEARCH + extra
+                                + ["-o", str(tmp_path / "search.txt")]))
+        _assert_absent(modules, NOT_IN_SEARCH)
+        assert "repro.core.batch" in modules
+
+    def test_project_search_still_fits(self, tmp_path):
+        modules = _loaded(_main(SEARCH + ["--mode", "project", "-o",
+                                          str(tmp_path / "search.txt")]))
+        assert "repro.core.projection" in modules
 
     def test_experiment_list(self):
         _assert_light(_loaded(
@@ -95,13 +134,79 @@ class TestColdImports:
 
     def test_checking_still_loads_the_checker(self, tmp_path):
         modules = _loaded(
-            "from repro.cli import main\n"
-            "assert main(['search', '--hidden', '1024,2048', '--seq-len', "
-            "'512', '--tp', '1,2', '--reduce', 'top-k', '-o', "
-            f"{str(tmp_path / 'search.txt')!r}]) == 0\n",
+            _main(["search", "--hidden", "1024,2048", "--seq-len", "512",
+                   "--tp", "1,2", "--reduce", "top-k", "-o",
+                   str(tmp_path / "search.txt")]),
             env={"REPRO_CHECK": "1"},
         )
         assert "repro.sim.checker" in modules
+
+
+def _run_module(argv: List[str]) -> None:
+    """``python -m repro argv`` in a fresh process; asserts exit 0."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(SRC)
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True,
+        text=True, timeout=300, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+class TestExitFreeze:
+    """``main`` freezes the heap at exit instead of collecting it."""
+
+    def test_registered_once_per_process(self, monkeypatch, tmp_path):
+        import atexit
+        import gc
+
+        from repro import cli
+
+        registered = []
+        monkeypatch.setattr(cli, "_exit_freeze_registered", False)
+        monkeypatch.setattr(atexit, "register",
+                            lambda func, *args: registered.append(func))
+        assert cli.main(["experiment", "list"]) == 0
+        assert cli.main(["experiment", "list", "-o",
+                         str(tmp_path / "ids.txt")]) == 0
+        assert registered == [gc.freeze]
+        assert gc.isenabled()
+
+    def test_subprocess_output_matches_in_process(self, tmp_path):
+        from repro.cli import main
+
+        argv = SEARCH + ["--format", "json"]
+        assert main(argv + ["-o", str(tmp_path / "inline.json")]) == 0
+        _run_module(argv + ["-o", str(tmp_path / "process.json")])
+        assert ((tmp_path / "process.json").read_bytes()
+                == (tmp_path / "inline.json").read_bytes())
+
+        argv = ["experiment", "table-2", "--no-cache"]
+        assert main(argv + ["-o", str(tmp_path / "inline.txt")]) == 0
+        _run_module(["experiment", "table-2", "--cache-dir",
+                     str(tmp_path / "cache"), "-o",
+                     str(tmp_path / "process.txt")])
+        assert ((tmp_path / "process.txt").read_bytes()
+                == (tmp_path / "inline.txt").read_bytes())
+
+    def test_second_process_replays_cache_files(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        argv = SEARCH + ["--format", "json", "--cache-dir", cache]
+        _run_module(argv + ["-o", str(tmp_path / "cold.json")])
+        _run_module(argv + ["-o", str(tmp_path / "warm.json")])
+        cold = json.loads((tmp_path / "cold.json").read_text())
+        warm = json.loads((tmp_path / "warm.json").read_text())
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == warm["chunk_count"] > 0
+        assert warm["reductions"] == cold["reductions"]
+
+        argv = ["experiment", "table-2", "--cache-dir", cache]
+        _run_module(argv + ["-o", str(tmp_path / "cold.txt")])
+        _run_module(argv + ["--meta", "-o", str(tmp_path / "warm.txt")])
+        warm_text = (tmp_path / "warm.txt").read_text()
+        assert "(cache hit," in warm_text.splitlines()[-1]
+        assert warm_text.startswith((tmp_path / "cold.txt").read_text())
 
 
 class TestLazyNamespaces:
