@@ -622,6 +622,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             spec, reducers, mode=args.mode,
             chunk_size=args.chunk_size, jobs=args.jobs,
             prune=args.prune,
+            # A one-shot process never reads back memory-only chunk
+            # records, so only a --cache-dir store is worth keying.
+            use_cache=args.cache_dir is not None,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

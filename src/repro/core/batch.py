@@ -19,17 +19,23 @@ can be evaluated at once:
 * per-op duration arrays come from the vectorized timing mirrors in
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
-  (projection), reproducing the scalar engines bit-for-bit;
+  (projection), reproducing the scalar engines bit-for-bit; the timing
+  mirrors take one stacked call per operator family -- all GEMMs, all
+  element-wise ops (their kinds and read/write factors as per-entry
+  arrays) and all all-reduces (their interference as a mask); see
+  :func:`_time_groups`;
 * data parallelism changes only the gradient all-reduces, so every other
   op (all GEMMs, element-wise ops and TP all-reduces) is timed once
   per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` -- DP = 1
-  and DP > 1 rows alike -- and gathered back per row
-  (:func:`_dp_free_rows`); only the DP-group all-reduces are timed on
-  every row;
+  and DP > 1 rows alike (:func:`_dp_free_rows`); only the DP-group
+  all-reduces are timed on every row;
 * the two-stream schedule collapses to closed-form prefix sums
   (:func:`repro.sim.vectorized.closed_form_breakdown`): serialized comm
   adds to the critical path, overlappable DP all-reduces expose only
-  ``max(0, comm - remaining_compute)`` slack.
+  ``max(0, comm - remaining_compute)`` slack.  It takes the per-run
+  durations and the row map, so the blocking chain runs once per run
+  and only the DP all-reduce chain per row; only the checker's per-op
+  view (:func:`_slot_durations`) gathers durations back per row.
 
 The scalar engine stays the reference implementation and the fallback
 for irregular traces (multi-layer pipelines, MoE, mixed precisions);
@@ -274,6 +280,12 @@ def _group_sizes(grid: ConfigGrid, op: OpRecord) -> np.ndarray:
     return grid.tp if op.group is CommGroup.TP else grid.dp
 
 
+def _reads_dp(op: OpRecord) -> bool:
+    """Whether the op's duration depends on DP: only the DP-group
+    gradient all-reduces' do."""
+    return op.family == COMM and op.group is CommGroup.DP
+
+
 @dataclass(frozen=True, eq=False)
 class _DpFreeRows:
     """Runs of equal DP-free keys ``(H, SL, B, TP, heads, FFN)``.
@@ -298,11 +310,9 @@ class _DpFreeRows:
         array = np.asarray(value)
         return array[self.starts] if array.ndim else value
 
-    def expand(self, times: np.ndarray, slots: int) -> np.ndarray:
-        """Per-run stacked times of ``slots`` ops, gathered per row."""
-        if self.inverse is None:
-            return times
-        return times.reshape(slots, self.count)[:, self.inverse].reshape(-1)
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-run values gathered per row."""
+        return values if self.inverse is None else values[self.inverse]
 
 
 def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
@@ -313,11 +323,11 @@ def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
     is the fastest-varying axis of :class:`~repro.core.gridplan.GridSpec`
     chunks, so consecutive rows repeat the same key; a run spans DP = 1
     and DP > 1 rows, since every row shares one op list.  The timing
-    models are element-wise, so timing one row per run and gathering
-    the results back is bit-identical to timing every row.  heads and FFN
-    belong in the key: ``from_models`` grids can put models with equal
-    (H, SL, B, TP) but different head counts on adjacent rows, and head
-    count changes the attention GEMM shapes.
+    models are element-wise, so timing one row per run is bit-identical
+    to timing every row.  heads and FFN belong in the key:
+    ``from_models`` grids can put models with equal (H, SL, B, TP) but
+    different head counts on adjacent rows, and head count changes the
+    attention GEMM shapes.
     """
     n = len(grid)
     change = np.ones(n, dtype=bool)
@@ -331,104 +341,121 @@ def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
     return _DpFreeRows(starts=starts, inverse=inverse)
 
 
-def _group_key(op: OpRecord) -> tuple:
-    """The timing call an op is stacked into (see :func:`_time_groups`)."""
-    if op.family == GEMM:
-        return (GEMM,)
-    if op.family == ELEMENTWISE:
-        return (ELEMENTWISE, op.kind, op.rw_factor)
-    # Only the DP-group all-reduces read DP; they are timed per row.
-    return (COMM, op.overlappable, op.group is CommGroup.DP)
+#: Op fields that are one constant per op; :func:`_time_groups` repeats
+#: them to a per-entry array.
+_CONSTANT_FIELDS = ("rw_factor", "overlappable")
 
 
 def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
-                 stack: Callable, evaluate: Callable
+                 rows: _DpFreeRows, evaluate: Callable
                  ) -> Tuple[List[np.ndarray], ...]:
-    """Time an op list group by group, one stacked call per group.
+    """Time an op list family by family, one stacked call per family.
 
-    GEMMs form one group, element-wise ops one per ``(kind,
-    rw_factor)`` and collectives one per ``(overlappable, reads DP)``:
-    the parameters each timing call takes once.  The timing formulas
-    are element-wise, so stacking changes the fixed NumPy overhead --
-    from per-op to per-group -- without touching any computed value.
-    Groups that do not read DP are timed on the DP-free run
-    representatives only (:func:`_dp_free_rows`) and expanded back per
-    row.
+    The GEMMs, the element-wise ops and the all-reduces each form one
+    stacked timing call: per-op parameters (an element-wise op's kind
+    and read/write factor, a collective's interference) become
+    per-entry arrays.  The timing formulas are element-wise, so
+    stacking changes the fixed NumPy overhead -- from per-op to per-
+    family -- without touching any computed value.  An op that does not
+    read DP is timed on the DP-free run representatives only
+    (:func:`_dp_free_rows`); a DP-group all-reduce on every row.
+
+    Int fields are stacked through
+    :func:`repro.sim.vectorized.stack_columns`, which reuses one scratch
+    buffer per field across chunks; ``evaluate`` consumes each stack
+    before the next family reuses the field.
 
     Args:
-        stack: ``stack(tag, values, width)`` -> one flat int64 array of
-            the values, each broadcast to ``width``.
-        evaluate: ``evaluate(key, column, expand)`` -> a tuple of flat
-            per-row duration arrays for the group ``key`` (``(GEMM,)``,
-            ``(ELEMENTWISE, kind, rw_factor)`` or ``(COMM, overlappable,
-            reads_dp)``).  ``column(field)`` stacks the group's ``field``
-            values (``column("group")``: their group sizes) and
-            ``expand(times)`` gathers times computed on those columns
-            back to every row.
+        rows: The grid's DP-free runs.
+        evaluate: ``evaluate(family, column)`` -> a tuple of flat
+            duration arrays for the family's stacked ops.
+            ``column(field)`` stacks the family's ``field`` values:
+            ``"group"`` gives their group sizes, ``"kind"`` a
+            :class:`~repro.sim.vectorized.Choice` of their kinds, and
+            ``"rw_factor"`` and ``"overlappable"`` per-entry arrays.
 
     Returns:
-        Per-op duration arrays, one list per array ``evaluate`` returns.
+        Per-op duration arrays, one list per array ``evaluate`` returns:
+        one entry per run, or per row for the ops that read DP.
     """
     n = len(grid)
-    rows = _dp_free_rows(grid)
-    groups: Dict[tuple, List[int]] = {}
+    families: Dict[str, List[int]] = {}
     for i, op in enumerate(ops):
-        groups.setdefault(_group_key(op), []).append(i)
+        families.setdefault(op.family, []).append(i)
     outputs: Tuple[List[np.ndarray], ...] = ()
-    for key, indices in groups.items():
-        per_row = key[0] == COMM and key[2]
+    for family, indices in families.items():
+        members = [ops[i] for i in indices]
+        widths = [n if _reads_dp(op) else rows.count for op in members]
 
-        def column(field: str, indices=indices, per_row=per_row):
-            values = [_group_sizes(grid, ops[i]) if field == "group"
-                      else getattr(ops[i], field) for i in indices]
-            if per_row:
-                return stack(field, values, n)
-            return stack(field, [rows.compress(value) for value in values],
-                         rows.count)
+        def column(field: str, members=members, widths=widths):
+            if field == "kind":
+                kinds = tuple(dict.fromkeys(op.kind for op in members))
+                return vectorized.Choice(kinds, np.repeat(
+                    [kinds.index(op.kind) for op in members], widths))
+            if field in _CONSTANT_FIELDS:
+                return np.repeat([getattr(op, field) for op in members],
+                                 widths)
+            values = [_group_sizes(grid, op) if field == "group"
+                      else getattr(op, field) for op in members]
+            return vectorized.stack_columns(field, [
+                value if _reads_dp(op) else rows.compress(value)
+                for op, value in zip(members, values)], widths)
 
-        def expand(times: np.ndarray, indices=indices, per_row=per_row):
-            return times if per_row else rows.expand(times, len(indices))
-
-        results = evaluate(key, column, expand)
+        results = evaluate(family, column)
         if not outputs:
             outputs = tuple([None] * len(ops) for _ in results)
+        edges = np.cumsum([0] + widths).tolist()
         for durations, times in zip(outputs, results):
-            for row, i in enumerate(indices):
-                durations[i] = times[row * n:(row + 1) * n]
+            for slot, i in enumerate(indices):
+                durations[i] = times[edges[slot]:edges[slot + 1]]
     return outputs
+
+
+def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
+                  rows: _DpFreeRows, cluster: ClusterSpec,
+                  timing: TimingModels) -> List[np.ndarray]:
+    """Ground-truth per-op duration arrays (vectorized timing models):
+    one entry per DP-free run, or per row for the ops that read DP."""
+    device, precision = cluster.device, grid.precision
+
+    def evaluate(family: str, column: Callable) -> Tuple[np.ndarray]:
+        if family == GEMM:
+            return (vectorized.gemm_times(
+                column("m"), column("n"), column("k"), column("batch"),
+                device, precision, timing.gemm,
+            ),)
+        if family == ELEMENTWISE:
+            return (vectorized.elementwise_times(
+                column("elements"), device, precision, column("rw_factor"),
+                column("kind"), timing.elementwise,
+            ),)
+        return (vectorized.cluster_all_reduce_times(
+            column("nbytes"), column("group"), cluster,
+            overlapped=column("overlappable"),
+        ),)
+
+    return _time_groups(ops, grid, rows, evaluate)[0]
+
+
+def _schedule(ops: Sequence[OpRecord], durations: Sequence[np.ndarray],
+              rows: _DpFreeRows) -> Tuple[np.ndarray, ...]:
+    """The closed-form breakdown of per-run (or, for the ops that read
+    DP, per-row) durations, one entry per row."""
+    return vectorized.closed_form_breakdown(
+        [_slot_kind(op) for op in ops], durations, rows.inverse,
+        [_reads_dp(op) for op in ops])
 
 
 def _slot_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
                     cluster: ClusterSpec,
                     timing: TimingModels) -> List[np.ndarray]:
-    """Ground-truth per-op duration arrays (vectorized timing models).
-
-    Groups are stacked through :func:`repro.sim.vectorized.stack_columns`,
-    which reuses one scratch buffer per field across chunks; each stack
-    is consumed by its timing-model call before the field is reused.
-    """
-    device, precision = cluster.device, grid.precision
-
-    def evaluate(key: tuple, column: Callable,
-                 expand: Callable) -> Tuple[np.ndarray]:
-        if key[0] == GEMM:
-            times = vectorized.gemm_times(
-                column("m"), column("n"), column("k"), column("batch"),
-                device, precision, timing.gemm,
-            )
-        elif key[0] == ELEMENTWISE:
-            times = vectorized.elementwise_times(
-                column("elements"), device, precision, key[2], key[1],
-                timing.elementwise,
-            )
-        else:
-            times = vectorized.cluster_all_reduce_times(
-                column("nbytes"), column("group"), cluster,
-                overlapped=key[1],
-            )
-        return (expand(times),)
-
-    return _time_groups(ops, grid, vectorized.stack_columns, evaluate)[0]
+    """Per-op duration arrays with one entry per row: the per-op view
+    of :func:`_op_durations` that the differential checker compares
+    against the scalar engine."""
+    rows = _dp_free_rows(grid)
+    return [duration if _reads_dp(op) else rows.expand(duration)
+            for op, duration in zip(ops, _op_durations(ops, grid, rows,
+                                                       cluster, timing))]
 
 
 # -- batched breakdown --------------------------------------------------
@@ -517,16 +544,15 @@ def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
     ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Every
     row takes the same op list (:func:`_layer_ops`); all GEMMs,
-    element-wise ops and TP-group all-reduces are timed on one
-    representative per run of equal ``(H, SL, B, TP, heads, FFN)`` rows
-    -- runs that span DP = 1 and DP > 1 -- and gathered back per row;
-    only the DP-group gradient all-reduces are timed on every row.
+    element-wise ops and TP-group all-reduces are timed, and scheduled,
+    on one representative per run of equal ``(H, SL, B, TP, heads,
+    FFN)`` rows -- runs that span DP = 1 and DP > 1; only the DP-group
+    gradient all-reduces are timed and scheduled on every row.
     """
     ops = _layer_ops(grid)
-    durations = _slot_durations(ops, grid, cluster, timing)
-    kinds = [_slot_kind(op) for op in ops]
-    return BatchBreakdown(*vectorized.closed_form_breakdown(kinds,
-                                                            durations))
+    rows = _dp_free_rows(grid)
+    durations = _op_durations(ops, grid, rows, cluster, timing)
+    return BatchBreakdown(*_schedule(ops, durations, rows))
 
 
 def _project_slot(op: OpRecord, grid: ConfigGrid,
@@ -601,15 +627,16 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
            if (op.family == COMM and op.overlappable)
            or (op.family == GEMM and op.has_weights
                and op.phase is Phase.BACKWARD)]
-    compute = np.zeros(len(grid), dtype=np.float64)
+    rows = _dp_free_rows(grid)
+    compute = np.zeros(rows.count, dtype=np.float64)
     comm = np.zeros(len(grid), dtype=np.float64)
-    for op, duration in zip(ops, _slot_durations(ops, grid, cluster,
-                                                 timing)):
+    for op, duration in zip(ops, _op_durations(ops, grid, rows, cluster,
+                                               timing)):
         if op.family == GEMM:
             compute = compute + duration
         else:
             comm = comm + duration
-    return compute, comm
+    return rows.expand(compute), comm
 
 
 def serialized_fractions_for_pairs(

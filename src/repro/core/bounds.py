@@ -34,10 +34,14 @@ envelopes per operator family instead of the exact fitted models:
   (multi-node) all-reduces jitter their three phases independently
   while the bound factors the summed base.
 
-Per-slot intervals propagate through
+The envelopes are evaluated like the exact engine's timing: one
+stacked call per operator family (:func:`repro.core.batch._time_groups`),
+on the DP-free run representatives, and per row only for the DP-group
+all-reduces.  Per-slot intervals propagate through
 :func:`repro.sim.vectorized.closed_form_breakdown` -- a composition of
 additions and maxima, monotone nondecreasing in every slot duration --
-by running it once on the lower durations and once on the upper ones.
+by running it, on the same row map, once on the lower durations and
+once on the upper ones.
 ``exposed_comm_time = max(0, iteration - compute - serialized)`` is
 monotone up in the iteration and down in the others, so its bounds mix
 the opposite corners of the box.
@@ -70,7 +74,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.batch import ConfigGrid, _layer_ops, _slot_kind, _time_groups
+from repro.core.batch import (
+    ConfigGrid,
+    _dp_free_rows,
+    _DpFreeRows,
+    _layer_ops,
+    _schedule,
+    _time_groups,
+)
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
     GridSpec,
@@ -238,32 +249,20 @@ def _gemm_bound_durations(m, n, k, batch, device, precision,
             upper * ((1.0 + amp) * (1.0 + _ENVELOPE_MARGIN)))
 
 
-def _fresh_stack(tag: str, values: List[object], width: int) -> np.ndarray:
-    """Stack values (scalars broadcast by the fill) into a new flat
-    int64 array; the ``tag`` of the engine's stacking is ignored."""
-    out = np.empty((len(values), width), dtype=np.int64)
-    for row, value in enumerate(values):
-        out[row] = value
-    return out.reshape(-1)
-
-
-def _slot_bound_durations(
+def _op_bound_durations(
     ops: Sequence[OpRecord],
     grid: ConfigGrid,
+    rows: _DpFreeRows,
     cluster: ClusterSpec,
     timing: TimingModels,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-op (lower, upper) duration arrays, stacked per group.
+    """Per-op (lower, upper) duration arrays, one stacked call per family.
 
-    Groups the ops exactly as :func:`repro.core.batch._slot_durations`
+    Stacks the ops exactly as :func:`repro.core.batch._op_durations`
     does (:func:`repro.core.batch._time_groups`), with the exact timing
-    models replaced by the family envelopes.  Stacking uses fresh
-    buffers, never the engine's scratch stacks, so bound evaluation
-    cannot clobber an in-flight engine stack.
+    models replaced by the family envelopes, so each array has one
+    entry per DP-free run, or per row for the ops that read DP.
     """
-    if len(grid) == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return [empty] * len(ops), [empty] * len(ops)
     device, precision = cluster.device, grid.precision
     ew_quiet = timing.elementwise.without_jitter()
     ew_amp = timing.elementwise.jitter_amplitude
@@ -274,27 +273,26 @@ def _slot_bound_durations(
         cluster, collective_model=cluster.collective_model.without_jitter()
     )
 
-    def evaluate(key: tuple, column: Callable, expand: Callable
+    def evaluate(family: str, column: Callable
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        if key[0] == GEMM:
-            lo, up = _gemm_bound_durations(
+        if family == GEMM:
+            return _gemm_bound_durations(
                 column("m"), column("n"), column("k"), column("batch"),
                 device, precision, timing.gemm,
             )
-            return expand(lo), expand(up)
-        if key[0] == ELEMENTWISE:
-            base = expand(vectorized.elementwise_times(
-                column("elements"), device, precision, key[2], key[1],
-                ew_quiet,
-            ))
+        if family == ELEMENTWISE:
+            base = vectorized.elementwise_times(
+                column("elements"), device, precision, column("rw_factor"),
+                column("kind"), ew_quiet,
+            )
             return base * (1.0 - ew_amp), base * (1.0 + ew_amp)
-        base = expand(vectorized.cluster_all_reduce_times(
+        base = vectorized.cluster_all_reduce_times(
             column("nbytes"), column("group"), quiet_cluster,
-            overlapped=key[1],
-        ))
+            overlapped=column("overlappable"),
+        )
         return base * comm_lo, base * comm_up
 
-    return _time_groups(ops, grid, _fresh_stack, evaluate)
+    return _time_groups(ops, grid, rows, evaluate)
 
 
 # -- grid-level bounds ---------------------------------------------------
@@ -325,13 +323,11 @@ def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
     brackets.
     """
     ops = _layer_ops(grid)
-    kinds = [_slot_kind(op) for op in ops]
-    lo_durations, up_durations = _slot_bound_durations(ops, grid, cluster,
-                                                       timing)
-    lower = dict(zip(_STORED,
-                     vectorized.closed_form_breakdown(kinds, lo_durations)))
-    upper = dict(zip(_STORED,
-                     vectorized.closed_form_breakdown(kinds, up_durations)))
+    rows = _dp_free_rows(grid)
+    lo_durations, up_durations = _op_bound_durations(ops, grid, rows,
+                                                     cluster, timing)
+    lower = dict(zip(_STORED, _schedule(ops, lo_durations, rows)))
+    upper = dict(zip(_STORED, _schedule(ops, up_durations, rows)))
     _exposed_bounds(lower, upper)
     return MetricBounds(lower=lower, upper=upper)
 

@@ -10,23 +10,33 @@ all previously written entries without touching the files until
 
 The default store location is ``~/.cache/repro`` (overridable with the
 ``REPRO_CACHE_DIR`` environment variable or the CLI ``--cache-dir``
-flag); a cache constructed without a directory is memory-only.
+flag); a cache constructed without a directory is memory-only.  The
+memory side keeps at most :data:`MEMORY_ENTRIES` entries, evicting the
+least recently used, so a long-lived process stays bounded; the disk
+store keeps everything it is given.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-__all__ = ["CACHE_VERSION", "CacheStats", "ResultCache",
+__all__ = ["CACHE_VERSION", "MEMORY_ENTRIES", "CacheStats", "ResultCache",
            "default_cache_dir"]
 
 #: Bump to invalidate every previously persisted cache entry (e.g. when
 #: timing-model calibration or result schemas change).
 CACHE_VERSION = "1"
+
+#: Entries the memory side of a :class:`ResultCache` keeps before it
+#: evicts the least recently used.  ``repro experiment all`` stores 134
+#: in one process; the cap leaves room for long sweeps' chunk records
+#: while bounding a long-lived process.
+MEMORY_ENTRIES = 1024
 
 
 def default_cache_dir() -> Path:
@@ -68,7 +78,7 @@ class ResultCache:
     def __post_init__(self) -> None:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-        self._memory: Dict[str, object] = {}
+        self._memory: "OrderedDict[str, object]" = OrderedDict()
 
     @property
     def persistent(self) -> bool:
@@ -87,18 +97,28 @@ class ResultCache:
         """
         if key in self._memory:
             self.stats.hits += 1
+            self._memory.move_to_end(key)
             return self._memory[key]
         found, payload = self._read_disk(key)
         if found:
-            self._memory[key] = payload
+            self._remember(key, payload)
             self.stats.hits += 1
             return payload
         self.stats.misses += 1
         return default
 
+    def _remember(self, key: str, payload: object) -> None:
+        """Store ``key`` in memory as the most recently used entry,
+        evicting the least recently used beyond :data:`MEMORY_ENTRIES`."""
+        self._memory[key] = payload
+        self._memory.move_to_end(key)
+        while len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
+
     def contains(self, key: str) -> bool:
         """Whether ``key`` is cached (memory or disk), without touching
-        the hit/miss counters or promoting the entry to memory."""
+        the hit/miss counters, the recency order, or promoting the entry
+        to memory."""
         if key in self._memory:
             return True
         found, _ = self._read_disk(key)
@@ -134,7 +154,7 @@ class ResultCache:
         ``None`` is a legitimate payload: the envelope carries a
         ``present`` flag, so a later :meth:`get` reports a hit.
         """
-        self._memory[key] = payload
+        self._remember(key, payload)
         self.stats.writes += 1
         if not self.persistent:
             return

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 from typing import Mapping, Sequence
 
@@ -66,6 +65,10 @@ def canonicalize(obj: object) -> object:
 
 def cache_key(*parts: object) -> str:
     """A stable hex digest of the canonicalized ``parts``."""
+    # Imported here: hashlib loads OpenSSL, which a process that never
+    # keys a cache entry should not pay for.
+    import hashlib
+
     canonical = json.dumps([canonicalize(part) for part in parts],
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

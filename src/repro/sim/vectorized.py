@@ -6,20 +6,27 @@ scalar models of :mod:`repro.hardware` bit-for-bit:
 
 * arithmetic replicates the scalar formulas' exact operation order, so
   IEEE-754 rounding matches the scalar path operation by operation;
+* one call times a whole operator family: :func:`elementwise_times`
+  takes a per-element read/write factor and kind (a :class:`Choice` of
+  kind names), :func:`cluster_all_reduce_times` a per-element
+  interference mask, and :func:`gemm_times` evaluates every tile
+  candidate in one broadcast pass;
 * an operator's duration depends only on its shape, so
   :func:`gemm_times` times each *distinct* shape of a stacked call once
   -- tile efficiencies, roofline, base time and jitter -- and gathers
-  the results back per element (the element-wise formula costs less
-  than finding the distinct counts, so only its jitter is deduplicated);
+  the results back per element.  The element-wise formula costs less
+  than finding the distinct counts, so there only the jitter key is
+  deduplicated: one hash per distinct ``(kind, count)``;
 * the deterministic shape-keyed jitter is
   :func:`repro.hardware.gemm.stable_unit_hash` -- a CRC32 of the key's
   ``repr`` -- computed for a whole column of keys at once by
   :func:`_unit_hashes`: CRC32 is affine over GF(2), so each byte of the
   repr contributes a table value that depends only on the byte and its
   distance from the end.  Digits come from the int64 columns, constant
-  text from the key's ``str`` parts; the small tables are built on
-  first use.  The scalar engine keeps calling ``stable_unit_hash``, so
-  the differential checker compares two implementations of the hash;
+  text from the key's ``str`` parts (a :class:`Choice` part picks one
+  of a few strs per row); the small tables are built on first use.
+  The scalar engine keeps calling ``stable_unit_hash``, so the
+  differential checker compares two implementations of the hash;
 * integer helpers (`ceil`, power-of-two rounding, tree depth) use exact
   integer arithmetic that coincides with the scalar models' float-based
   forms over the representable range.
@@ -30,15 +37,17 @@ blocking chain whose finish times are monotone, start times reduce to a
 prefix sum over the blocking ops, and each overlappable collective's
 finish is ``max(previous async finish, blocking prefix at issue) +
 duration`` -- exactly what :func:`repro.sim.engine.run_schedule` computes
-task by task.
+task by task.  Given a row map, it runs the blocking chain once per run
+of rows that share it, and only the chains of per-row slots per row.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import zlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +64,7 @@ from repro.hardware.network import Link
 from repro.hardware.specs import DeviceSpec
 
 __all__ = [
+    "Choice",
     "gemm_times",
     "elementwise_times",
     "all_reduce_times",
@@ -90,19 +100,24 @@ def _scratch(tag: str, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def stack_columns(tag: str, columns: Sequence[object],
-                  n: int) -> np.ndarray:
-    """Stack per-slot length-``n`` columns into one reused flat buffer.
+                  widths: Union[int, Sequence[int]]) -> np.ndarray:
+    """Stack per-slot columns into one reused flat buffer.
 
-    Scalar entries are broadcast to ``n`` copies by the fill itself.
+    ``widths`` is every column's length, or one length per column;
+    scalar entries are broadcast to their width by the fill itself.
     Bit-identical to ``np.concatenate(columns)`` for int64 inputs; the
     returned array is a view of a module-level scratch buffer, valid
     only until the next :func:`stack_columns` call with the same
     ``tag`` -- callers must consume it (e.g. feed it to a timing
     model) before stacking into that tag again.
     """
-    out = _scratch(tag, (len(columns) * n,))
-    for row, column in enumerate(columns):
-        out[row * n:(row + 1) * n] = column
+    if isinstance(widths, int):
+        widths = [widths] * len(columns)
+    out = _scratch(tag, (sum(widths),))
+    start = 0
+    for column, width in zip(columns, widths):
+        out[start:start + width] = column
+        start += width
     return out
 
 
@@ -162,6 +177,17 @@ _PAIR_ROWS = _MAX_KEY_BYTES + 17
 _PAIR_OFFSETS = (np.arange(10) * 400
                  + np.minimum(np.arange(10), 1) * _PAIR_ROWS * 200
                  ).reshape(-1, 1, 1)
+
+
+class Choice(NamedTuple):
+    """A jitter-key part that is one of a few constant strs per row.
+
+    Row ``i`` of the part is ``texts[codes[i]]``; ``codes`` broadcasts
+    with the key's int columns.
+    """
+
+    texts: Tuple[str, ...]
+    codes: np.ndarray
 
 
 class _Slot:
@@ -230,45 +256,71 @@ def _template_tables(layout: tuple) -> Tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
     """``(table, lengths, starts)`` for a template's constant text.
 
-    ``layout`` is the template with ``None`` for each int column.  Its
-    repr splits into ``texts[0], column 0, texts[1], ..., texts[C]``;
-    ``lengths`` holds their byte lengths.  ``table`` is one flat lookup
-    table: ``crc32(bytes(L)) ^`` the last text's (constant) contribution
-    at ``starts[0] + L``, then ``texts[j]``'s contributions by the
-    distance of its last byte, from ``starts[j + 1]``.  Cached per
-    layout: the engine's templates come from a fixed set of operator
-    kinds, collective ops and precisions.
+    ``layout`` is the template with ``None`` for each int column and a
+    tuple of strs for each :class:`Choice` part.  Each combination of
+    choices renders one text: its repr splits into ``texts[0], column
+    0, texts[1], ..., texts[C]``, and column ``c`` of ``lengths`` holds
+    their byte lengths.  ``table`` is one flat lookup table; per
+    combination it holds ``crc32(bytes(L)) ^`` the last text's
+    (constant) contribution at ``starts[0, c] + L``, then ``texts[j]``'s
+    contributions by the distance of its last byte, from
+    ``starts[j + 1, c]``.  Combinations are numbered with the last
+    choice varying fastest.  Cached per layout: the engine's templates
+    come from a fixed set of operator kinds, collective ops and
+    precisions.
     """
-    rendered = repr(tuple(_SLOT if part is None else part
-                          for part in layout))
-    texts = [text.encode("utf-8") for text in rendered.split("\0")]
-    last = _text_contributions(texts[-1])[0]
-    regions = [np.array(_crc_tables()[2], dtype=np.uint32) ^ last]
-    regions += [_text_contributions(text) for text in texts[:-1]]
-    starts = np.cumsum([0] + [len(region) for region in regions[:-1]])
-    return (np.concatenate(regions), np.array([len(t) for t in texts]),
-            starts[:, None])
+    options = [part if isinstance(part, tuple) else (part,)
+               for part in layout]
+    regions: List[np.ndarray] = []
+    lengths, starts = [], []
+    for parts in itertools.product(*options):
+        rendered = repr(tuple(_SLOT if part is None else part
+                              for part in parts))
+        texts = [text.encode("utf-8") for text in rendered.split("\0")]
+        last = _text_contributions(texts[-1])[0]
+        own = [np.array(_crc_tables()[2], dtype=np.uint32) ^ last]
+        own += [_text_contributions(text) for text in texts[:-1]]
+        offset = sum(len(region) for region in regions)
+        starts.append(offset + np.cumsum([0] + [len(r) for r in own[:-1]]))
+        lengths.append([len(text) for text in texts])
+        regions += own
+    return (np.concatenate(regions), np.array(lengths).T,
+            np.array(starts).T)
 
 
 def _unit_hashes(template: tuple) -> np.ndarray:
     """:func:`repro.hardware.gemm.stable_unit_hash` of every key row.
 
     ``template`` is the key tuple with each int part replaced by an
-    integer array (broadcast together); ``str`` parts stay constant.
+    integer array and each per-row str part by a :class:`Choice`
+    (broadcast together); ``str`` parts stay constant.
     ``_unit_hashes(("gemm", m, n, k, batch, "fp16"))[i]`` equals
     ``stable_unit_hash("gemm", int(m[i]), ..., "fp16")`` bit for bit.
     Returns a flat float64 array, one value per broadcast row.
 
     Raises:
-        TypeError: on a part that is neither a ``str`` nor an array, or
-            on a column of a non-integer dtype.
+        TypeError: on a part that is neither a ``str``, an array nor a
+            :class:`Choice` of strs, or on a column or choice code of a
+            non-integer dtype.
         ValueError: on a negative value (a uint64 above the int64 range
-            included) or a key repr longer than
-            :data:`_MAX_KEY_BYTES`.
+            included), a choice code outside its texts, or a key repr
+            longer than :data:`_MAX_KEY_BYTES`.
     """
-    columns, layout = [], []
+    columns, layout, choices = [], [], []
     for part in template:
-        if isinstance(part, np.ndarray):
+        if isinstance(part, Choice):
+            codes = np.asarray(part.codes)
+            if (codes.dtype.kind not in "iu"
+                    or any(type(text) is not str for text in part.texts)):
+                raise TypeError("a jitter key choice needs strs and "
+                                "integer codes")
+            if codes.size and (codes.min() < 0
+                               or codes.max() >= len(part.texts)):
+                raise ValueError(f"jitter key choice code outside "
+                                 f"0 .. {len(part.texts) - 1}")
+            choices.append((codes.astype(np.intp), len(part.texts)))
+            part = tuple(part.texts)
+        elif isinstance(part, np.ndarray):
             if part.dtype.kind not in "iu":
                 raise TypeError(f"jitter key column has dtype {part.dtype}; "
                                 f"expected integers")
@@ -280,7 +332,7 @@ def _unit_hashes(template: tuple) -> np.ndarray:
                             f"integer array")
         layout.append(part)
     table, lengths, starts = _template_tables(tuple(layout))
-    shape = np.broadcast(*columns).shape
+    shape = np.broadcast(*columns, *(codes for codes, _ in choices)).shape
     values = np.empty((len(columns),) + shape, dtype=np.int64)
     for values_row, column in zip(values, columns):
         values_row[...] = column
@@ -288,6 +340,16 @@ def _unit_hashes(template: tuple) -> np.ndarray:
     values = values.reshape(len(columns), rows)
     if values.size and values.min() < 0:
         raise ValueError("jitter key column has a negative value")
+    # Each row's combination of choices picks its texts' lengths and
+    # table offsets (see ``_template_tables``).
+    combination: Union[slice, np.ndarray] = slice(0, 1)
+    if choices:
+        combination = np.zeros(shape, dtype=np.intp)
+        for codes, count in choices:
+            combination = combination * count + codes
+        combination = combination.reshape(rows)
+    lengths = lengths[:, combination]
+    starts = starts[:, combination]
     widths = np.searchsorted(_DIGIT_BOUNDS, values, side="right")
     # Walk the repr right to left: ``ends[j + 1]`` is the distance from
     # the end of the message to the end of texts[j], ``units[j]`` to
@@ -354,9 +416,11 @@ def _gemm_efficiency_for_tile(
     k: np.ndarray,
     batch: np.ndarray,
     device: DeviceSpec,
-    tile: int,
+    tile,
     model: GemmTimingModel,
 ) -> np.ndarray:
+    """Efficiency of each shape at ``tile``, an int or an array that
+    broadcasts against the shape columns (one row per candidate)."""
     tile_m = _pow2_at_most(m, tile)
     tile_n = _pow2_at_most(n, tile)
     tiles_m = _ceil_div(m, tile_m)
@@ -365,14 +429,15 @@ def _gemm_efficiency_for_tile(
     # NumPy's array ``**`` (SIMD pow) can differ from libm pow by 1 ulp;
     # the tile-product takes only a handful of distinct values, so route
     # each through Python's pow to stay bit-identical to the scalar model.
-    products, inverse = np.unique(tile_m * tile_n, return_inverse=True)
+    tile_products = tile_m * tile_n
+    products, inverse = np.unique(tile_products, return_inverse=True)
     reuse_table = np.fromiter(
         ((product / model.tile**2) ** (model.TILE_REUSE_EXP / 2)
          for product in products.tolist()),
         dtype=np.float64,
         count=len(products),
     )
-    reuse_eff = reuse_table[inverse]
+    reuse_eff = reuse_table[inverse].reshape(tile_products.shape)
     total_tiles = batch * tiles_m * tiles_n
     split = np.maximum(
         1, np.minimum(model.compute_units // total_tiles,
@@ -403,19 +468,21 @@ def gemm_times(
     model: GemmTimingModel,
 ) -> np.ndarray:
     """Vectorized :meth:`GemmTimingModel.time` over shape arrays; each
-    distinct ``(m, n, k, batch)`` row is timed and hashed once per call."""
+    distinct ``(m, n, k, batch)`` row is timed and hashed once per call.
+
+    Every tile candidate is evaluated in one broadcast pass, one row
+    per candidate, and the best efficiency is taken in candidate order.
+    """
     columns = np.broadcast_arrays(_as_i64(m), _as_i64(n), _as_i64(k),
                                   _as_i64(batch))
     shape = columns[0].shape
     unique, inverse = _distinct_rows(*(c.ravel() for c in columns))
     m, n, k, batch = np.ascontiguousarray(unique.T)
-    eff = _gemm_efficiency_for_tile(m, n, k, batch, device,
-                                    model.TILE_CANDIDATES[0], model)
-    for tile in model.TILE_CANDIDATES[1:]:
-        eff = np.maximum(
-            eff, _gemm_efficiency_for_tile(m, n, k, batch, device, tile,
-                                           model)
-        )
+    tiles = np.array(model.TILE_CANDIDATES, dtype=np.int64)[:, None]
+    eff = np.maximum.reduce(
+        _gemm_efficiency_for_tile(m, n, k, batch, device, tiles, model),
+        axis=0,
+    )
     flops = 2 * batch * m * n * k
     t_compute = flops / (device.flops(precision) * eff)
     bytes_moved = precision.bytes * batch * (m * k + k * n + m * n)
@@ -436,12 +503,17 @@ def elementwise_times(
     elements,
     device: DeviceSpec,
     precision: Precision,
-    rw_factor: float,
-    kind: str,
+    rw_factor,
+    kind,
     model: ElementwiseTimingModel,
 ) -> np.ndarray:
-    """Vectorized :meth:`ElementwiseTimingModel.time` over element counts;
-    each distinct count's jitter key is hashed once per call."""
+    """Vectorized :meth:`ElementwiseTimingModel.time` over element counts.
+
+    ``rw_factor`` is a float or a per-element array, and ``kind`` a str
+    or a per-element :class:`Choice` of kind names, so one call can time
+    every element-wise kind of a layer.  Each distinct ``(kind, count)``
+    jitter key is hashed once per call.
+    """
     elements = _as_i64(elements)
     # Scalar path: int(elements * precision.bytes * rw_factor).  The int
     # product is exact in float64 for the sizes in play, so truncation
@@ -455,10 +527,14 @@ def elementwise_times(
     base = base + device.compute_launch_overhead
     if not model.jitter_amplitude:
         return base
-    counts, inverse = np.unique(elements, return_inverse=True)
+    if not isinstance(kind, Choice):
+        kind = Choice((kind,), np.zeros(1, dtype=np.int64))
+    codes = np.broadcast_to(_as_i64(kind.codes), elements.shape)
+    unique, inverse = _distinct_rows(codes.ravel(), elements.ravel())
     jitter = _jitter(model.jitter_amplitude,
-                     (kind, counts, precision.value))
-    return base * jitter[inverse]
+                     (Choice(kind.texts, unique[:, 0]), unique[:, 1],
+                      precision.value))
+    return base * jitter[inverse].reshape(elements.shape)
 
 
 # -- collectives --------------------------------------------------------
@@ -571,13 +647,15 @@ def cluster_all_reduce_times(
     nbytes,
     group_size,
     cluster: ClusterSpec,
-    overlapped: bool = False,
+    overlapped=False,
 ) -> np.ndarray:
     """Vectorized :meth:`repro.hardware.cluster.ClusterSpec.all_reduce_time`.
 
     Splits the grid into single-node (flat intra-link ring) and
     hierarchical (reduce-scatter / inter-node all-reduce / all-gather)
-    entries, mirroring the scalar dispatch.
+    entries, mirroring the scalar dispatch.  ``overlapped`` is a bool or
+    a per-entry mask of the entries that take the interference slowdown,
+    so serialized and overlapped all-reduces can share one call.
     """
     nbytes = np.asarray(np.broadcast_arrays(
         np.asarray(nbytes, dtype=np.float64), _as_i64(group_size)
@@ -611,8 +689,9 @@ def cluster_all_reduce_times(
                                cluster.intra_link,
                                cluster.collective_model)
         )
-    if overlapped:
-        out = out * cluster.comm_interference_slowdown
+    if np.any(overlapped):
+        out = np.where(overlapped, out * cluster.comm_interference_slowdown,
+                       out)
     return out
 
 
@@ -627,6 +706,8 @@ KIND_OVERLAPPED = "comm-async"
 def closed_form_breakdown(
     kinds: Sequence[str],
     durations: Sequence[np.ndarray],
+    rows: Optional[np.ndarray] = None,
+    per_row: Sequence[bool] = (),
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Breakdown of the two-stream schedule, vectorized over configs.
 
@@ -634,13 +715,22 @@ def closed_form_breakdown(
         kinds: Per-slot stream tag (:data:`KIND_COMPUTE`,
             :data:`KIND_SERIALIZED`, or :data:`KIND_OVERLAPPED`) in trace
             order.
-        durations: Per-slot duration arrays, one array per slot, all of a
-            common length (one entry per configuration).
+        durations: Per-slot duration arrays, one array per slot.  Without
+            ``rows`` they all have one entry per configuration.
+        rows: Optional row map: the run index of every configuration.
+            With it, a slot's array has one entry per run (the value of
+            every row of that run) unless ``per_row`` marks the slot.
+            The blocking chain is run once per run until a per-row
+            blocking slot joins it; overlapped slots run per row.
+        per_row: With ``rows``, one flag per slot: its array has one
+            entry per configuration.  Empty: no slot's has.
 
     Returns:
         ``(compute_time, serialized_comm_time, overlapped_comm_time,
-        iteration_time)`` arrays, identical to running
-        :func:`repro.sim.executor.schedule_with_durations` per config.
+        iteration_time)`` arrays, one entry per configuration, identical
+        to running :func:`repro.sim.executor.schedule_with_durations` per
+        config.  A row map changes no value: every row of a run adds the
+        same durations in the same order.
     """
     if len(kinds) != len(durations):
         raise ValueError(
@@ -649,30 +739,50 @@ def closed_form_breakdown(
     if not durations:
         zero = np.zeros(0, dtype=np.float64)
         return zero, zero, zero, zero
-    shape = np.asarray(durations[0]).shape
-    compute = np.zeros(shape, dtype=np.float64)
-    serialized = np.zeros(shape, dtype=np.float64)
+    per_row = list(per_row) or [False] * len(kinds)
+    if rows is None or all(per_row):
+        rows, per_row = None, [True] * len(kinds)
+        shape = runs = np.shape(durations[0])
+    else:
+        shape = rows.shape
+        runs = np.shape(durations[per_row.index(False)])
+    # ``run_level``: the blocking chain still holds one entry per run.
+    run_level = rows is not None
+    compute = np.zeros(runs, dtype=np.float64)
+    serialized = np.zeros(runs, dtype=np.float64)
     overlapped = np.zeros(shape, dtype=np.float64)
     # Finish time of the blocking (compute + serialized comm) chain and of
     # the async comm stream's last task; both advance in trace order.
-    blocking = np.zeros(shape, dtype=np.float64)
+    blocking = np.zeros(runs, dtype=np.float64)
     async_finish = np.zeros(shape, dtype=np.float64)
     has_async = False
-    for kind, duration in zip(kinds, durations):
+    for kind, duration, row_slot in zip(kinds, durations, per_row):
         duration = np.asarray(duration, dtype=np.float64)
         if kind == KIND_OVERLAPPED:
+            if not row_slot:
+                duration = duration[rows]
             # Issued when the preceding blocking op finishes; FIFO on its
             # own stream, so it also waits for the previous async op.
-            async_finish = np.maximum(async_finish, blocking) + duration
+            issue = blocking[rows] if run_level else blocking
+            async_finish = np.maximum(async_finish, issue) + duration
             overlapped = overlapped + duration
             has_async = True
-        elif kind == KIND_SERIALIZED:
-            blocking = blocking + duration
-            serialized = serialized + duration
-        elif kind == KIND_COMPUTE:
-            blocking = blocking + duration
-            compute = compute + duration
-        else:
+            continue
+        if kind not in (KIND_SERIALIZED, KIND_COMPUTE):
             raise ValueError(f"unknown slot kind {kind!r}")
+        if row_slot and run_level:
+            blocking, compute, serialized = (
+                blocking[rows], compute[rows], serialized[rows])
+            run_level = False
+        elif not row_slot and not run_level:
+            duration = duration[rows]
+        blocking = blocking + duration
+        if kind == KIND_SERIALIZED:
+            serialized = serialized + duration
+        else:
+            compute = compute + duration
+    if run_level:
+        blocking, compute, serialized = (
+            blocking[rows], compute[rows], serialized[rows])
     iteration = np.maximum(blocking, async_finish) if has_async else blocking
     return compute, serialized, overlapped, iteration

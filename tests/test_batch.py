@@ -298,6 +298,63 @@ def test_batch_engine_never_calls_stable_unit_hash(cluster, monkeypatch):
     assert np.isfinite(result.iteration_time).all()
 
 
+def _budget_chunk():
+    """A designspace chunk holding every (TP > 1, DP > 1) parity."""
+    from repro.core.gridplan import GridSpec
+    from repro.experiments.ext_designspace import DESIGN_AXES
+
+    spec = GridSpec(**DESIGN_AXES)
+    chunk = next(c for c in spec.chunks(chunk_size=2048)
+                 if len(c) and len(set(zip((c.grid.tp > 1).tolist(),
+                                           (c.grid.dp > 1).tolist()))) == 4)
+    return chunk.grid
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_one_timing_call_per_family(cluster, monkeypatch):
+    """A chunk costs one stacked timing call per operator family, and
+    one jitter-hash call each for the GEMMs, the element-wise ops and
+    the (single-node) all-reduces."""
+    from repro.sim import vectorized
+
+    grid = _budget_chunk()
+    counts = _count_calls(monkeypatch, vectorized, (
+        "gemm_times", "elementwise_times", "cluster_all_reduce_times",
+        "closed_form_breakdown", "_unit_hashes"))
+    batch_execute(grid, cluster)
+    assert counts == {"gemm_times": 1, "elementwise_times": 1,
+                      "cluster_all_reduce_times": 1,
+                      "closed_form_breakdown": 1, "_unit_hashes": 3}
+
+
+def test_one_bound_call_per_family(cluster, monkeypatch):
+    from repro.core import bounds
+    from repro.sim import vectorized
+
+    grid = _budget_chunk()
+    counts = _count_calls(monkeypatch, vectorized, (
+        "gemm_times", "elementwise_times", "cluster_all_reduce_times",
+        "closed_form_breakdown", "_unit_hashes"))
+    envelope = _count_calls(monkeypatch, bounds, ("_gemm_bound_durations",))
+    bounds.bound_grid(grid, cluster=cluster)
+    assert counts == {"gemm_times": 0, "elementwise_times": 1,
+                      "cluster_all_reduce_times": 1,
+                      "closed_form_breakdown": 2, "_unit_hashes": 0}
+    assert envelope == {"_gemm_bound_durations": 1}
+
+
 def test_stable_unit_hash_rejects_numpy_scalars():
     from repro.hardware.gemm import stable_unit_hash
 

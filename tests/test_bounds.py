@@ -111,8 +111,8 @@ class TestAdmissibility:
     def test_one_pass_equals_parity_partitions(self, cluster):
         """Bounding every row with the TP+DP op list is bit-identical
         to bounding each parity partition with its own op list."""
-        from repro.core.batch import _slot_kind
-        from repro.core.bounds import _slot_bound_durations
+        from repro.core.batch import _dp_free_rows, _reads_dp, _slot_kind
+        from repro.core.bounds import _op_bound_durations
         from repro.models.layers import layer_records
         from repro.sim.vectorized import closed_form_breakdown
 
@@ -124,11 +124,14 @@ class TestAdmissibility:
         for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
             ops = layer_records(sub, tp_flag, dp_flag)
             kinds = [_slot_kind(op) for op in ops]
+            per_row = [_reads_dp(op) for op in ops]
+            rows = _dp_free_rows(sub)
             for side, durations in zip(
                     (bounds.lower, bounds.upper),
-                    _slot_bound_durations(ops, sub, cluster,
-                                          DEFAULT_TIMING)):
-                parts = closed_form_breakdown(kinds, durations)
+                    _op_bound_durations(ops, sub, rows, cluster,
+                                        DEFAULT_TIMING)):
+                parts = closed_form_breakdown(kinds, durations,
+                                              rows.inverse, per_row)
                 for name, part in zip(stored, parts):
                     np.testing.assert_array_equal(side[name][mask], part)
             seen += 1

@@ -150,14 +150,14 @@ class TestDifferentialOracle:
     def test_op_level_diff_on_duration_skew(self, monkeypatch):
         import repro.core.batch as batch_module
 
-        real_slots = batch_module._slot_durations
+        real_durations = batch_module._op_durations
 
-        def skewed(slots, grid, cluster, timing):
-            durations = real_slots(slots, grid, cluster, timing)
+        def skewed(ops, grid, rows, cluster, timing):
+            durations = real_durations(ops, grid, rows, cluster, timing)
             durations[0] = durations[0] * 1.25  # first op, every config
             return durations
 
-        monkeypatch.setattr(batch_module, "_slot_durations", skewed)
+        monkeypatch.setattr(batch_module, "_op_durations", skewed)
         report = differential_oracle(n=5, seed=7)
         assert not report.ok
         assert report.divergence.index == 0

@@ -194,6 +194,38 @@ class TestResultCache:
         assert info["cache_dir"] is None
         assert info["disk_entries"] == 0
 
+    def test_memory_evicts_least_recently_used(self, monkeypatch):
+        from repro.runtime import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 3)
+        cache = ResultCache()
+        for key in ("a", "b", "c"):
+            cache.put(key, key)
+        assert cache.get("a") == "a"  # a is now the most recent
+        assert "b" in cache  # contains() leaves the order alone
+        cache.put("d", "d")  # evicts b, the least recently used
+        assert cache.info()["memory_entries"] == 3
+        assert cache.get("b") is None
+        cache.put("c", "c2")  # a rewrite refreshes c
+        cache.put("e", "e")  # evicts a
+        assert [cache.get(key) for key in ("a", "c", "d", "e")] == [
+            None, "c2", "d", "e"]
+
+    def test_disk_entry_evicted_from_memory_reads_back(self, tmp_path,
+                                                       monkeypatch):
+        from repro.runtime import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = ResultCache(cache_dir=tmp_path)
+        for index in range(5):
+            cache.put(f"k{index}", {"value": index})
+        info = cache.info()
+        assert info["memory_entries"] == 2
+        assert info["disk_entries"] == 5
+        assert cache.get("k0") == {"value": 0}  # from disk
+        assert cache.stats.hits == 1
+        assert cache.info()["memory_entries"] == 2  # promoted, capped
+
 
 class TestSuiteMemoization:
     def test_fits_at_most_once_per_key(self, session):

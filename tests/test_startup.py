@@ -121,6 +121,38 @@ class TestColdImports:
         _assert_absent(modules, NOT_IN_SEARCH)
         assert "repro.core.batch" in modules
 
+    def test_memory_only_search_keys_nothing(self, tmp_path):
+        """A search without ``--cache-dir`` never reads its chunk
+        records back, so it computes no cache key and loads no
+        hashlib."""
+        modules = _loaded(
+            "from repro.runtime import keys\n"
+            "calls = []\n"
+            "real_key = keys.cache_key\n"
+            "def counted(*parts):\n"
+            "    calls.append(parts)\n"
+            "    return real_key(*parts)\n"
+            "keys.cache_key = counted\n"
+            + _main(SEARCH + ["-o", str(tmp_path / "search.txt")])
+            + "assert calls == [], len(calls)\n"
+        )
+        _assert_absent(modules, ("hashlib", "_hashlib"))
+        assert "repro.core.batch" in modules
+
+    def test_cache_dir_search_replays_every_chunk(self, tmp_path):
+        from repro.cli import main
+
+        argv = SEARCH + ["--format", "json", "--cache-dir",
+                         str(tmp_path / "cache")]
+        documents = []
+        for name in ("cold.json", "warm.json"):
+            assert main(argv + ["-o", str(tmp_path / name)]) == 0
+            documents.append(json.loads((tmp_path / name).read_text()))
+        cold, warm = documents
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == warm["chunk_count"] > 0
+        assert warm["reductions"] == cold["reductions"]
+
     def test_project_search_still_fits(self, tmp_path):
         modules = _loaded(_main(SEARCH + ["--mode", "project", "-o",
                                           str(tmp_path / "search.txt")]))

@@ -1,12 +1,14 @@
 """Distinct-row timing and the NumPy jitter hash in repro.sim.vectorized.
 
 :func:`gemm_times` times each distinct shape of a stacked call once
-and :func:`elementwise_times` hashes each distinct count once, and both
-gather the results back, so every element must still equal the scalar
-model's time for its own shape, bit for bit, however heavily the shapes
-repeat.  ``_unit_hashes`` computes ``stable_unit_hash`` for whole key
-columns from CRC32 tables; it must agree with the per-key hash on every
-key, and its tables with ``zlib.crc32``.
+and :func:`elementwise_times` hashes each distinct ``(kind, count)``
+once, and both gather the results back, so every element must still
+equal the scalar model's time for its own shape, bit for bit, however
+heavily the shapes repeat.  ``_unit_hashes`` computes
+``stable_unit_hash`` for whole key columns from CRC32 tables; it must
+agree with the per-key hash on every key, and its tables with
+``zlib.crc32``.  ``closed_form_breakdown`` on a row map must equal the
+schedule of the expanded durations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.hardware.specs import MI210
 from repro.models.layers import ELEMENTWISE, layer_records
 from repro.sim import vectorized
 from repro.sim.checker import random_configs
-from repro.sim.vectorized import _distinct_rows, _unit_hashes
+from repro.sim.vectorized import Choice, _distinct_rows, _unit_hashes
 
 
 def _void_unique(*columns: np.ndarray):
@@ -321,6 +323,171 @@ class TestUnitHashes:
         assert fits.tolist() == [stable_unit_hash(text, 5)]
         with pytest.raises(ValueError, match="exceeds"):
             _unit_hashes((text, np.array([5, 10])))
+
+
+class TestChoiceParts:
+    """A :class:`~repro.sim.vectorized.Choice` part picks one of a few
+    constant strs per row."""
+
+    def test_every_kind_and_precision_in_one_call(self):
+        precisions = tuple(precision.value for precision in Precision)
+        pairs = [(kind, precision) for kind in ELEMENTWISE_KINDS
+                 for precision in precisions]
+        kind_codes = np.array([ELEMENTWISE_KINDS.index(kind)
+                               for kind, _ in pairs])
+        precision_codes = np.array([precisions.index(precision)
+                                    for _, precision in pairs])
+        counts = _random_values(np.random.default_rng(7), len(pairs))
+        hashes = _unit_hashes((Choice(tuple(ELEMENTWISE_KINDS), kind_codes),
+                               counts,
+                               Choice(precisions, precision_codes)))
+        assert hashes.tolist() == [
+            stable_unit_hash(kind, int(count), precision)
+            for (kind, precision), count in zip(pairs, counts)]
+
+    def test_texts_of_different_lengths(self):
+        texts = ("a", "softmax_grad", "it's", "")
+        rng = np.random.default_rng(11)
+        codes = rng.integers(0, len(texts), size=400)
+        columns = [_random_values(rng, 400) for _ in range(2)]
+        template = (columns[0], Choice(texts, codes), columns[1], "fp16")
+        assert _unit_hashes(template).tolist() == [
+            stable_unit_hash(int(a), texts[code], int(b), "fp16")
+            for a, code, b in zip(*columns[:1], codes, columns[1])]
+
+    def test_codes_broadcast_with_the_columns(self):
+        counts = np.array([[3], [40]])
+        template = (Choice(("x", "yy"), np.array([1, 0, 1])), counts)
+        assert _unit_hashes(template).tolist() == [
+            stable_unit_hash(text, count) for count in (3, 40)
+            for text in ("yy", "x", "yy")]
+
+    @pytest.mark.parametrize("codes", [np.array([0, 3]),
+                                       np.array([-1, 0])])
+    def test_rejects_out_of_range_codes(self, codes):
+        with pytest.raises(ValueError, match="choice code"):
+            _unit_hashes((Choice(("a", "b", "c"), codes), np.array([1, 2])))
+
+    @pytest.mark.parametrize("choice", [
+        Choice(("a", 5), np.array([0])),
+        Choice(("a", "b"), np.array([0.0])),
+    ])
+    def test_rejects_non_str_texts_and_float_codes(self, choice):
+        with pytest.raises(TypeError, match="choice"):
+            _unit_hashes((choice, np.array([1])))
+
+    def test_empty(self):
+        empty = _unit_hashes((Choice(("a", "bb"), np.zeros(0, dtype=int)),
+                              np.zeros(0, dtype=np.int64), "fp16"))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    def test_elementwise_times_with_per_row_kinds(self, elementwise_model):
+        kinds = ("layernorm", "gelu_grad", "softmax")
+        rng = np.random.default_rng(13)
+        counts = _duplicated(rng, rng.integers(1, 1 << 30, size=20), 600)
+        codes = rng.integers(0, len(kinds), size=600)
+        rw_factors = np.array([3.0, 2.0, 2.5])[codes]
+        times = vectorized.elementwise_times(
+            counts, MI210, Precision.BF16, rw_factors, Choice(kinds, codes),
+            elementwise_model)
+        assert times.tolist() == [
+            elementwise_model.time(int(count), MI210, Precision.BF16,
+                                   float(rw), kinds[code])
+            for count, rw, code in zip(counts, rw_factors, codes)]
+
+
+# -- closed-form schedule on a row map -----------------------------------
+
+
+def _closed_form_case(rng: np.random.Generator, kinds, per_row, lengths,
+                      zero_fraction: float = 0.0):
+    """Per-run/per-row durations and their per-row expansion."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    compressed, expanded = [], []
+    for flag in per_row:
+        values = rng.uniform(0.0, 2e-3, size=len(rows) if flag
+                             else len(lengths))
+        values[rng.random(values.size) < zero_fraction] = 0.0
+        compressed.append(values)
+        expanded.append(values if flag else values[rows])
+    return rows, compressed, expanded
+
+
+def _assert_same_breakdown(got, want):
+    for part, reference in zip(got, want):
+        assert part.shape == reference.shape
+        assert part.tobytes() == reference.tobytes()
+
+
+class TestClosedFormRowMap:
+    """``closed_form_breakdown`` with a row map equals the schedule of
+    the expanded durations bit for bit."""
+
+    C, S, O = (vectorized.KIND_COMPUTE, vectorized.KIND_SERIALIZED,
+               vectorized.KIND_OVERLAPPED)
+
+    def engine_slots(self):
+        from repro.core.batch import _layer_ops, _reads_dp, _slot_kind
+
+        ops = _layer_ops(ConfigGrid.from_models(random_configs(1, seed=0)))
+        return ([_slot_kind(op) for op in ops],
+                [_reads_dp(op) for op in ops])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.4])
+    def test_engine_slots(self, seed, zero_fraction):
+        rng = np.random.default_rng(seed)
+        kinds, per_row = self.engine_slots()
+        assert True in per_row and self.O in kinds
+        lengths = rng.integers(1, 9, size=40)
+        rows, compressed, expanded = _closed_form_case(
+            rng, kinds, per_row, lengths, zero_fraction)
+        _assert_same_breakdown(
+            vectorized.closed_form_breakdown(kinds, compressed, rows,
+                                             per_row),
+            vectorized.closed_form_breakdown(kinds, expanded))
+
+    def test_dp_one_rows_have_zero_per_row_slots(self):
+        rng = np.random.default_rng(4)
+        kinds, per_row = self.engine_slots()
+        lengths = np.full(30, 4)
+        rows, compressed, expanded = _closed_form_case(
+            rng, kinds, per_row, lengths)
+        dp_one = rng.random(len(rows)) < 0.5
+        for flag, values in zip(per_row, compressed):
+            if flag:
+                values[dp_one] = 0.0
+        breakdown = vectorized.closed_form_breakdown(kinds, compressed,
+                                                     rows, per_row)
+        _assert_same_breakdown(
+            breakdown, vectorized.closed_form_breakdown(kinds, expanded))
+        assert (breakdown[2][dp_one] == 0.0).all()
+
+    def test_every_row_its_own_run(self):
+        rng = np.random.default_rng(5)
+        kinds, per_row = self.engine_slots()
+        rows, compressed, expanded = _closed_form_case(
+            rng, kinds, per_row, np.ones(50, dtype=int))
+        _assert_same_breakdown(
+            vectorized.closed_form_breakdown(kinds, compressed, rows,
+                                             per_row),
+            vectorized.closed_form_breakdown(kinds, expanded))
+
+    @pytest.mark.parametrize("kinds,per_row", [
+        ((C, S, O, S, C, O, C), (False, True, True, False, False, False,
+                                 True)),
+        ((O, C, S, O), (False, False, True, False)),
+        ((C, C, S), (False, False, False)),
+        ((S, O, C), (True, True, True)),
+    ])
+    def test_per_row_blocking_and_per_run_async_slots(self, kinds, per_row):
+        rng = np.random.default_rng(6)
+        rows, compressed, expanded = _closed_form_case(
+            rng, kinds, per_row, rng.integers(1, 6, size=25), 0.2)
+        _assert_same_breakdown(
+            vectorized.closed_form_breakdown(kinds, compressed, rows,
+                                             per_row),
+            vectorized.closed_form_breakdown(kinds, expanded))
 
 
 class TestCollectiveJitter:
