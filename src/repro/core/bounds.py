@@ -2,56 +2,46 @@
 
 The paper's Section-3 premise is that a Transformer layer's compute
 flops and communication bytes are *closed forms* in (H, SL, B, TP, DP).
-The batch engine still pays the full per-slot timing models -- including
-the per-element jitter hashing, the dominant cost -- on every feasible
-grid point, even when a query only asks for a top-k, a Pareto frontier,
-or an extremum.  This module prices a whole chunk *without* evaluating
-it: for each stored metric it computes an **admissible interval**
+The batch engine still pays the per-element jitter hashing on every
+feasible grid point, even when a query only asks for a top-k, a Pareto
+frontier, or an extremum.  This module prices a whole chunk *without*
+hashing: for each stored metric it computes an **admissible interval**
 
     ``lower <= exact <= upper``   (per configuration, as IEEE floats)
 
-from the same flop/byte laws, using min/max achievable efficiency
-envelopes per operator family instead of the exact fitted models:
+Every exact duration is a jitter-free base times ``1 + amp * (2u -
+1)`` with ``u`` in ``[0, 1)``.  The bound pass computes that base with
+the exact engine's own code (:func:`repro.core.batch._op_durations`
+under jitter-free timing and collective models: one stacked call per
+operator family, on the DP-free run representatives) and scales each op
+by ``1 - amp`` and ``1 + amp`` for its family:
 
-* **GEMM**: the exact model's efficiency is ``peak * tile_eff *
-  reuse_eff * wave_eff * k_eff * m_eff * split_penalty``, maximized over
-  tile candidates, where every tile factor is <= 1.  The upper
-  efficiency envelope drops the tile factors (``peak * k_eff * m_eff``);
-  the lower envelope evaluates the largest tile candidate directly with
-  SIMD ``pow`` (any single candidate under-approximates the max).  The
-  memory-roofline term and launch overhead are kept exactly, duration
-  bounds take ``max(compute, memory)`` from below and ``compute +
-  memory`` from above, and a relative :data:`_ENVELOPE_MARGIN` absorbs
-  the float re-association between the envelope formulas and the exact
-  model.
-* **Element-wise**: the jitter-free base *is* the exact base (identical
-  code path, identical bits), so the interval is just ``base * (1 -
-  amp)`` .. ``base * (1 + amp)`` with no margin: the jitter multiplier
-  ``1 + amp * (2u - 1)`` with ``u`` in ``[0, 1)`` is bracketed by
-  ``1 - amp`` and ``1 + amp`` monotonically in floating point.
-* **Collectives**: same jitter bracketing around the jitter-free
-  vectorized base, plus :data:`_ENVELOPE_MARGIN` because hierarchical
-  (multi-node) all-reduces jitter their three phases independently
-  while the bound factors the summed base.
+* **GEMM** and **element-wise**: the jitter-free base carries the exact
+  base's bits, and ``base * (1 + amp * (2u - 1))`` is monotone in ``u``
+  in IEEE arithmetic, so ``base * (1 - amp)`` .. ``base * (1 + amp)``
+  brackets it with no margin.
+* **Collectives**: the same scaling plus :data:`_ENVELOPE_MARGIN`,
+  because hierarchical (multi-node) all-reduces jitter their three
+  phases independently while the bound scales the summed base.
 
-The envelopes are evaluated like the exact engine's timing: one
-stacked call per operator family (:func:`repro.core.batch._time_groups`),
-on the DP-free run representatives, and per row only for the DP-group
-all-reduces.  Per-slot intervals propagate through
+Per-slot intervals propagate through
 :func:`repro.sim.vectorized.closed_form_breakdown` -- a composition of
 additions and maxima, monotone nondecreasing in every slot duration --
 by running it, on the same row map, once on the lower durations and
-once on the upper ones.
-``exposed_comm_time = max(0, iteration - compute - serialized)`` is
-monotone up in the iteration and down in the others, so its bounds mix
-the opposite corners of the box.
+once on the upper ones.  ``exposed_comm_time`` is ``max(0,
+async_finish - blocking)``: it rises with the overlapped (async)
+durations and falls with the blocking ones.  Its lower bound schedules
+lower async and upper blocking durations, its upper bound the reverse,
+and each widens by :data:`_EXPOSED_ULPS` ulps of the iteration time
+per slot for the engine's differently rounded ``iteration - compute -
+serialized``.
 
 Projection mode (``batch_project``) has no jitter at all: bounds are
 the exact projected metrics with zero interval width.
 
 :func:`chunk_bounds` evaluates a chunk straight from
-:class:`~repro.core.gridplan.GridSpec` index space -- no schedules, no
-jitter hashing -- and aggregates per-metric ``(min lower, max upper)``
+:class:`~repro.core.gridplan.GridSpec` index space -- no jitter
+hashing -- and aggregates per-metric ``(min lower, max upper)``
 envelopes that the pruning protocol of :mod:`repro.core.reducers`
 compares against the incumbent.  :data:`BOUND_MODEL_VERSION` must be
 bumped whenever any bound formula changes; it is part of the chunk
@@ -63,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -79,8 +68,9 @@ from repro.core.batch import (
     _dp_free_rows,
     _DpFreeRows,
     _layer_ops,
+    _op_durations,
     _schedule,
-    _time_groups,
+    _slot_kind,
 )
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
@@ -89,7 +79,7 @@ from repro.core.gridplan import (
 )
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
-from repro.models.layers import ELEMENTWISE, GEMM, OpRecord
+from repro.models.layers import COMM, ELEMENTWISE, GEMM, OpRecord
 from repro.sim import vectorized
 
 if TYPE_CHECKING:
@@ -106,9 +96,9 @@ __all__ = [
 ]
 
 #: Version of the bound formulas.  Part of every chunk-bound cache key:
-#: bump it when any envelope changes so stale cached bounds can never
-#: mix with a newer pruning run.
-BOUND_MODEL_VERSION = 1
+#: bump it when any bound formula changes so stale cached bounds can
+#: never mix with a newer pruning run.
+BOUND_MODEL_VERSION = 2
 
 #: Metrics with admissible interval bounds (the stored breakdown columns
 #: plus the derived exposed-comm slack).  Fraction metrics are excluded:
@@ -121,10 +111,17 @@ BOUNDED_METRICS: Tuple[str, ...] = (
     "exposed_comm_time",
 )
 
-#: Relative safety margin absorbing float re-association between the
-#: envelope formulas and the exact models (~1e-16 per operation; 1e-9
-#: is orders of magnitude of headroom at negligible interval widening).
+#: Relative safety margin of the collective bounds, absorbing the float
+#: re-association between a hierarchical all-reduce's three separately
+#: jittered phases and its scaled summed base (~1e-16 per operation;
+#: 1e-9 is orders of magnitude of headroom at negligible widening).
 _ENVELOPE_MARGIN = 1e-9
+
+#: Absolute exposed-comm margin, in ulps of the iteration time per
+#: slot: covers the rounding of the exact ``iteration - compute -
+#: serialized`` against the bound's own, each at most about one ulp
+#: per slot.
+_EXPOSED_ULPS = 4
 
 #: The four stored breakdown columns, in closed-form output order.
 _STORED = ("compute_time", "serialized_comm_time",
@@ -189,64 +186,7 @@ class ChunkBounds:
         )
 
 
-# -- per-family duration envelopes ---------------------------------------
-
-
-def _tile_product_floor(m: np.ndarray, n: np.ndarray, k: np.ndarray,
-                        batch: np.ndarray, model) -> np.ndarray:
-    """Under-approximation of the exact model's max-over-tiles product.
-
-    Evaluates ``tile_eff * reuse_eff * wave_eff * split_penalty`` for the
-    largest tile candidate only, with direct SIMD ``pow`` for the reuse
-    term.  The exact model maximizes the product over all candidates, so
-    any single candidate is a valid floor (up to pow's 1-ulp difference,
-    covered by :data:`_ENVELOPE_MARGIN`).
-    """
-    tile = model.TILE_CANDIDATES[0]
-    tile_m = vectorized._pow2_at_most(m, tile)
-    tile_n = vectorized._pow2_at_most(n, tile)
-    tiles_m = vectorized._ceil_div(m, tile_m)
-    tiles_n = vectorized._ceil_div(n, tile_n)
-    tile_eff = (m * n) / (tiles_m * tiles_n * tile_m * tile_n)
-    reuse_eff = np.power((tile_m * tile_n) / float(model.tile ** 2),
-                         model.TILE_REUSE_EXP / 2)
-    total_tiles = batch * tiles_m * tiles_n
-    split = np.maximum(
-        1, np.minimum(model.compute_units // total_tiles,
-                      k // model.SPLIT_K_MIN)
-    )
-    split_applies = (
-        (total_tiles < model.compute_units)
-        & (k > model.SPLIT_K_MIN)
-        & (split > 1)
-    )
-    total_tiles = np.where(split_applies, total_tiles * split, total_tiles)
-    split_penalty = np.where(split_applies, model.SPLIT_K_EFFICIENCY, 1.0)
-    waves = vectorized._ceil_div(total_tiles, model.compute_units)
-    wave_eff = total_tiles / (waves * model.compute_units)
-    return tile_eff * reuse_eff * wave_eff * split_penalty
-
-
-def _gemm_bound_durations(m, n, k, batch, device, precision,
-                          model) -> Tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) duration arrays bracketing the exact GEMM model."""
-    m, n, k = (np.asarray(m, np.int64), np.asarray(n, np.int64),
-               np.asarray(k, np.int64))
-    batch = np.asarray(batch, np.int64)
-    flops = 2 * batch * m * n * k
-    peak = device.flops(precision)
-    k_eff = k / (k + model.k_half)
-    m_eff = m / (m + model.m_half)
-    eff_cap = device.peak_compute_efficiency * k_eff * m_eff
-    bytes_moved = precision.bytes * batch * (m * k + k * n + m * n)
-    t_memory = bytes_moved / (device.mem_bw * device.peak_memory_efficiency)
-    overhead = device.compute_launch_overhead
-    lower = np.maximum(flops / (peak * eff_cap), t_memory) + overhead
-    eff_floor = eff_cap * _tile_product_floor(m, n, k, batch, model)
-    upper = flops / (peak * eff_floor) + t_memory + overhead
-    amp = model.jitter_amplitude
-    return (lower * ((1.0 - amp) * (1.0 - _ENVELOPE_MARGIN)),
-            upper * ((1.0 + amp) * (1.0 + _ENVELOPE_MARGIN)))
+# -- per-op duration bounds ----------------------------------------------
 
 
 def _op_bound_durations(
@@ -256,79 +196,62 @@ def _op_bound_durations(
     cluster: ClusterSpec,
     timing: TimingModels,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-op (lower, upper) duration arrays, one stacked call per family.
+    """Per-op (lower, upper) duration arrays: the exact engine's
+    jitter-free durations scaled by ``1 - amp`` and ``1 + amp`` of the
+    op's family.
 
-    Stacks the ops exactly as :func:`repro.core.batch._op_durations`
-    does (:func:`repro.core.batch._time_groups`), with the exact timing
-    models replaced by the family envelopes, so each array has one
-    entry per DP-free run, or per row for the ops that read DP.
+    Each array has one entry per DP-free run, or per row for the ops
+    that read DP, as :func:`repro.core.batch._op_durations` returns.
     """
-    device, precision = cluster.device, grid.precision
-    ew_quiet = timing.elementwise.without_jitter()
-    ew_amp = timing.elementwise.jitter_amplitude
-    comm_amp = cluster.collective_model.jitter_amplitude
-    comm_lo = (1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN)
-    comm_up = (1.0 + comm_amp) * (1.0 + _ENVELOPE_MARGIN)
-    quiet_cluster = replace(
-        cluster, collective_model=cluster.collective_model.without_jitter()
+    comm = cluster.collective_model
+    base = _op_durations(
+        ops, grid, rows,
+        replace(cluster, collective_model=comm.without_jitter()),
+        timing.without_jitter(),
     )
-
-    def evaluate(family: str, column: Callable
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        if family == GEMM:
-            return _gemm_bound_durations(
-                column("m"), column("n"), column("k"), column("batch"),
-                device, precision, timing.gemm,
-            )
-        if family == ELEMENTWISE:
-            base = vectorized.elementwise_times(
-                column("elements"), device, precision, column("rw_factor"),
-                column("kind"), ew_quiet,
-            )
-            return base * (1.0 - ew_amp), base * (1.0 + ew_amp)
-        base = vectorized.cluster_all_reduce_times(
-            column("nbytes"), column("group"), quiet_cluster,
-            overlapped=column("overlappable"),
-        )
-        return base * comm_lo, base * comm_up
-
-    return _time_groups(ops, grid, rows, evaluate)
+    gemm_amp = timing.gemm.jitter_amplitude
+    ew_amp = timing.elementwise.jitter_amplitude
+    comm_amp = comm.jitter_amplitude
+    scales = {
+        GEMM: (1.0 - gemm_amp, 1.0 + gemm_amp),
+        ELEMENTWISE: (1.0 - ew_amp, 1.0 + ew_amp),
+        COMM: ((1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN),
+               (1.0 + comm_amp) * (1.0 + _ENVELOPE_MARGIN)),
+    }
+    lower = [duration * scales[op.family][0]
+             for op, duration in zip(ops, base)]
+    upper = [duration * scales[op.family][1]
+             for op, duration in zip(ops, base)]
+    return lower, upper
 
 
 # -- grid-level bounds ---------------------------------------------------
-
-
-def _exposed_bounds(lower: Dict[str, np.ndarray],
-                    upper: Dict[str, np.ndarray]) -> None:
-    """Attach exposed-comm bounds from the opposite corners of the box."""
-    lower["exposed_comm_time"] = np.maximum(
-        0.0,
-        lower["iteration_time"] - upper["compute_time"]
-        - upper["serialized_comm_time"],
-    )
-    upper["exposed_comm_time"] = np.maximum(
-        0.0,
-        upper["iteration_time"] - lower["compute_time"]
-        - lower["serialized_comm_time"],
-    )
 
 
 def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
                    timing: TimingModels) -> MetricBounds:
     """Bounds for every row in one pass over the widest op list.
 
-    Uses the exact engine's op list (:func:`repro.core.batch._layer_ops`)
-    and grouping, with the exact timing models replaced by the family
-    envelopes, so each bound slot lines up with the exact slot it
-    brackets.
+    Uses the exact engine's op list (:func:`repro.core.batch._layer_ops`),
+    grouping and jitter-free timing, so each bound slot lines up with
+    the exact slot it brackets.
     """
     ops = _layer_ops(grid)
     rows = _dp_free_rows(grid)
-    lo_durations, up_durations = _op_bound_durations(ops, grid, rows,
-                                                     cluster, timing)
-    lower = dict(zip(_STORED, _schedule(ops, lo_durations, rows)))
-    upper = dict(zip(_STORED, _schedule(ops, up_durations, rows)))
-    _exposed_bounds(lower, upper)
+    lo, up = _op_bound_durations(ops, grid, rows, cluster, timing)
+    lower = dict(zip(_STORED, _schedule(ops, lo, rows)))
+    upper = dict(zip(_STORED, _schedule(ops, up, rows)))
+    overlapped = [_slot_kind(op) == vectorized.KIND_OVERLAPPED
+                  for op in ops]
+    margin = (_EXPOSED_ULPS * len(ops)
+              * np.spacing(upper["iteration_time"]))
+    for side, asynchronous, blocking, sign in ((lower, lo, up, -1.0),
+                                               (upper, up, lo, 1.0)):
+        mixed = [a if is_async else b for is_async, a, b
+                 in zip(overlapped, asynchronous, blocking)]
+        compute, serialized, _, iteration = _schedule(ops, mixed, rows)
+        side["exposed_comm_time"] = np.maximum(
+            0.0, iteration - compute - serialized + sign * margin)
     return MetricBounds(lower=lower, upper=upper)
 
 
@@ -359,8 +282,9 @@ def bound_grid(grid: ConfigGrid,
     5 (:func:`repro.sim.checker.prune_oracle`) enforces.
 
     Args:
-        mode: ``"execute"`` (envelopes around the jittered timing
-            models) or ``"project"`` (deterministic: zero-width bounds).
+        mode: ``"execute"`` (jitter brackets around the jitter-free
+            timing models) or ``"project"`` (deterministic: zero-width
+            bounds).
         suite / scenario: Projection inputs, as in ``batch_project``.
     """
     if mode == "execute":
@@ -392,9 +316,9 @@ def chunk_bounds(spec: GridSpec,
     Builds the chunk's surviving rows (constraints included), bounds
     them with :func:`bound_grid`, and aggregates the per-metric
     ``(min lower, max upper)`` envelope via
-    :func:`repro.core.gridplan.aggregate_bounds`.  Never touches the
-    exact timing models or the jitter hashes -- this is the cheap
-    phase-1 pass of the bound-and-prune scheduler.
+    :func:`repro.core.gridplan.aggregate_bounds`.  Never hashes a
+    jitter key -- this is the cheap phase-1 pass of the bound-and-prune
+    scheduler.
     """
     chunk = spec.chunk(index, chunk_size)
     if len(chunk) == 0:

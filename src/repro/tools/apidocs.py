@@ -1,10 +1,10 @@
 """API-reference generator.
 
 ``python -m repro.tools.apidocs [path]`` walks the ``repro`` package and
-writes a markdown reference built from the live docstrings: one section
-per module, with each public class and function's signature and summary
-paragraph.  Because it reads the imported objects, the reference can
-never drift from the code.
+writes a markdown reference (to ``docs/API.md`` by default) built from
+the live docstrings: one section per module, with each public class and
+function's signature and summary paragraph.  Because it reads the
+imported objects, the reference can never drift from the code.
 
 Modules that set ``__apidoc_full__ = True`` (e.g.
 :mod:`repro.core.invariants`, whose docstring catalogues every engine
@@ -14,12 +14,12 @@ summary paragraph.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
-import sys
 from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence
 
 import repro
 
@@ -27,8 +27,11 @@ __all__ = ["iter_module_names", "render_module", "render_reference",
            "write_reference"]
 
 
-def iter_module_names(package=repro) -> Iterator[str]:
-    """Importable module names under a package, sorted, recursively."""
+def iter_module_names(package=None) -> Iterator[str]:
+    """Importable module names under a package (default: ``repro``),
+    sorted, recursively."""
+    if package is None:
+        package = repro
     names = [package.__name__]
     for info in pkgutil.walk_packages(package.__path__,
                                       prefix=f"{package.__name__}."):
@@ -114,11 +117,17 @@ def write_reference(path: Path) -> Path:
     return path
 
 
-def main() -> None:
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else (
-        Path("docs/API.md")
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.tools.apidocs",
+        description="Write the markdown API reference of the repro "
+                    "package, rendered from its docstrings.",
     )
-    written = write_reference(target)
+    parser.add_argument("path", nargs="?", type=Path,
+                        default=Path("docs/API.md"),
+                        help="output file (default: docs/API.md)")
+    args = parser.parse_args(argv)
+    written = write_reference(args.path)
     print(f"wrote {written}")
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
+import repro
 from repro.tools import apidocs
 
 
@@ -38,4 +43,26 @@ class TestRendering:
     def test_write_reference(self, tmp_path):
         target = apidocs.write_reference(tmp_path / "docs" / "API.md")
         assert target.exists()
+        assert "repro API reference" in target.read_text()
+
+    def test_reference_names_no_checkout_path(self):
+        """The reference renders the same from any checkout."""
+        text = apidocs.render_reference()
+        assert str(Path(repro.__file__).parent) not in text
+        assert "iter_module_names(package=None)" in text
+
+
+class TestMain:
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            apidocs.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_the_given_path(self, tmp_path):
+        target = tmp_path / "out" / "API.md"
+        apidocs.main([str(target)])
         assert "repro API reference" in target.read_text()

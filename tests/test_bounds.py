@@ -54,8 +54,9 @@ def zoo_pairs():
     return pairs
 
 
-def assert_admissible(grid: ConfigGrid, cluster) -> None:
-    """``lower <= exact <= upper`` per metric, as IEEE floats."""
+def assert_admissible(grid: ConfigGrid, cluster):
+    """``lower <= exact <= upper`` per metric, as IEEE floats; returns
+    the exact breakdown and the bounds."""
     exact = batch_execute(grid, cluster)
     bounds = bound_grid(grid, cluster=cluster)
     for name in BOUNDED_METRICS:
@@ -69,6 +70,7 @@ def assert_admissible(grid: ConfigGrid, cluster) -> None:
         assert up_ok.all(), (
             f"{name}: upper bound violated at rows "
             f"{np.flatnonzero(~up_ok)[:5].tolist()}")
+    return exact, bounds
 
 
 class TestAdmissibility:
@@ -136,6 +138,51 @@ class TestAdmissibility:
                     np.testing.assert_array_equal(side[name][mask], part)
             seen += 1
         assert seen == 4  # every parity partition is exercised
+
+    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
+                             ids=("node", "multi-node"))
+    def test_slot_bounds_scale_the_engine_base(self, cluster):
+        """GEMM and element-wise slot bounds are the engine's own
+        jitter-free durations times ``1 - amp`` and ``1 + amp``, bit for
+        bit: no second timing model, no margin."""
+        from repro.core.batch import _dp_free_rows, _layer_ops, _op_durations
+        from repro.core.bounds import _op_bound_durations
+        from repro.models.layers import ELEMENTWISE, GEMM
+
+        grid = ConfigGrid.from_models(random_configs(120, seed=3))
+        ops = _layer_ops(grid)
+        rows = _dp_free_rows(grid)
+        base = _op_durations(ops, grid, rows, cluster,
+                             DEFAULT_TIMING.without_jitter())
+        lower, upper = _op_bound_durations(ops, grid, rows, cluster,
+                                           DEFAULT_TIMING)
+        amps = {GEMM: DEFAULT_TIMING.gemm.jitter_amplitude,
+                ELEMENTWISE: DEFAULT_TIMING.elementwise.jitter_amplitude}
+        seen = set()
+        for op, exact_base, low, up in zip(ops, base, lower, upper):
+            if op.family not in amps:
+                continue
+            amp = amps[op.family]
+            assert low.tobytes() == (exact_base * (1.0 - amp)).tobytes()
+            assert up.tobytes() == (exact_base * (1.0 + amp)).tobytes()
+            seen.add(op.family)
+        assert seen == set(amps)
+
+    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
+                             ids=("node", "multi-node"))
+    def test_designspace_grid_admissible_and_tight(self, cluster):
+        """Every feasible row of the design-space grid is bracketed on
+        every bounded metric, and the exposed-comm interval is narrower
+        than the exact value itself (median over exposed rows)."""
+        from repro.experiments.ext_designspace import design_spec
+
+        grid = design_spec(cluster).materialize().grid
+        exact, bounds = assert_admissible(grid, cluster)
+        values = metric_values("exposed_comm_time", exact)
+        exposed = values > 0
+        width = (bounds.upper["exposed_comm_time"][exposed]
+                 - bounds.lower["exposed_comm_time"][exposed])
+        assert np.median(width / values[exposed]) < 1.0
 
     def test_validation_errors(self):
         grid = ConfigGrid.from_models(random_configs(4, seed=0))
