@@ -237,19 +237,6 @@ class ConfigGrid:
             ffn_dim=self.ffn_dim[mask],
         )
 
-    def key(self) -> tuple:
-        """Hash/cache-friendly content key (plain Python scalars)."""
-        return (
-            tuple(self.hidden.tolist()),
-            tuple(self.seq_len.tolist()),
-            tuple(self.batch.tolist()),
-            tuple(self.tp.tolist()),
-            tuple(self.dp.tolist()),
-            tuple(self.num_heads.tolist()),
-            tuple(self.ffn_dim.tolist()),
-            self.precision.value,
-        )
-
     def at(self, index: int) -> Tuple[ModelConfig, ParallelConfig]:
         """Scalar ``(model, parallel)`` pair of one grid entry."""
         model = ModelConfig(
@@ -348,7 +335,7 @@ _CONSTANT_FIELDS = ("rw_factor", "overlappable")
 
 def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
                  rows: _DpFreeRows, evaluate: Callable
-                 ) -> Tuple[List[np.ndarray], ...]:
+                 ) -> List[np.ndarray]:
     """Time an op list family by family, one stacked call per family.
 
     The GEMMs, the element-wise ops and the all-reduces each form one
@@ -367,22 +354,22 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
 
     Args:
         rows: The grid's DP-free runs.
-        evaluate: ``evaluate(family, column)`` -> a tuple of flat
-            duration arrays for the family's stacked ops.
-            ``column(field)`` stacks the family's ``field`` values:
-            ``"group"`` gives their group sizes, ``"kind"`` a
+        evaluate: ``evaluate(family, column)`` -> the flat duration
+            array of the family's stacked ops.  ``column(field)``
+            stacks the family's ``field`` values: ``"group"`` gives
+            their group sizes, ``"kind"`` a
             :class:`~repro.sim.vectorized.Choice` of their kinds, and
             ``"rw_factor"`` and ``"overlappable"`` per-entry arrays.
 
     Returns:
-        Per-op duration arrays, one list per array ``evaluate`` returns:
-        one entry per run, or per row for the ops that read DP.
+        Per-op duration arrays: one entry per run, or per row for the
+        ops that read DP.
     """
     n = len(grid)
     families: Dict[str, List[int]] = {}
     for i, op in enumerate(ops):
         families.setdefault(op.family, []).append(i)
-    outputs: Tuple[List[np.ndarray], ...] = ()
+    durations: List[np.ndarray] = [None] * len(ops)
     for family, indices in families.items():
         members = [ops[i] for i in indices]
         widths = [n if _reads_dp(op) else rows.count for op in members]
@@ -401,14 +388,11 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
                 value if _reads_dp(op) else rows.compress(value)
                 for op, value in zip(members, values)], widths)
 
-        results = evaluate(family, column)
-        if not outputs:
-            outputs = tuple([None] * len(ops) for _ in results)
+        times = evaluate(family, column)
         edges = np.cumsum([0] + widths).tolist()
-        for durations, times in zip(outputs, results):
-            for slot, i in enumerate(indices):
-                durations[i] = times[edges[slot]:edges[slot + 1]]
-    return outputs
+        for slot, i in enumerate(indices):
+            durations[i] = times[edges[slot]:edges[slot + 1]]
+    return durations
 
 
 def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
@@ -418,23 +402,23 @@ def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
     one entry per DP-free run, or per row for the ops that read DP."""
     device, precision = cluster.device, grid.precision
 
-    def evaluate(family: str, column: Callable) -> Tuple[np.ndarray]:
+    def evaluate(family: str, column: Callable) -> np.ndarray:
         if family == GEMM:
-            return (vectorized.gemm_times(
+            return vectorized.gemm_times(
                 column("m"), column("n"), column("k"), column("batch"),
                 device, precision, timing.gemm,
-            ),)
+            )
         if family == ELEMENTWISE:
-            return (vectorized.elementwise_times(
+            return vectorized.elementwise_times(
                 column("elements"), device, precision, column("rw_factor"),
                 column("kind"), timing.elementwise,
-            ),)
-        return (vectorized.cluster_all_reduce_times(
+            )
+        return vectorized.cluster_all_reduce_times(
             column("nbytes"), column("group"), cluster,
             overlapped=column("overlappable"),
-        ),)
+        )
 
-    return _time_groups(ops, grid, rows, evaluate)[0]
+    return _time_groups(ops, grid, rows, evaluate)
 
 
 def _schedule(ops: Sequence[OpRecord], durations: Sequence[np.ndarray],

@@ -83,7 +83,8 @@ def run(scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     analytical bounds prove irrelevant are never engine-evaluated.  The
     histogram needs every feasible point, so it streams in a separate
     exhaustive sweep.  Both use the ground-truth batch engine on the
-    scenario-scaled cluster and the session's per-chunk result cache.
+    scenario-scaled cluster and store no chunk or bound records: the
+    experiment result is the one cache entry.
     """
     from repro.runtime.session import resolve_session
 
@@ -100,10 +101,11 @@ def run(scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
         spec = design_spec(target)
         selected = session.stream_sweep(spec, selection(), cluster=target,
                                         jobs=jobs, chunk_size=chunk_size,
-                                        prune=True)
+                                        prune=True, use_cache=False)
         histogram = Histogram("serialized_comm_fraction", bins=64)
         full = session.stream_sweep(spec, (histogram,), cluster=target,
-                                    jobs=jobs, chunk_size=chunk_size)
+                                    jobs=jobs, chunk_size=chunk_size,
+                                    use_cache=False)
         total_raw += full.raw_points
         total_evaluated += full.evaluated_points
         prune_meta = selected.meta["prune"]

@@ -33,8 +33,8 @@ def run(cluster: Optional[ClusterSpec] = None,
         suite: Pass a fitted operator-model suite to produce the figure
             via projection (the paper's exact pipeline) instead of
             ground-truth simulation.
-        session: Runtime session supplying the default cluster and the
-            per-trace duration cache (default: the shared session).
+        session: Runtime session supplying the default cluster, engine
+            and ``check`` flag (default: the shared session).
         engine: Sweep engine override (``"auto"``/``"scalar"``/
             ``"batch"``; default: the session's engine).
     """

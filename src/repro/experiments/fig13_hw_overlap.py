@@ -33,40 +33,30 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the Figure 13 scenario sweep.
 
-    One :func:`~repro.experiments.sweeps.overlap_sweep` per scenario;
-    the scenario scaling is applied to the shared scenario-independent
-    base ratios, so with a session the whole figure reuses one batched
-    ROI evaluation.
+    One :func:`~repro.experiments.sweeps.overlap_sweep` evaluates the
+    scenario-independent base ratios; each scenario then scales them by
+    ``compute_scale / network_scale``, the same multiply
+    :func:`~repro.experiments.sweeps.overlap_ratio` applies per point.
     """
     from repro.runtime.session import resolve_session
 
     session = resolve_session(session)
     cluster = cluster or session.cluster
     points = [(hidden, slb) for hidden in sweeps.OVERLAP_H_VALUES]
-    by_scenario = {
-        scenario: sweeps.overlap_sweep(
-            points, cluster, scenario=scenario, session=session,
-            engine=engine,
-        )
-        for scenario in scenarios
-    }
-    grid = [(hidden, scenario)
-            for hidden in sweeps.OVERLAP_H_VALUES
-            for scenario in scenarios]
-    ratios = [
-        by_scenario[scenario][h_index]
-        for h_index, hidden in enumerate(sweeps.OVERLAP_H_VALUES)
-        for scenario in scenarios
-    ]
+    base = sweeps.overlap_sweep(points, cluster, session=session,
+                                engine=engine)
     rows = []
-    for (hidden, scenario), ratio in zip(grid, ratios):
-        rows.append((
-            hidden,
-            slb,
-            scenario.name,
-            f"{ratio:.3f}",
-            "hidden" if ratio < 1.0 else "EXPOSED",
-        ))
+    for hidden, ratio in zip(sweeps.OVERLAP_H_VALUES, base):
+        for scenario in scenarios:
+            scaled = ratio * (scenario.compute_scale
+                              / scenario.network_scale)
+            rows.append((
+                hidden,
+                slb,
+                scenario.name,
+                f"{scaled:.3f}",
+                "hidden" if scaled < 1.0 else "EXPOSED",
+            ))
     return ExperimentResult(
         experiment_id="figure-13",
         title="Overlapped comm vs compute under hardware evolution",

@@ -6,7 +6,8 @@ TP degrees; the overlapped-communication figures sweep H against the
 ``SL * B`` product at the paper's fixed TP of 16.
 
 When a runtime :class:`~repro.runtime.session.Session` is passed in,
-per-trace ground-truth durations replay from its keyed cache, and the
+it picks the default engine and validates ground-truth runs under its
+``check`` flag; nothing below a whole experiment result is cached.  The
 ``*_sweep`` helpers return results in input order.
 """
 
@@ -125,9 +126,9 @@ def serialized_fraction(
         scenario: Optional hardware-evolution scaling (Figure 12).
         suite: When given, use operator-model *projection* (the paper's
             method) instead of ground-truth simulation.
-        session: When given, ground-truth per-trace durations replay
-            from the session's keyed cache (bit-identical to a fresh
-            ``execute_trace``).
+        session: When given, ground-truth runs go through
+            :meth:`~repro.runtime.session.Session.execute` (validated
+            under the session's ``check`` flag).
     """
     model = serialized_model(hidden, seq_len, tp)
     parallel = ParallelConfig(tp=tp, dp=1)
@@ -222,30 +223,18 @@ def overlap_ratio(
     cluster: ClusterSpec,
     scenario: Optional[HardwareScenario] = None,
     timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
 ) -> float:
     """Overlapped comm as a fraction of ROI compute (Figure 11/13 metric).
 
     Hardware evolution scales the ROI's compute and communication times
-    by the scenario's respective factors (Section 4.3.6).  With a
-    session, the scenario-independent base ratio replays from the keyed
-    cache, so the Figure 11 grid and every Figure 13 scenario share one
-    ROI timing per configuration.
+    by the scenario's respective factors (Section 4.3.6), so the ratio
+    is the scenario-independent base ratio times
+    ``compute_scale / network_scale``.
     """
     model = overlap_model(hidden, slb)
     parallel = ParallelConfig(tp=OVERLAP_TP, dp=OVERLAP_DP)
-
-    def compute_ratio() -> float:
-        timing_result = roi.overlap_roi_timing(model, parallel, cluster,
-                                               timing)
-        return timing_result.overlapped_pct_of_compute
-
-    if session is not None:
-        ratio = session.memo("overlap-roi-ratio",
-                             (model, parallel, cluster, timing),
-                             compute_ratio)
-    else:
-        ratio = compute_ratio()
+    ratio = roi.overlap_roi_timing(model, parallel, cluster,
+                                   timing).overlapped_pct_of_compute
     if scenario is not None:
         ratio *= scenario.compute_scale / scenario.network_scale
     return ratio
@@ -256,29 +245,20 @@ def _overlap_sweep_batch(
     cluster: ClusterSpec,
     scenario: Optional[HardwareScenario],
     timing: TimingModels,
-    session: Optional["Session"],
 ) -> List[float]:
     """Batched overlap sweep (bit-identical to the scalar path)."""
     from repro.core.batch import ConfigGrid, batch_overlap_roi
 
     grid = ConfigGrid.from_overlap(points, tp=OVERLAP_TP, dp=OVERLAP_DP)
-
-    def compute() -> List[float]:
-        compute_time, comm_time = batch_overlap_roi(grid, cluster, timing)
-        return [
-            float("inf") if c == 0 else float(r / c)
-            for r, c in zip(comm_time, compute_time)
-        ]
-
-    if session is not None:
-        ratios = session.memo("overlap-roi-grid",
-                              (grid.key(), cluster, timing), compute)
-    else:
-        ratios = compute()
+    compute_time, comm_time = batch_overlap_roi(grid, cluster, timing)
+    ratios = [
+        float("inf") if c == 0 else float(r / c)
+        for r, c in zip(comm_time, compute_time)
+    ]
     if scenario is not None:
         factor = scenario.compute_scale / scenario.network_scale
         ratios = [ratio * factor for ratio in ratios]
-    return list(ratios)
+    return ratios
 
 
 def overlap_sweep(
@@ -298,13 +278,12 @@ def overlap_sweep(
     resolved = _resolve_engine(engine, session)
     if resolved != "scalar":
         try:
-            return _overlap_sweep_batch(points, cluster, scenario, timing,
-                                        session)
+            return _overlap_sweep_batch(points, cluster, scenario, timing)
         except ValueError:
             if resolved == "batch":
                 raise
     return [
         overlap_ratio(hidden, slb, cluster, scenario=scenario,
-                      timing=timing, session=session)
+                      timing=timing)
         for hidden, slb in points
     ]

@@ -2,9 +2,9 @@
 
 Applies the paper's own cost-amortization principle to the harness:
 :class:`Session` fits each operator-model suite exactly once per
-process and replays cached
-:class:`~repro.experiments.base.ExperimentResult` documents and
-per-trace durations through a content-keyed :class:`ResultCache`
+process and replays whole
+:class:`~repro.experiments.base.ExperimentResult` documents, one entry
+per experiment, through a content-keyed :class:`ResultCache`
 (optionally persisted under ``~/.cache/repro``).  Experiments run
 serially; the only parallelism is the process pool of exhaustive
 :func:`~repro.runtime.megasweep.stream_sweep` sweeps.

@@ -1,8 +1,8 @@
 """Keyed result cache: in-memory dict plus an optional on-disk JSON store.
 
 The cache stores plain JSON payloads (``ExperimentResult.to_dict()``
-documents, per-trace duration lists, memoized scalars) under content
-keys from :mod:`repro.runtime.keys`.  Every on-disk entry is wrapped in
+documents, and ``repro search``'s per-chunk sweep and bound records)
+under content keys from :mod:`repro.runtime.keys`.  Every on-disk entry is wrapped in
 an envelope carrying :data:`CACHE_VERSION`; bumping the version -- or
 constructing the cache with a different ``version`` tag -- invalidates
 all previously written entries without touching the files until
@@ -33,9 +33,9 @@ __all__ = ["CACHE_VERSION", "MEMORY_ENTRIES", "CacheStats", "ResultCache",
 CACHE_VERSION = "1"
 
 #: Entries the memory side of a :class:`ResultCache` keeps before it
-#: evicts the least recently used.  ``repro experiment all`` stores 134
-#: in one process; the cap leaves room for long sweeps' chunk records
-#: while bounding a long-lived process.
+#: evicts the least recently used.  ``repro experiment all`` stores 36
+#: in one process, one per experiment; the cap leaves room for long
+#: searches' chunk records while bounding a long-lived process.
 MEMORY_ENTRIES = 1024
 
 

@@ -1,7 +1,7 @@
 """Deterministic cache keys for configuration objects.
 
-The runtime layer caches fitted operator-model suites, per-trace
-durations, and whole ``ExperimentResult``s.  Every cache key is derived
+The runtime layer caches fitted operator-model suites, whole
+``ExperimentResult``s, and ``repro search``'s per-chunk sweep records.  Every cache key is derived
 from the *content* of the configuration objects involved -- frozen
 dataclasses such as :class:`~repro.core.hyperparams.ModelConfig` or
 :class:`~repro.hardware.cluster.ClusterSpec` -- so two sessions built

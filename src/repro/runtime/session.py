@@ -10,8 +10,11 @@ fit operator models once, and project every other configuration.  The
   is fitted **exactly once per process** no matter how many experiments
   ask for it,
 * it fronts a content-keyed :class:`~repro.runtime.cache.ResultCache`
-  for whole :class:`~repro.experiments.base.ExperimentResult` documents
-  and per-trace duration vectors (optionally persisted on disk), and
+  (optionally persisted on disk) in which an experiment stores exactly
+  one entry, its whole
+  :class:`~repro.experiments.base.ExperimentResult` document -- no
+  finer-grained entry was ever read back at the sizes the experiments
+  run, so traces and grids are recomputed -- and
 * it runs the experiment registry serially, in registry order.
 
 A process-wide default session (:func:`get_session`) lets module-level
@@ -55,6 +58,12 @@ __all__ = ["Session", "get_session", "set_session", "resolve_session"]
 
 class Session:
     """Shared runtime state for experiment and sweep execution.
+
+    The session caches two things: fitted operator-model suites (in
+    memory) and whole experiment results (in :attr:`cache`).
+    :meth:`execute` and :meth:`batch` are the plain engines plus the
+    session's ``check``; :meth:`stream_sweep` stores chunk records only
+    when asked (``use_cache``).
 
     Args:
         cluster: Default testbed for every experiment (MI210 node).
@@ -159,52 +168,21 @@ class Session:
         """Fit count per suite key (every value should stay at 1)."""
         return dict(self._suite_fits)
 
-    # -- per-trace duration caching --------------------------------------
-
-    def memo(self, namespace: str, key_obj: object,
-             compute: Callable[[], object]) -> object:
-        """Generic content-keyed memoization through the result cache."""
-        key = cache_key(namespace, CACHE_VERSION, key_obj)
-        cached = self.cache.get(key)
-        if isinstance(cached, dict) and "value" in cached:
-            return cached["value"]
-        value = compute()
-        self.cache.put(key, {"value": value})
-        return value
-
-    def trace_durations(self,
-                        trace: Trace,
-                        cluster: Optional[ClusterSpec] = None,
-                        timing: Optional[TimingModels] = None
-                        ) -> List[float]:
-        """Cached ground-truth per-op durations for one trace."""
-        from repro.sim.executor import op_duration
-
-        cluster = cluster if cluster is not None else self.cluster
-        timing = timing if timing is not None else self.timing
-        durations = self.memo(
-            "trace-durations", (trace, cluster, timing),
-            lambda: [op_duration(op, trace, cluster, timing)
-                     for op in trace.ops],
-        )
-        return list(durations)
+    # -- checked engine calls ---------------------------------------------
 
     def execute(self,
                 trace: Trace,
                 cluster: Optional[ClusterSpec] = None,
-                timing: Optional[TimingModels] = None,
-                shared_network: bool = False) -> ExecutionResult:
-        """Cache-backed equivalent of :func:`repro.sim.executor.execute_trace`.
+                timing: Optional[TimingModels] = None) -> ExecutionResult:
+        """:func:`repro.sim.executor.execute_trace` on the session's
+        cluster and timing models, validated when ``check`` is on."""
+        from repro.sim.executor import execute_trace
 
-        Durations come from the per-trace cache; scheduling is recomputed
-        (it is cheap and keeps ``ExecutionResult`` bit-identical to a
-        fresh ``execute_trace`` call).
-        """
-        from repro.sim.executor import schedule_with_durations
-
-        durations = self.trace_durations(trace, cluster, timing)
-        result = schedule_with_durations(trace, durations,
-                                         shared_network=shared_network)
+        result = execute_trace(
+            trace,
+            cluster if cluster is not None else self.cluster,
+            timing if timing is not None else self.timing,
+        )
         if self.check:
             from repro.sim.checker import validate_execution
 
@@ -215,39 +193,14 @@ class Session:
               grid: "ConfigGrid",
               cluster: Optional[ClusterSpec] = None,
               timing: Optional[TimingModels] = None) -> "BatchBreakdown":
-        """Cache-backed batched ground truth for a whole config grid.
+        """:func:`repro.core.batch.batch_execute` on the session's
+        cluster and timing models, validated when ``check`` is on."""
+        from repro.core.batch import batch_execute
 
-        Equivalent to :func:`repro.core.batch.batch_execute` (itself
-        bit-identical to per-config ``execute_trace``), with the four
-        breakdown arrays replayed from the keyed cache on repeat grids.
-        """
-        import numpy as np
-
-        from repro.core.batch import BatchBreakdown, batch_execute
-
-        cluster = cluster if cluster is not None else self.cluster
-        timing = timing if timing is not None else self.timing
-
-        def compute() -> Dict[str, List[float]]:
-            breakdown = batch_execute(grid, cluster, timing)
-            return {
-                "compute_time": breakdown.compute_time.tolist(),
-                "serialized_comm_time":
-                    breakdown.serialized_comm_time.tolist(),
-                "overlapped_comm_time":
-                    breakdown.overlapped_comm_time.tolist(),
-                "iteration_time": breakdown.iteration_time.tolist(),
-            }
-
-        payload = self.memo("batch-breakdown",
-                            (grid.key(), cluster, timing), compute)
-        breakdown = BatchBreakdown(
-            compute_time=np.asarray(payload["compute_time"]),
-            serialized_comm_time=np.asarray(
-                payload["serialized_comm_time"]),
-            overlapped_comm_time=np.asarray(
-                payload["overlapped_comm_time"]),
-            iteration_time=np.asarray(payload["iteration_time"]),
+        breakdown = batch_execute(
+            grid,
+            cluster if cluster is not None else self.cluster,
+            timing if timing is not None else self.timing,
         )
         if self.check:
             from repro.sim.checker import validate_batch

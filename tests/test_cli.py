@@ -160,6 +160,51 @@ class TestExperimentRuntime:
                      "--meta"]) == 0
         assert "cache off" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("experiment_id", [
+        "figure-10", "figure-13", "validation-projection",
+        "extension-designspace",
+    ])
+    def test_cold_run_stores_one_entry(self, experiment_id, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["experiment", experiment_id, "--cache-dir",
+                     str(cache), "-o", str(tmp_path / "out.txt")]) == 0
+        assert len(list(cache.glob("*.json"))) == 1
+
+    def test_no_cache_reads_and_writes_nothing(self, tmp_path,
+                                               monkeypatch):
+        from repro.runtime.cache import ResultCache
+
+        cache = tmp_path / "cache"
+        assert main(["experiment", "validation-projection", "--cache-dir",
+                     str(cache), "-o", str(tmp_path / "cold.txt")]) == 0
+
+        def snapshot():
+            return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                    for path in cache.iterdir()}
+
+        before = snapshot()
+        reads = []
+        real_get = ResultCache.get
+
+        def recording_get(self, key, default=None):
+            reads.append(key)
+            return real_get(self, key, default)
+
+        monkeypatch.setattr(ResultCache, "get", recording_get)
+        assert main(["experiment", "validation-projection", "--no-cache",
+                     "--cache-dir", str(cache),
+                     "-o", str(tmp_path / "off.txt")]) == 0
+        assert reads == []
+        assert snapshot() == before
+        assert ((tmp_path / "off.txt").read_text()
+                == (tmp_path / "cold.txt").read_text())
+
+    def test_no_cache_all_leaves_store_empty(self, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["experiment", "all", "--no-cache", "--cache-dir",
+                     str(cache), "-o", str(tmp_path / "all.txt")]) == 0
+        assert not cache.exists() or list(cache.iterdir()) == []
+
 
 class TestCacheCommand:
     def test_info_empty(self, tmp_path, capsys):
