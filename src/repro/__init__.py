@@ -47,7 +47,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "MI210": "repro.hardware.specs",
     "ModelConfig": "repro.core.hyperparams",
     "ParallelConfig": "repro.core.hyperparams",
-    "Precision": "repro.core.hyperparams",
+    "Precision": "repro.hardware.specs",
     "ResultCache": "repro.runtime.cache",
     "Session": "repro.runtime.session",
     "__version__": __name__,

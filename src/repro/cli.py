@@ -36,8 +36,7 @@ import gc
 import sys
 from typing import List, Optional
 
-from repro.core.hyperparams import Precision
-from repro.hardware.specs import DEVICE_CATALOG
+from repro.hardware.specs import DEVICE_CATALOG, Precision
 
 __all__ = ["build_parser", "main"]
 

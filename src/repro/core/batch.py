@@ -58,25 +58,24 @@ from typing import (
 
 import numpy as np
 
-from repro.core.hyperparams import (
-    ModelConfig,
-    ParallelConfig,
-    Precision,
-)
 from repro.hardware.cluster import ClusterSpec
+from repro.hardware.specs import Precision
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
-from repro.models.graph import CommGroup, Phase
 from repro.models.layers import (
     COMM,
     ELEMENTWISE,
     GEMM,
+    CollectiveKind,
+    CommGroup,
     OpRecord,
+    Phase,
     layer_records,
 )
 from repro.sim import vectorized
 
 if TYPE_CHECKING:
     from repro.core.evolution import HardwareScenario
+    from repro.core.hyperparams import ModelConfig, ParallelConfig
     from repro.core.projection import OperatorModelSuite
     from repro.sim.breakdown import Breakdown
 
@@ -239,6 +238,8 @@ class ConfigGrid:
 
     def at(self, index: int) -> Tuple[ModelConfig, ParallelConfig]:
         """Scalar ``(model, parallel)`` pair of one grid entry."""
+        from repro.core.hyperparams import ModelConfig, ParallelConfig
+
         model = ModelConfig(
             name=f"batch-{index}",
             hidden=int(self.hidden[index]),
@@ -273,7 +274,6 @@ def _reads_dp(op: OpRecord) -> bool:
     return op.family == COMM and op.group is CommGroup.DP
 
 
-@dataclass(frozen=True, eq=False)
 class _DpFreeRows:
     """Runs of equal DP-free keys ``(H, SL, B, TP, heads, FFN)``.
 
@@ -283,8 +283,12 @@ class _DpFreeRows:
             own run and nothing needs compressing.
     """
 
-    starts: np.ndarray
-    inverse: Optional[np.ndarray]
+    __slots__ = ("starts", "inverse")
+
+    def __init__(self, starts: np.ndarray,
+                 inverse: Optional[np.ndarray]) -> None:
+        self.starts = starts
+        self.inverse = inverse
 
     @property
     def count(self) -> int:
@@ -544,7 +548,6 @@ def _project_slot(op: OpRecord, grid: ConfigGrid,
     """Projected duration array for one op (operator scaling laws)."""
     if op.family == COMM:
         from repro.core.projection import _ring_factor
-        from repro.models.graph import CollectiveKind
 
         reference = suite.collective_references[CollectiveKind.ALL_REDUCE]
         group = _group_sizes(grid, op)

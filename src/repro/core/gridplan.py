@@ -46,7 +46,7 @@ from typing import (
 import numpy as np
 
 from repro.core.batch import ConfigGrid
-from repro.core.hyperparams import Precision
+from repro.hardware.specs import Precision
 
 __all__ = [
     "GridConstraint",

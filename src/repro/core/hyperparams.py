@@ -10,9 +10,10 @@ communication operation in a Transformer layer:
 * ``TP`` -- tensor-parallel degree (number of devices a layer is split over).
 
 This module defines the validated configuration objects used by every other
-part of the library: :class:`ModelConfig` for the model architecture,
-:class:`ParallelConfig` for the distributed setup, and :class:`Precision`
-for the number format (Section 6.2).
+part of the library: :class:`ModelConfig` for the model architecture and
+:class:`ParallelConfig` for the distributed setup.  :class:`Precision`, the
+number format (Section 6.2), is re-exported from
+:mod:`repro.hardware.specs`, where the device FLOP ratings it keys live.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from typing import Optional
+
+from repro.hardware.specs import Precision
 
 
 class LayerType(enum.Enum):
@@ -33,40 +36,6 @@ class LayerType(enum.Enum):
     ENCODER = "encoder"
     DECODER = "decoder"
     ENCODER_DECODER = "encoder-decoder"
-
-
-class Precision(enum.Enum):
-    """Number formats used for weights/activations (Section 6.2).
-
-    ``bytes`` is the storage width used for communication-volume
-    accounting; compute-throughput scaling per format lives in the device
-    specs (``repro.hardware.specs``), since narrower formats typically scale
-    FLOPS super-linearly while communicated bytes scale only linearly.
-    """
-
-    FP32 = "fp32"
-    TF32 = "tf32"
-    BF16 = "bf16"
-    FP16 = "fp16"
-    FP8 = "fp8"
-
-    @property
-    def bytes(self) -> int:
-        """Storage width in bytes (TF32 is stored as 32-bit words)."""
-        return _PRECISION_BYTES[self]
-
-    @property
-    def bits(self) -> int:
-        return 8 * self.bytes
-
-
-_PRECISION_BYTES = {
-    Precision.FP32: 4,
-    Precision.TF32: 4,
-    Precision.BF16: 2,
-    Precision.FP16: 2,
-    Precision.FP8: 1,
-}
 
 
 def _require_positive(name: str, value: int) -> None:

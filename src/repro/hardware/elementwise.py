@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.hyperparams import Precision
 from repro.hardware.gemm import stable_unit_hash
-from repro.hardware.specs import DeviceSpec
+from repro.hardware.specs import DeviceSpec, Precision
 
 __all__ = [
     "ElementwiseTimingModel",

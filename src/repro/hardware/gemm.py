@@ -25,8 +25,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.hyperparams import Precision
-from repro.hardware.specs import DeviceSpec
+from repro.hardware.specs import DeviceSpec, Precision
 
 __all__ = ["GemmShape", "GemmTimingModel", "DEFAULT_GEMM_MODEL", "gemm_time"]
 

@@ -9,16 +9,21 @@ points.
 :class:`DeviceSpec` also supports synthetic scaling (``scaled()``), which is
 how the hardware-evolution analysis (Figures 12/13) builds future devices:
 compute FLOPS scaled by one factor and network bandwidth by another.
+
+:class:`Precision`, the number format that keys ``DeviceSpec.peak_flops``,
+is defined here rather than in :mod:`repro.core.hyperparams` (which
+re-exports it): the batch engine and the timing models need the format
+but never build a ``ModelConfig``, so they do not load that module.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping
 
-from repro.core.hyperparams import Precision
-
 __all__ = [
+    "Precision",
     "DeviceSpec",
     "DEVICE_CATALOG",
     "MI210",
@@ -28,6 +33,40 @@ __all__ = [
 
 _TERA = 1e12
 _GIGA = 1e9
+
+
+class Precision(enum.Enum):
+    """Number formats used for weights/activations (Section 6.2).
+
+    ``bytes`` is the storage width used for communication-volume
+    accounting; compute-throughput scaling per format lives in the device
+    specs (:attr:`DeviceSpec.peak_flops`), since narrower formats typically
+    scale FLOPS super-linearly while communicated bytes scale only linearly.
+    """
+
+    FP32 = "fp32"
+    TF32 = "tf32"
+    BF16 = "bf16"
+    FP16 = "fp16"
+    FP8 = "fp8"
+
+    @property
+    def bytes(self) -> int:
+        """Storage width in bytes (TF32 is stored as 32-bit words)."""
+        return _PRECISION_BYTES[self]
+
+    @property
+    def bits(self) -> int:
+        return 8 * self.bytes
+
+
+_PRECISION_BYTES = {
+    Precision.FP32: 4,
+    Precision.TF32: 4,
+    Precision.BF16: 2,
+    Precision.FP16: 2,
+    Precision.FP8: 1,
+}
 
 
 @dataclass(frozen=True)

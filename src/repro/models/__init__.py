@@ -5,12 +5,12 @@ offload, decode inference)."""
 from repro._lazy import lazy_namespace
 
 __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
-    "CollectiveKind": "repro.models.graph",
-    "CommGroup": "repro.models.graph",
+    "CollectiveKind": "repro.models.layers",
+    "CommGroup": "repro.models.layers",
     "CommOp": "repro.models.graph",
     "ElementwiseOp": "repro.models.graph",
     "GemmOp": "repro.models.graph",
-    "Phase": "repro.models.graph",
-    "SubLayer": "repro.models.graph",
+    "Phase": "repro.models.layers",
+    "SubLayer": "repro.models.layers",
     "Trace": "repro.models.graph",
 })

@@ -13,16 +13,22 @@ Ordering semantics (consumed by :mod:`repro.sim.executor`):
 * an *overlappable* communication op (e.g. a DP weight-gradient
   all-reduce) is issued to the communication stream once the preceding
   compute op finishes, and runs concurrently with later compute.
+
+The op labels :class:`Phase`, :class:`SubLayer`, :class:`CommGroup` and
+:class:`CollectiveKind` are defined in :mod:`repro.models.layers`, the
+operator table that uses them, and re-exported here: the batch engine
+reads the table without ever building a graph op, so it does not load
+this module.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.gemm import GemmShape
+from repro.models.layers import CollectiveKind, CommGroup, Phase, SubLayer
 
 __all__ = [
     "Phase",
@@ -35,41 +41,6 @@ __all__ = [
     "Op",
     "Trace",
 ]
-
-
-class Phase(enum.Enum):
-    """Training phase an operator belongs to."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
-class SubLayer(enum.Enum):
-    """Transformer sub-layer an operator belongs to (Section 2.1)."""
-
-    ATTENTION = "attention"
-    FC = "fc"
-    MOE = "moe"
-    OTHER = "other"
-
-
-class CommGroup(enum.Enum):
-    """Process group a collective runs over."""
-
-    TP = "tp"
-    DP = "dp"
-    EP = "ep"
-    PP = "pp"
-
-
-class CollectiveKind(enum.Enum):
-    """Collective operation kinds (Section 2.3)."""
-
-    ALL_REDUCE = "all-reduce"
-    REDUCE_SCATTER = "reduce-scatter"
-    ALL_GATHER = "all-gather"
-    ALL_TO_ALL = "all-to-all"
-    P2P = "p2p"
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,13 @@ below and the traces of :mod:`repro.models.trace`) and on the int64
 columns of a :class:`repro.core.batch.ConfigGrid` (:func:`layer_records`,
 for the batch engine, the prune bounds and the differential checker).
 
+The op labels (:class:`Phase`, :class:`SubLayer`, :class:`CommGroup`,
+:class:`CollectiveKind`) are defined here, next to the table that uses
+them, and re-exported by :mod:`repro.models.graph`.  The graph op
+classes are imported only by the scalar builders that construct them,
+and the config classes only for annotations, so evaluating the table on
+a grid loads neither module.
+
 The test suite cross-checks these shape-accurate counts against the
 paper-equation forms in :mod:`repro.core.flops`, which the table does not
 feed.
@@ -36,23 +43,31 @@ feed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
-
-from repro.core.hyperparams import ModelConfig, ParallelConfig, Precision
-from repro.hardware.gemm import GemmShape
-from repro.models import sharding
-from repro.models.graph import (
-    CollectiveKind,
-    CommGroup,
-    CommOp,
-    ElementwiseOp,
-    GemmOp,
-    Op,
-    Phase,
-    SubLayer,
+import enum
+import functools
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
 )
 
+from repro.models import sharding
+
+if TYPE_CHECKING:
+    from repro.core.hyperparams import ModelConfig, ParallelConfig
+    from repro.hardware.specs import Precision
+    from repro.models.graph import GemmOp, Op
+
 __all__ = [
+    "Phase",
+    "SubLayer",
+    "CommGroup",
+    "CollectiveKind",
     "GEMM",
     "ELEMENTWISE",
     "COMM",
@@ -70,6 +85,42 @@ __all__ = [
     "attention_weight_bytes",
     "fc_weight_bytes",
 ]
+
+
+class Phase(enum.Enum):
+    """Training phase an operator belongs to."""
+
+    FORWARD = "forward"
+    BACKWARD = "backward"
+
+
+class SubLayer(enum.Enum):
+    """Transformer sub-layer an operator belongs to (Section 2.1)."""
+
+    ATTENTION = "attention"
+    FC = "fc"
+    MOE = "moe"
+    OTHER = "other"
+
+
+class CommGroup(enum.Enum):
+    """Process group a collective runs over."""
+
+    TP = "tp"
+    DP = "dp"
+    EP = "ep"
+    PP = "pp"
+
+
+class CollectiveKind(enum.Enum):
+    """Collective operation kinds (Section 2.3)."""
+
+    ALL_REDUCE = "all-reduce"
+    REDUCE_SCATTER = "reduce-scatter"
+    ALL_GATHER = "all-gather"
+    ALL_TO_ALL = "all-to-all"
+    P2P = "p2p"
+
 
 #: Operator families of :attr:`OpRecord.family`.
 GEMM = "gemm"
@@ -97,6 +148,20 @@ class LayerDims(NamedTuple):
     def of(cls, model: ModelConfig, parallel: ParallelConfig) -> "LayerDims":
         return cls(model.hidden, model.seq_len, model.batch, model.num_heads,
                    model.ffn_dim, parallel.tp, parallel.dp, model.precision)
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_classes() -> Tuple[type, type, type, type]:
+    """``(GemmShape, GemmOp, ElementwiseOp, CommOp)``, imported on first
+    use: only the scalar builders construct graph ops, so evaluating the
+    table on a grid never loads :mod:`repro.models.graph`.  Cached
+    because the builders call it once per op, and a function-level
+    import statement costs microseconds even when the module is loaded.
+    """
+    from repro.hardware.gemm import GemmShape
+    from repro.models.graph import CommOp, ElementwiseOp, GemmOp
+
+    return GemmShape, GemmOp, ElementwiseOp, CommOp
 
 
 class OpRecord(NamedTuple):
@@ -128,6 +193,7 @@ class OpRecord(NamedTuple):
 
     def to_op(self, layer: int = 0) -> Op:
         """The scalar graph op of an int-valued record."""
+        GemmShape, GemmOp, ElementwiseOp, CommOp = _graph_classes()
         if self.family == GEMM:
             return GemmOp(
                 name=self.name,
@@ -434,6 +500,7 @@ def backward_gemms_for(op: GemmOp) -> List[GemmOp]:
     Both cost exactly the forward GEMM's FLOPs; the shapes come from the
     same transposition rule as the op table's backward pass.
     """
+    GemmShape, GemmOp, _, _ = _graph_classes()
     s = op.shape
     return [
         GemmOp(

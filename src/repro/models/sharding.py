@@ -17,7 +17,10 @@ state partitioning used by the memory model (Section 6.1.3 context).
 
 from __future__ import annotations
 
-from repro.core.hyperparams import ModelConfig, ParallelConfig
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.hyperparams import ModelConfig, ParallelConfig
 
 __all__ = [
     "shard_dim",

@@ -53,6 +53,7 @@ from typing import (
     Deque,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -125,8 +126,7 @@ class SweepResult:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _SweepContext:
+class _SweepContext(NamedTuple):
     """Everything a worker needs, shipped once per process at startup."""
 
     spec: GridSpec

@@ -51,7 +51,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.hyperparams import Precision
 from repro.hardware import collectives
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.collectives import (
@@ -61,7 +60,7 @@ from repro.hardware.collectives import (
 from repro.hardware.elementwise import ElementwiseTimingModel
 from repro.hardware.gemm import GemmTimingModel
 from repro.hardware.network import Link
-from repro.hardware.specs import DeviceSpec
+from repro.hardware.specs import DeviceSpec, Precision
 
 __all__ = [
     "Choice",

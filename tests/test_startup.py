@@ -33,14 +33,24 @@ EXPERIMENT_SUPPORT = {"repro.experiments.base", "repro.experiments.registry"}
 #: never runs.
 NOT_IN_REPLAY = ("repro.core.projection", "repro.sim.executor",
                  "repro.sim.engine", "repro.sim.profiler",
-                 "repro.models.graph", "repro.models.trace")
+                 "repro.models.graph", "repro.models.trace",
+                 "repro.core.hyperparams")
 
 #: Layers an execute-mode search never runs: it times operators with the
 #: batch engine and neither fits, projects, schedules nor renders an
-#: experiment.
+#: experiment, and it builds no graph op, ``ModelConfig`` or
+#: ``ParallelConfig``.
 NOT_IN_SEARCH = ("repro.core.projection", "repro.core.evolution",
                  "repro.sim.engine", "repro.sim.profiler",
-                 "repro.models.trace", "repro.experiments.base")
+                 "repro.models.trace", "repro.experiments.base",
+                 "repro.models.graph", "repro.core.hyperparams")
+
+#: Most ``repro`` dataclasses a fresh process may define for a command.
+#: Each one costs about a millisecond of ``exec`` at import.  A pruned
+#: search adds the bound records of ``repro.core.bounds``.
+SEARCH_DATACLASSES = 24
+PRUNED_SEARCH_DATACLASSES = 26
+REPLAY_DATACLASSES = 12
 
 #: A small search whose reducers all prune.
 SEARCH = ["search", "--hidden", "1024,2048", "--seq-len", "512",
@@ -50,20 +60,48 @@ PACKAGES = ("repro", "repro.core", "repro.sim", "repro.runtime",
             "repro.hardware", "repro.models", "repro.experiments")
 
 
-def _loaded(code: str, env: Optional[Dict[str, str]] = None) -> Set[str]:
-    """``sys.modules`` after running ``code`` in a fresh interpreter."""
+def _fresh(code: str, report: str,
+           env: Optional[Dict[str, str]] = None) -> object:
+    """Run ``code`` then ``report`` in a fresh interpreter and return
+    the JSON that ``report`` prints."""
     child_env = {key: value for key, value in os.environ.items()
                  if not key.startswith("REPRO_")}
     child_env["PYTHONPATH"] = str(SRC)
     child_env.update(env or {})
-    script = (code + "\nimport json, sys\n"
-              "print(json.dumps(sorted(sys.modules)))\n")
     completed = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=300, env=child_env,
+        [sys.executable, "-c", code + "\nimport json, sys\n" + report],
+        capture_output=True, text=True, timeout=300, env=child_env,
     )
     assert completed.returncode == 0, completed.stderr
-    return set(json.loads(completed.stdout.splitlines()[-1]))
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _loaded(code: str, env: Optional[Dict[str, str]] = None) -> Set[str]:
+    """``sys.modules`` after running ``code`` in a fresh interpreter."""
+    return set(_fresh(code, "print(json.dumps(sorted(sys.modules)))\n",
+                      env))
+
+
+#: Lists the ``repro`` dataclasses alive in the interpreter, which are
+#: all it defined: a module keeps its classes alive.
+_LIST_DATACLASSES = """
+found, seen, stack = [], set(), [object]
+while stack:
+    for cls in type.__subclasses__(stack.pop()):
+        if id(cls) not in seen:
+            seen.add(id(cls))
+            stack.append(cls)
+            if (cls.__module__.startswith("repro")
+                    and "__dataclass_fields__" in vars(cls)):
+                found.append(f"{cls.__module__}.{cls.__qualname__}")
+print(json.dumps(sorted(found)))
+"""
+
+
+def _dataclasses(code: str) -> List[str]:
+    """The ``repro`` dataclasses defined by running ``code`` in a fresh
+    interpreter."""
+    return _fresh(code, _LIST_DATACLASSES)
 
 
 def _main(argv: List[str]) -> str:
@@ -80,6 +118,32 @@ def _assert_light(modules: Set[str]) -> None:
     runners = {name for name in modules
                if name.startswith("repro.experiments.")}
     assert runners <= EXPERIMENT_SUPPORT
+
+
+class TestDataclassBudget:
+    """Every dataclass compiles its generated methods at import, so the
+    classes a command defines are part of what it waits for."""
+
+    @pytest.mark.parametrize("extra, budget", [
+        ([], SEARCH_DATACLASSES),
+        (["--prune"], PRUNED_SEARCH_DATACLASSES),
+    ], ids=["exhaustive", "prune"])
+    def test_execute_search(self, tmp_path, extra, budget):
+        defined = _dataclasses(_main(SEARCH + extra + [
+            "-o", str(tmp_path / "search.txt")]))
+        assert "repro.core.batch.ConfigGrid" in defined
+        assert len(defined) <= budget, defined
+
+    def test_warm_experiment_replay(self, tmp_path):
+        from repro.cli import main
+
+        argv = ["experiment", "table-2", "--cache-dir",
+                str(tmp_path / "cache")]
+        assert main(argv + ["-o", str(tmp_path / "cold.txt")]) == 0
+        defined = _dataclasses(_main(argv + [
+            "-o", str(tmp_path / "warm.txt")]))
+        assert "repro.experiments.base.ExperimentResult" in defined
+        assert len(defined) <= REPLAY_DATACLASSES, defined
 
 
 class TestColdImports:
@@ -264,6 +328,16 @@ class TestLazyNamespaces:
 
         assert repro.core.batch_execute is batch_execute
         assert repro.sim.check_enabled is flag is check_enabled
+
+    def test_moved_names_keep_their_old_paths(self):
+        from repro.core import hyperparams
+        from repro.hardware import specs
+        from repro.models import graph, layers
+
+        assert hyperparams.Precision is specs.Precision is repro.Precision
+        for name in ("Phase", "SubLayer", "CommGroup", "CollectiveKind"):
+            assert (getattr(graph, name) is getattr(layers, name)
+                    is getattr(repro.models, name)), name
 
     def test_submodules_resolve_as_attributes(self):
         assert repro.core.__getattr__("flops") is importlib.import_module(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.batch import ConfigGrid
 from repro.core.hyperparams import Precision
@@ -50,8 +51,11 @@ def _void_unique(*columns: np.ndarray):
 
 
 #: Narrow, mid-width and full-range values: many ties, wide gaps and
-#: the int64 extremes.
+#: the int64 extremes, plus values that equal the narrow ones in their
+#: low 32 bits.
 _VALUES = (st.integers(min_value=-3, max_value=3)
+           | st.integers(min_value=-3, max_value=3).map(
+               lambda value: value + (1 << 32))
            | st.integers(min_value=0, max_value=1 << 40)
            | st.integers(min_value=np.iinfo(np.int64).min,
                          max_value=np.iinfo(np.int64).max))
@@ -59,11 +63,17 @@ _VALUES = (st.integers(min_value=-3, max_value=3)
 
 @st.composite
 def _key_columns(draw):
+    """1-4 int64 key columns of 0-40 rows, every cell taken from one
+    pool of at most 8 values: a small pool makes ties, equal columns and
+    repeated rows common, and drawing one index array is much cheaper
+    than drawing every cell's value."""
     width = draw(st.integers(min_value=1, max_value=4))
     length = draw(st.integers(min_value=0, max_value=40))
-    rows = draw(st.lists(st.tuples(*[_VALUES] * width),
-                         min_size=length, max_size=length))
-    table = np.array(rows, dtype=np.int64).reshape(length, width)
+    pool = np.array(draw(st.lists(_VALUES, min_size=1, max_size=8)),
+                    dtype=np.int64)
+    index = draw(arrays(np.intp, (length, width),
+                        elements=st.integers(0, len(pool) - 1)))
+    table = pool[index]
     return [np.ascontiguousarray(table[:, i]) for i in range(width)]
 
 
