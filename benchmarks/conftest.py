@@ -13,8 +13,8 @@ fixture (keyed by entry name; the batch-vs-scalar cold-grid timings
 live there).  Entries from earlier runs that this run did not produce
 are kept.  Every entry this run writes carries a ``run`` stamp: git
 revision, whether the tree had uncommitted changes (benches usually
-run before the commit they measure), ``os.cpu_count()``, Python
-version and engine, so committed numbers are traceable.
+run before the commit they measure), ``os.cpu_count()`` and Python
+version, so committed numbers are traceable.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _run_stamp() -> dict:
         "git_dirty": dirty,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
-        "engine": os.environ.get("REPRO_ENGINE", "auto"),
     }
 
 

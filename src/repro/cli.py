@@ -115,12 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--meta", action="store_true",
                             help="append run metadata (wall time, cache "
                                  "hit/miss, session fingerprint)")
-    experiment.add_argument("--engine", choices=("auto", "scalar", "batch"),
-                            default="auto",
-                            help="sweep evaluation engine: the vectorized "
-                                 "batch engine, the per-config scalar "
-                                 "reference, or auto (batch with scalar "
-                                 "fallback; default)")
     experiment.add_argument("--check", action="store_true",
                             help="validate every executed schedule and "
                                  "batched breakdown against the engine "
@@ -351,19 +345,17 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _experiment_session(args: argparse.Namespace):
     """The session an ``experiment`` invocation runs under.
 
-    A ``--cache-dir``, non-default ``--engine``, or ``--check`` builds a
-    dedicated session; otherwise the process-wide shared session
-    (memory-only cache, memoized suite fits) is used.
+    A ``--cache-dir`` or ``--check`` builds a dedicated session;
+    otherwise the process-wide shared session (memory-only cache,
+    memoized suite fits) is used.
     """
     from repro.runtime.session import Session, get_session
 
-    engine = getattr(args, "engine", "auto")
     check = True if getattr(args, "check", False) else None
     if args.cache_dir:
-        return Session(cache_dir=args.cache_dir, engine=engine,
-                       check=check)
-    if engine != "auto" or check:
-        return Session(engine=engine, check=check)
+        return Session(cache_dir=args.cache_dir, check=check)
+    if check:
+        return Session(check=check)
     return get_session()
 
 

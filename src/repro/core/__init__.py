@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "Violation": "repro.core.invariants",
     "amdahl_edge": "repro.core.edge",
     "batch_execute": "repro.core.batch",
-    "batch_overlap_roi": "repro.core.batch",
     "batch_project": "repro.core.batch",
     "batch_violations": "repro.core.invariants",
     "best_plan": "repro.core.autotune",
@@ -29,7 +28,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "execution_violations": "repro.core.invariants",
     "fit_operator_models": "repro.core.projection",
     "schedule_violations": "repro.core.invariants",
-    "serialized_fractions_for_pairs": "repro.core.batch",
     "overlap_roi_timing": "repro.core.roi",
     "required_tp": "repro.core.scaling",
     "slack_advantage": "repro.core.slack",

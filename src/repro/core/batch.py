@@ -1,7 +1,7 @@
 """Batch projection engine: whole sweep grids as NumPy arrays.
 
-The scalar path pays a per-configuration Python tax: every grid point of
-the Figure 10-13 sweeps builds a per-op :class:`~repro.models.graph.Trace`
+The scalar path pays a per-configuration Python tax: every point of a
+design-space sweep builds a per-op :class:`~repro.models.graph.Trace`
 and runs the discrete-event scheduler.  But a Transformer layer's trace
 has *fixed structure* for a given parallelism parity -- the same ~34
 operators in the same order, only the shapes change -- so a whole grid
@@ -37,10 +37,12 @@ can be evaluated at once:
   and only the DP all-reduce chain per row; only the checker's per-op
   view (:func:`_slot_durations`) gathers durations back per row.
 
-The scalar engine stays the reference implementation and the fallback
-for irregular traces (multi-layer pipelines, MoE, mixed precisions);
-checker layer 4 (:mod:`repro.sim.checker`) compares the two engines op
-by op.
+The scalar engine stays the reference implementation, the path for
+irregular traces (multi-layer pipelines, MoE, mixed precisions) and the
+only path of the paper's experiments that time a few dozen points
+(Figures 10-13, Table 2), where NumPy's import would cost more than the
+grid saves; checker layer 4 (:mod:`repro.sim.checker`) compares the two
+engines op by op.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from repro.models.layers import (
     CollectiveKind,
     CommGroup,
     OpRecord,
-    Phase,
     layer_records,
 )
 from repro.sim import vectorized
@@ -84,8 +85,6 @@ __all__ = [
     "BatchBreakdown",
     "batch_execute",
     "batch_project",
-    "batch_overlap_roi",
-    "serialized_fractions_for_pairs",
 ]
 
 
@@ -141,57 +140,6 @@ class ConfigGrid:
 
     def __len__(self) -> int:
         return int(self.hidden.shape[0])
-
-    @classmethod
-    def from_serialized(
-        cls,
-        configs: Sequence[Tuple[int, int, int]],
-        batch: int = 1,
-        precision: Precision = Precision.FP16,
-    ) -> "ConfigGrid":
-        """Grid for ``(hidden, seq_len, tp)`` serialized-sweep configs.
-
-        Mirrors :func:`repro.experiments.sweeps.serialized_model`: head
-        count from :func:`repro.core.strategy.sweep_num_heads`, DP = 1.
-        """
-        hidden = _column([c[0] for c in configs], "hidden")
-        seq_len = _column([c[1] for c in configs], "seq_len")
-        tp = _column([c[2] for c in configs], "tp")
-        num_heads = np.maximum(tp, np.maximum(1, hidden // 128))
-        return cls(
-            hidden=hidden,
-            seq_len=seq_len,
-            batch=np.full_like(hidden, batch),
-            tp=tp,
-            dp=np.ones_like(hidden),
-            num_heads=num_heads,
-            ffn_dim=4 * hidden,
-            precision=precision,
-        )
-
-    @classmethod
-    def from_overlap(
-        cls,
-        points: Sequence[Tuple[int, int]],
-        tp: int = 16,
-        dp: int = 16,
-        precision: Precision = Precision.FP16,
-    ) -> "ConfigGrid":
-        """Grid for ``(hidden, slb)`` overlap-sweep points (B = 1)."""
-        hidden = _column([p[0] for p in points], "hidden")
-        seq_len = _column([p[1] for p in points], "seq_len")
-        tp_col = np.full_like(hidden, tp)
-        num_heads = np.maximum(tp_col, np.maximum(1, hidden // 128))
-        return cls(
-            hidden=hidden,
-            seq_len=seq_len,
-            batch=np.ones_like(hidden),
-            tp=tp_col,
-            dp=np.full_like(hidden, dp),
-            num_heads=num_heads,
-            ffn_dim=4 * hidden,
-            precision=precision,
-        )
 
     @classmethod
     def from_models(
@@ -589,69 +537,3 @@ def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
     kinds = [_slot_kind(op) for op in ops]
     return BatchBreakdown(*vectorized.closed_form_breakdown(kinds,
                                                             durations))
-
-
-def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
-                      timing: TimingModels = DEFAULT_TIMING
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """ROI compute/comm time arrays (Figure 11/13 numerator/denominator).
-
-    Equivalent to :func:`repro.core.roi.overlap_roi_timing` per entry:
-    sums the backprop weight-bearing IG/WG GEMM times and the
-    overlappable gradient all-reduce times in trace order.  The ops are
-    timed as in :func:`batch_execute`.
-
-    Raises:
-        ValueError: if any entry has DP = 1 (no overlappable comm; same
-            contract as the scalar ROI extraction).
-    """
-    if (grid.dp <= 1).any():
-        raise ValueError(
-            "trace has no overlappable communication; the overlap ROI is "
-            "only defined for data-parallel setups (DP > 1)"
-        )
-    ops = [op for op in _layer_ops(grid)
-           if (op.family == COMM and op.overlappable)
-           or (op.family == GEMM and op.has_weights
-               and op.phase is Phase.BACKWARD)]
-    rows = _dp_free_rows(grid)
-    compute = np.zeros(rows.count, dtype=np.float64)
-    comm = np.zeros(len(grid), dtype=np.float64)
-    for op, duration in zip(ops, _op_durations(ops, grid, rows, cluster,
-                                               timing)):
-        if op.family == GEMM:
-            compute = compute + duration
-        else:
-            comm = comm + duration
-    return rows.expand(compute), comm
-
-
-def serialized_fractions_for_pairs(
-    pairs: Sequence[Tuple[ModelConfig, ParallelConfig]],
-    cluster: ClusterSpec,
-    timing: TimingModels = DEFAULT_TIMING,
-    engine: str = "auto",
-) -> List[float]:
-    """Serialized-comm fractions for explicit ``(model, parallel)`` pairs.
-
-    Batch path with automatic scalar fallback on the ``ValueError`` of a
-    grid-ineligible input (mixed precisions, a TP that does not divide);
-    any other error propagates.  ``engine="batch"`` re-raises instead of
-    falling back, ``engine="scalar"`` skips the batch path entirely.
-    """
-    if engine != "scalar":
-        try:
-            grid = ConfigGrid.from_models(pairs)
-            breakdown = batch_execute(grid, cluster, timing)
-            return [float(f) for f in breakdown.serialized_comm_fraction]
-        except ValueError:
-            if engine == "batch":
-                raise
-    from repro.models.trace import layer_trace
-    from repro.sim.executor import execute_trace
-
-    return [
-        execute_trace(layer_trace(model, parallel), cluster,
-                      timing).breakdown.serialized_comm_fraction
-        for model, parallel in pairs
-    ]

@@ -8,7 +8,7 @@ communication share on today's testbed and on 4x flop-vs-bw hardware.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core import forecast, scaling
 from repro.core.evolution import PAPER_SCENARIOS
@@ -24,32 +24,36 @@ __all__ = ["run", "main"]
 
 def run(cluster: Optional[ClusterSpec] = None,
         start_year: int = 2023, end_year: int = 2027,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Analyze forecasted future Transformers year by year.
 
-    The yearly configurations are evaluated as one batched grid per
-    cluster (today's and the 4x-scaled one); ``engine="scalar"`` forces
-    the per-config reference path.
+    Each yearly configuration runs once on today's cluster and once on
+    the 4x-scaled one, as scalar executions (through
+    :meth:`~repro.runtime.session.Session.execute` when a session is
+    given).
     """
-    from repro.core.batch import serialized_fractions_for_pairs
-    from repro.experiments.sweeps import _resolve_engine
+    from repro.models.trace import layer_trace
+    from repro.sim.executor import execute_trace
 
     if cluster is None:
         cluster = session.cluster if session is not None else mi210_node()
-    resolved = _resolve_engine(engine, session)
+    execute = session.execute if session is not None else execute_trace
     fourx = PAPER_SCENARIOS[2].apply(cluster)
     models = list(forecast.forecast_series(start_year, end_year))
     pairs = []
     for model in models:
         tp = min(scaling.required_tp(model, max_tp=256), model.num_heads)
         pairs.append((model, ParallelConfig(tp=tp, dp=1)))
-    today_fractions = serialized_fractions_for_pairs(
-        pairs, cluster, engine=resolved
-    )
-    future_fractions = serialized_fractions_for_pairs(
-        pairs, fourx, engine=resolved
-    )
+
+    def fractions(target: ClusterSpec) -> List[float]:
+        return [
+            execute(layer_trace(model, parallel),
+                    target).breakdown.serialized_comm_fraction
+            for model, parallel in pairs
+        ]
+
+    today_fractions = fractions(cluster)
+    future_fractions = fractions(fourx)
     rows = []
     for (model, parallel), today, future in zip(pairs, today_fractions,
                                                 future_fractions):

@@ -41,8 +41,7 @@ FOCUS_CONFIG: Tuple[int, int, int] = (16384, 2048, 64)
 
 def run(pairs: Sequence[Tuple[str, str]] = GENERATION_PAIRS,
         cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Per-generation compute vs network scaling ratios."""
     from repro.experiments import sweeps
 
@@ -58,10 +57,9 @@ def run(pairs: Sequence[Tuple[str, str]] = GENERATION_PAIRS,
             compute_scale=compute,
             network_scale=network,
         )
-        fraction = sweeps.serialized_sweep(
-            [FOCUS_CONFIG], cluster, scenario=scenario, session=session,
-            engine=engine,
-        )[0]
+        fraction = sweeps.serialized_fraction(
+            *FOCUS_CONFIG, cluster, scenario=scenario, session=session,
+        )
         rows.append((
             f"{old_name} -> {new_name}",
             f"{old.year} -> {new.year}",

@@ -24,8 +24,7 @@ __all__ = ["run", "main"]
 
 def run(cluster: Optional[ClusterSpec] = None,
         suite: Optional[OperatorModelSuite] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Reproduce the Figure 10 sweep.
 
     Args:
@@ -33,10 +32,8 @@ def run(cluster: Optional[ClusterSpec] = None,
         suite: Pass a fitted operator-model suite to produce the figure
             via projection (the paper's exact pipeline) instead of
             ground-truth simulation.
-        session: Runtime session supplying the default cluster, engine
-            and ``check`` flag (default: the shared session).
-        engine: Sweep engine override (``"auto"``/``"scalar"``/
-            ``"batch"``; default: the session's engine).
+        session: Runtime session supplying the default cluster and
+            ``check`` flag (default: the shared session).
     """
     from repro.runtime.session import resolve_session
 
@@ -47,7 +44,7 @@ def run(cluster: Optional[ClusterSpec] = None,
             for tp in sweeps.TP_DEGREES]
     fractions = sweeps.serialized_sweep(
         [(line.hidden, line.seq_len, tp) for line, tp in grid],
-        cluster, suite=suite, session=session, engine=engine,
+        cluster, suite=suite, session=session,
     )
     rows = []
     for (line, tp), fraction in zip(grid, fractions):

@@ -22,8 +22,7 @@ __all__ = ["run", "main"]
 
 
 def run(cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Reproduce the Figure 11 sweep."""
     from repro.runtime.session import resolve_session
 
@@ -32,8 +31,7 @@ def run(cluster: Optional[ClusterSpec] = None,
     points = [(hidden, slb)
               for hidden in sweeps.OVERLAP_H_VALUES
               for slb in sweeps.OVERLAP_SLB_VALUES]
-    ratios = sweeps.overlap_sweep(points, cluster, session=session,
-                                  engine=engine)
+    ratios = sweeps.overlap_sweep(points, cluster)
     rows = []
     for (hidden, slb), ratio in zip(points, ratios):
         rows.append((

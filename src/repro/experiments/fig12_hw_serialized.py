@@ -25,45 +25,25 @@ def run(
     cluster: Optional[ClusterSpec] = None,
     scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     session: Optional["Session"] = None,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
-    """Reproduce the Figure 12 scenario sweep.
-
-    The grid runs as one :func:`~repro.experiments.sweeps.serialized_sweep`
-    per scenario (each scenario scales the cluster differently), so the
-    batch engine evaluates all highlighted configurations of a scenario
-    at once.
-    """
+    """Reproduce the Figure 12 scenario sweep."""
     from repro.runtime.session import resolve_session
 
     session = resolve_session(session)
     cluster = cluster or session.cluster
-    highlighted = [
-        (line, tp)
+    grid = [
+        (line, tp, scenario)
         for line in sweeps.SERIALIZED_LINES
         for hidden, tp in sweeps.HIGHLIGHTED_CONFIGS
         if hidden == line.hidden
-    ]
-    configs = [(line.hidden, line.seq_len, tp) for line, tp in highlighted]
-    by_scenario = {
-        scenario: sweeps.serialized_sweep(
-            configs, cluster, scenario=scenario, session=session,
-            engine=engine,
-        )
-        for scenario in scenarios
-    }
-    grid = [
-        (line, tp, scenario)
-        for line, tp in highlighted
-        for scenario in scenarios
-    ]
-    fractions = [
-        by_scenario[scenario][config_index]
-        for config_index, (line, tp) in enumerate(highlighted)
         for scenario in scenarios
     ]
     rows = []
-    for (line, tp, scenario), fraction in zip(grid, fractions):
+    for line, tp, scenario in grid:
+        fraction = sweeps.serialized_fraction(
+            line.hidden, line.seq_len, tp, cluster, scenario=scenario,
+            session=session,
+        )
         rows.append((
             line.label,
             tp,

@@ -29,7 +29,6 @@ def run(
     scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     slb: int = FOCUS_SLB,
     session: Optional["Session"] = None,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Reproduce the Figure 13 scenario sweep.
 
@@ -43,8 +42,7 @@ def run(
     session = resolve_session(session)
     cluster = cluster or session.cluster
     points = [(hidden, slb) for hidden in sweeps.OVERLAP_H_VALUES]
-    base = sweeps.overlap_sweep(points, cluster, session=session,
-                                engine=engine)
+    base = sweeps.overlap_sweep(points, cluster)
     rows = []
     for hidden, ratio in zip(sweeps.OVERLAP_H_VALUES, base):
         for scenario in scenarios:

@@ -5,10 +5,13 @@ sized after T-NLG, PaLM, and a 3x-PaLM futuristic Transformer -- across
 TP degrees; the overlapped-communication figures sweep H against the
 ``SL * B`` product at the paper's fixed TP of 16.
 
-When a runtime :class:`~repro.runtime.session.Session` is passed in,
-it picks the default engine and validates ground-truth runs under its
-``check`` flag; nothing below a whole experiment result is cached.  The
-``*_sweep`` helpers return results in input order.
+Every helper evaluates its configurations one by one on the scalar
+reference path: the sweeps are at most a few dozen points, too few for
+the batch engine's NumPy import to pay for itself.  When a runtime
+:class:`~repro.runtime.session.Session` is passed in, ground-truth runs
+are validated under its ``check`` flag; nothing below a whole experiment
+result is cached.  The ``*_sweep`` helpers return results in input
+order.
 """
 
 from __future__ import annotations
@@ -44,21 +47,6 @@ __all__ = [
     "overlap_ratio",
     "overlap_sweep",
 ]
-
-ENGINES = ("auto", "scalar", "batch")
-
-
-def _resolve_engine(engine: Optional[str],
-                    session: Optional["Session"]) -> str:
-    """Effective engine choice: explicit argument, else the session's."""
-    if engine is None:
-        engine = "auto"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine == "auto" and session is not None:
-        return session.engine
-    return engine
-
 
 @dataclass(frozen=True)
 class SerializedLine:
@@ -148,29 +136,6 @@ def serialized_fraction(
     return result.breakdown.serialized_comm_fraction
 
 
-def _serialized_sweep_batch(
-    configs: Sequence[Tuple[int, int, int]],
-    cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario],
-    suite: Optional[OperatorModelSuite],
-    timing: TimingModels,
-    session: Optional["Session"],
-) -> List[float]:
-    """Batched serialized sweep (bit-identical to the scalar path)."""
-    from repro.core.batch import ConfigGrid, batch_execute, batch_project
-
-    grid = ConfigGrid.from_serialized(configs)
-    if suite is not None:
-        breakdown = batch_project(grid, suite, scenario=scenario)
-    else:
-        target = scenario.apply(cluster) if scenario else cluster
-        if session is not None:
-            breakdown = session.batch(grid, target, timing)
-        else:
-            breakdown = batch_execute(grid, target, timing)
-    return [float(f) for f in breakdown.serialized_comm_fraction]
-
-
 def serialized_sweep(
     configs: Sequence[Tuple[int, int, int]],
     cluster: ClusterSpec,
@@ -178,26 +143,9 @@ def serialized_sweep(
     suite: Optional[OperatorModelSuite] = None,
     timing: TimingModels = DEFAULT_TIMING,
     session: Optional["Session"] = None,
-    engine: Optional[str] = None,
 ) -> List[float]:
-    """Serialized fractions for a grid of ``(hidden, seq_len, tp)``.
-
-    With the batch engine (the default via ``"auto"``), the whole grid
-    is evaluated at once through :mod:`repro.core.batch`; results are
-    bit-identical to the scalar path.  ``"auto"`` falls back to the
-    scalar path only on the ``ValueError`` of a grid-ineligible input;
-    any other batch error propagates.  ``engine="scalar"`` forces the
-    per-config reference path, which evaluates configurations one by
-    one.  Fractions come back in input order either way.
-    """
-    resolved = _resolve_engine(engine, session)
-    if resolved != "scalar":
-        try:
-            return _serialized_sweep_batch(configs, cluster, scenario,
-                                           suite, timing, session)
-        except ValueError:
-            if resolved == "batch":
-                raise
+    """Serialized fractions for a grid of ``(hidden, seq_len, tp)``,
+    one :func:`serialized_fraction` per configuration, in input order."""
     return [
         serialized_fraction(hidden, seq_len, tp, cluster,
                             scenario=scenario, suite=suite, timing=timing,
@@ -240,48 +188,14 @@ def overlap_ratio(
     return ratio
 
 
-def _overlap_sweep_batch(
-    points: Sequence[Tuple[int, int]],
-    cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario],
-    timing: TimingModels,
-) -> List[float]:
-    """Batched overlap sweep (bit-identical to the scalar path)."""
-    from repro.core.batch import ConfigGrid, batch_overlap_roi
-
-    grid = ConfigGrid.from_overlap(points, tp=OVERLAP_TP, dp=OVERLAP_DP)
-    compute_time, comm_time = batch_overlap_roi(grid, cluster, timing)
-    ratios = [
-        float("inf") if c == 0 else float(r / c)
-        for r, c in zip(comm_time, compute_time)
-    ]
-    if scenario is not None:
-        factor = scenario.compute_scale / scenario.network_scale
-        ratios = [ratio * factor for ratio in ratios]
-    return ratios
-
-
 def overlap_sweep(
     points: Sequence[Tuple[int, int]],
     cluster: ClusterSpec,
     scenario: Optional[HardwareScenario] = None,
     timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
-    engine: Optional[str] = None,
 ) -> List[float]:
-    """Overlap ratios for a grid of ``(hidden, slb)`` points.
-
-    Batch-engine contract mirrors :func:`serialized_sweep` (whole grid
-    at once, bit-identical, scalar fallback); the scalar path evaluates
-    points one by one, results in input order.
-    """
-    resolved = _resolve_engine(engine, session)
-    if resolved != "scalar":
-        try:
-            return _overlap_sweep_batch(points, cluster, scenario, timing)
-        except ValueError:
-            if resolved == "batch":
-                raise
+    """Overlap ratios for a grid of ``(hidden, slb)`` points, one
+    :func:`overlap_ratio` per point, in input order."""
     return [
         overlap_ratio(hidden, slb, cluster, scenario=scenario,
                       timing=timing)

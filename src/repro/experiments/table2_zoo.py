@@ -30,25 +30,29 @@ def _feasible_tp(model) -> int:
 
 
 def run(cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Reproduce Table 2 with a computed-vs-reported size cross-check.
 
     Extends the paper's table with each model's feasible TP degree on
     the MI210 testbed and the serialized-communication share it would
-    see there, evaluated as one batched grid across the zoo.
+    see there, one scalar execution per model (through
+    :meth:`~repro.runtime.session.Session.execute` when a session is
+    given).
     """
-    from repro.core.batch import serialized_fractions_for_pairs
-    from repro.experiments.sweeps import _resolve_engine
+    from repro.models.trace import layer_trace
+    from repro.sim.executor import execute_trace
 
     if cluster is None:
         cluster = session.cluster if session is not None else mi210_node()
-    resolved = _resolve_engine(engine, session)
+    execute = session.execute if session is not None else execute_trace
     models = [zoo.MODEL_ZOO[entry["model"]] for entry in zoo.zoo_table()]
     pairs = [(model, ParallelConfig(tp=_feasible_tp(model), dp=1))
              for model in models]
-    fractions = serialized_fractions_for_pairs(pairs, cluster,
-                                               engine=resolved)
+    fractions = [
+        execute(layer_trace(model, parallel),
+                cluster).breakdown.serialized_comm_fraction
+        for model, parallel in pairs
+    ]
     rows = []
     for entry, (model, parallel), fraction in zip(zoo.zoo_table(), pairs,
                                                   fractions):

@@ -43,7 +43,6 @@ from repro.runtime.keys import cache_key, fingerprint
 from repro.sim.checkflag import check_enabled
 
 if TYPE_CHECKING:
-    from repro.core.batch import BatchBreakdown, ConfigGrid
     from repro.core.gridplan import GridSpec
     from repro.core.hyperparams import ModelConfig
     from repro.core.projection import OperatorModelSuite
@@ -61,9 +60,9 @@ class Session:
 
     The session caches two things: fitted operator-model suites (in
     memory) and whole experiment results (in :attr:`cache`).
-    :meth:`execute` and :meth:`batch` are the plain engines plus the
-    session's ``check``; :meth:`stream_sweep` stores chunk records only
-    when asked (``use_cache``).
+    :meth:`execute` is the plain scalar engine plus the session's
+    ``check``; :meth:`stream_sweep` stores chunk records only when asked
+    (``use_cache``).
 
     Args:
         cluster: Default testbed for every experiment (MI210 node).
@@ -73,10 +72,6 @@ class Session:
         cache_dir: Directory for a persistent on-disk cache; when both
             ``cache`` and ``cache_dir`` are None the cache is
             memory-only.
-        engine: Sweep-evaluation engine: ``"auto"`` (batch with scalar
-            fallback, the default), ``"batch"`` (vectorized grids only;
-            ineligible grids raise), or ``"scalar"`` (reference
-            per-config path).
         check: Validate every execution and batched breakdown against
             the engine invariants (:mod:`repro.core.invariants`),
             raising :class:`~repro.core.invariants.InvariantError` on
@@ -84,22 +79,14 @@ class Session:
             ``REPRO_CHECK`` environment variable.
     """
 
-    ENGINES = ("auto", "scalar", "batch")
-
     def __init__(self,
                  cluster: Optional[ClusterSpec] = None,
                  timing: Optional[TimingModels] = None,
                  cache: Optional[ResultCache] = None,
                  cache_dir: Optional[str] = None,
-                 engine: str = "auto",
                  check: Optional[bool] = None) -> None:
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
-        self.engine = engine
         self.check = check_enabled(check)
         self.cluster = cluster if cluster is not None else mi210_node()
         self.timing = timing if timing is not None else DEFAULT_TIMING
@@ -168,7 +155,7 @@ class Session:
         """Fit count per suite key (every value should stay at 1)."""
         return dict(self._suite_fits)
 
-    # -- checked engine calls ---------------------------------------------
+    # -- checked engine call ----------------------------------------------
 
     def execute(self,
                 trace: Trace,
@@ -188,25 +175,6 @@ class Session:
 
             validate_execution(result)
         return result
-
-    def batch(self,
-              grid: "ConfigGrid",
-              cluster: Optional[ClusterSpec] = None,
-              timing: Optional[TimingModels] = None) -> "BatchBreakdown":
-        """:func:`repro.core.batch.batch_execute` on the session's
-        cluster and timing models, validated when ``check`` is on."""
-        from repro.core.batch import batch_execute
-
-        breakdown = batch_execute(
-            grid,
-            cluster if cluster is not None else self.cluster,
-            timing if timing is not None else self.timing,
-        )
-        if self.check:
-            from repro.sim.checker import validate_batch
-
-            validate_batch(breakdown)
-        return breakdown
 
     def stream_sweep(self,
                      spec: "GridSpec",
@@ -279,7 +247,7 @@ class Session:
         if experiment_id not in registry.EXPERIMENTS:
             registry.get_experiment(experiment_id)  # KeyError naming ids
         key = cache_key("experiment-result", CACHE_VERSION, experiment_id,
-                        self.fingerprint, self.engine)
+                        self.fingerprint)
         start = time.perf_counter()
         if use_cache:
             cached = self.cache.get(key)

@@ -19,9 +19,7 @@ from repro.core.batch import (
     BatchBreakdown,
     ConfigGrid,
     batch_execute,
-    batch_overlap_roi,
     batch_project,
-    serialized_fractions_for_pairs,
 )
 from repro.core.evolution import PAPER_SCENARIOS, HardwareScenario, \
     scale_durations
@@ -68,19 +66,45 @@ def assert_matches_scalar(breakdown: BatchBreakdown, grid: ConfigGrid,
             exact(scalar.critical_comm_fraction)
 
 
+def serialized_grid(configs) -> ConfigGrid:
+    """The batch grid of ``(hidden, seq_len, tp)`` serialized-sweep
+    configurations: the models the scalar sweep builds, at DP = 1."""
+    return ConfigGrid.from_models([
+        (sweeps.serialized_model(hidden, seq_len, tp),
+         ParallelConfig(tp=tp, dp=1))
+        for hidden, seq_len, tp in configs
+    ])
+
+
+def overlap_grid(points) -> ConfigGrid:
+    """The batch grid of ``(hidden, slb)`` overlap-sweep points at the
+    sweep's TP and DP."""
+    return ConfigGrid.from_models([
+        (sweeps.overlap_model(hidden, slb),
+         ParallelConfig(tp=sweeps.OVERLAP_TP, dp=sweeps.OVERLAP_DP))
+        for hidden, slb in points
+    ])
+
+
+FIG10_CONFIGS = [(line.hidden, line.seq_len, tp)
+                 for line in sweeps.SERIALIZED_LINES
+                 for tp in sweeps.TP_DEGREES]
+
+#: Figure 12's highlighted configurations, one per model line.
+FIG12_CONFIGS = [(line.hidden, line.seq_len, tp)
+                 for line in sweeps.SERIALIZED_LINES
+                 for hidden, tp in sweeps.HIGHLIGHTED_CONFIGS
+                 if hidden == line.hidden]
+
+
 def fig10_grid() -> ConfigGrid:
-    configs = [(line.hidden, line.seq_len, tp)
-               for line in sweeps.SERIALIZED_LINES
-               for tp in sweeps.TP_DEGREES]
-    return ConfigGrid.from_serialized(configs)
+    return serialized_grid(FIG10_CONFIGS)
 
 
 def fig11_grid() -> ConfigGrid:
-    points = [(hidden, slb)
-              for hidden in sweeps.OVERLAP_H_VALUES
-              for slb in sweeps.OVERLAP_SLB_VALUES]
-    return ConfigGrid.from_overlap(points, tp=sweeps.OVERLAP_TP,
-                                   dp=sweeps.OVERLAP_DP)
+    return overlap_grid([(hidden, slb)
+                         for hidden in sweeps.OVERLAP_H_VALUES
+                         for slb in sweeps.OVERLAP_SLB_VALUES])
 
 
 # -- ground-truth equivalence on the paper grids ------------------------
@@ -97,13 +121,7 @@ def test_fig11_grid_matches_scalar(cluster):
 
 
 def test_fig12_scenario_clusters_match_scalar(cluster):
-    grid = ConfigGrid.from_serialized(
-        [(hidden, seq_len, tp)
-         for line in sweeps.SERIALIZED_LINES
-         for hidden, seq_len in [(line.hidden, line.seq_len)]
-         for candidate, tp in sweeps.HIGHLIGHTED_CONFIGS
-         if candidate == line.hidden]
-    )
+    grid = serialized_grid(FIG12_CONFIGS)
     for scenario in PAPER_SCENARIOS:
         scaled = scenario.apply(cluster)
         assert_matches_scalar(batch_execute(grid, scaled), grid, scaled)
@@ -122,12 +140,6 @@ def test_zoo_and_forecast_pairs_match_scalar(cluster):
         pairs.append((model, ParallelConfig(tp=tp, dp=1)))
     grid = ConfigGrid.from_models(pairs)
     assert_matches_scalar(batch_execute(grid, cluster), grid, cluster)
-
-    fractions = serialized_fractions_for_pairs(pairs, cluster,
-                                               engine="batch")
-    reference = serialized_fractions_for_pairs(pairs, cluster,
-                                               engine="scalar")
-    assert fractions == pytest.approx(reference, rel=REL)
 
 
 def test_random_grids_match_scalar(cluster):
@@ -166,7 +178,7 @@ def test_tp1_dp1_has_no_communication(cluster):
 
 
 def test_dp1_has_no_overlapped_comm(cluster):
-    grid = ConfigGrid.from_serialized([(4096, 1024, 8)])
+    grid = serialized_grid([(4096, 1024, 8)])
     breakdown = batch_execute(grid, cluster)
     assert breakdown.overlapped_comm_time[0] == 0.0
     assert breakdown.serialized_comm_time[0] > 0.0
@@ -178,30 +190,13 @@ def test_compute_scaled_hardware_exposes_comm(cluster):
     scenario = HardwareScenario(name="16x compute", compute_scale=16.0,
                                 network_scale=1.0)
     scaled = scenario.apply(cluster)
-    grid = ConfigGrid.from_overlap([(4096, 4096), (8192, 4096)],
-                                   tp=16, dp=16)
+    grid = overlap_grid([(4096, 4096), (8192, 4096)])
     breakdown = batch_execute(grid, scaled)
     assert (breakdown.exposed_comm_time > 0.0).all()
-    roi_compute, roi_comm = batch_overlap_roi(grid, scaled)
-    assert (roi_comm > roi_compute).all()
-    assert_matches_scalar(breakdown, grid, scaled)
-
-
-def test_overlap_roi_matches_scalar(cluster):
-    grid = fig11_grid()
-    compute, comm = batch_overlap_roi(grid, cluster)
     for index in range(len(grid)):
-        model, parallel = grid.at(index)
-        timing = overlap_roi_timing(model, parallel, cluster)
-        assert float(compute[index]) == exact(timing.compute_time)
-        assert float(comm[index]) == exact(timing.comm_time)
-
-
-def test_overlap_roi_requires_dp(cluster):
-    grid = ConfigGrid.from_serialized([(4096, 1024, 8)])
-    with pytest.raises(ValueError,
-                       match="no overlappable communication"):
-        batch_overlap_roi(grid, cluster)
+        roi = overlap_roi_timing(*grid.at(index), scaled)
+        assert roi.comm_time > roi.compute_time
+    assert_matches_scalar(breakdown, grid, scaled)
 
 
 # -- DP-invariant slots and jitter-key dedupe ---------------------------
@@ -244,21 +239,13 @@ DEDUPE_GRIDS = {
 
 
 def assert_bit_identical(grid: ConfigGrid, cluster, timing) -> None:
-    """batch_execute / batch_overlap_roi equal the scalar path exactly."""
+    """batch_execute equals the scalar path exactly."""
     breakdown = batch_execute(grid, cluster, timing)
-    dp_rows = np.flatnonzero(grid.dp > 1)
-    if dp_rows.size:
-        roi_compute, roi_comm = batch_overlap_roi(
-            grid.subset(grid.dp > 1), cluster, timing)
     for index in range(len(grid)):
         model, parallel = grid.at(index)
         scalar = execute_trace(layer_trace(model, parallel), cluster,
                                timing).breakdown
         assert breakdown.at(index) == scalar, index
-    for position, index in enumerate(dp_rows.tolist()):
-        roi = overlap_roi_timing(*grid.at(index), cluster, timing)
-        assert float(roi_compute[position]) == roi.compute_time
-        assert float(roi_comm[position]) == roi.comm_time
 
 
 @pytest.mark.parametrize("name", sorted(DEDUPE_GRIDS))
@@ -387,26 +374,6 @@ def test_every_hash_call_site_gets_builtin_keys(cluster, monkeypatch):
     assert {"gemm", "collective", "layernorm", "gelu_grad"} <= set(seen)
 
 
-def test_engine_auto_reraises_non_value_errors(cluster, monkeypatch):
-    """``engine="auto"`` falls back to the scalar path only on the
-    ValueError of a grid-ineligible input; an engine bug propagates."""
-    import repro.core.batch as batch_module
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("engine bug")
-
-    monkeypatch.setattr(batch_module, "batch_execute", broken)
-    monkeypatch.setattr(batch_module, "batch_overlap_roi", broken)
-    pairs = [(ModelConfig(name="a", hidden=1024, seq_len=512, batch=1,
-                          num_heads=8), ParallelConfig(tp=4, dp=1))]
-    with pytest.raises(RuntimeError, match="engine bug"):
-        serialized_fractions_for_pairs(pairs, cluster)
-    with pytest.raises(RuntimeError, match="engine bug"):
-        sweeps.serialized_sweep([(4096, 1024, 8)], cluster, engine="auto")
-    with pytest.raises(RuntimeError, match="engine bug"):
-        sweeps.overlap_sweep([(1024, 4096)], cluster, engine="auto")
-
-
 # -- one pass over every parity -----------------------------------------
 #
 # Every row takes the op list with both TP and DP all-reduces; a
@@ -486,36 +453,6 @@ def test_one_pass_project_equals_parity_partitions(suite, scenario):
     grid = one_pass_grid(5)
     assert_columns_equal(batch_project(grid, suite, scenario=scenario),
                          per_parity_breakdown(grid, durations_of))
-
-
-@pytest.mark.parametrize("seed", (3, 11))
-def test_one_pass_overlap_roi_equals_parity_partitions(cluster, seed):
-    from repro.core.batch import _slot_durations
-    from repro.models.graph import Phase
-    from repro.models.layers import COMM, GEMM, layer_records
-
-    full = one_pass_grid(seed)
-    grid = full.subset(full.dp > 1)
-    compute = np.zeros(len(grid))
-    comm = np.zeros(len(grid))
-    for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
-        ops = [op for op in layer_records(sub, tp_flag, dp_flag)
-               if (op.family == COMM and op.overlappable)
-               or (op.family == GEMM and op.has_weights
-                   and op.phase is Phase.BACKWARD)]
-        compute_part = np.zeros(len(sub))
-        comm_part = np.zeros(len(sub))
-        for op, duration in zip(ops, _slot_durations(ops, sub, cluster,
-                                                     DEFAULT_TIMING)):
-            if op.family == GEMM:
-                compute_part = compute_part + duration
-            else:
-                comm_part = comm_part + duration
-        compute[mask] = compute_part
-        comm[mask] = comm_part
-    roi_compute, roi_comm = batch_overlap_roi(grid, cluster)
-    assert np.array_equal(roi_compute, compute)
-    assert np.array_equal(roi_comm, comm)
 
 
 # -- projection path (operator scaling laws) ----------------------------
@@ -603,86 +540,64 @@ def test_grid_round_trips():
     assert (sub.tp == 8).all()
 
 
-def test_mixed_precision_pairs_fall_back(cluster):
-    pairs = [
-        (ModelConfig(name="a", hidden=1024, seq_len=512, batch=1,
-                     num_heads=8), ParallelConfig(tp=4, dp=1)),
-        (ModelConfig(name="b", hidden=1024, seq_len=512, batch=1,
-                     num_heads=8, precision=Precision.FP32),
-         ParallelConfig(tp=4, dp=1)),
-    ]
-    fractions = serialized_fractions_for_pairs(pairs, cluster)
-    reference = serialized_fractions_for_pairs(pairs, cluster,
-                                               engine="scalar")
-    assert fractions == reference
-    with pytest.raises(ValueError, match="mixed precisions"):
-        serialized_fractions_for_pairs(pairs, cluster, engine="batch")
-
-
-# -- engine routing -----------------------------------------------------
+# -- one evaluation path for the experiments ----------------------------
 
 
 def test_sweep_engines_agree(cluster):
+    """The scalar sweep helpers the figures use and the batch engine
+    agree on the same configurations."""
     configs = [(line.hidden, line.seq_len, tp)
                for line in sweeps.SERIALIZED_LINES
                for tp in (8, 64)]
-    by_engine = {
-        engine: sweeps.serialized_sweep(configs, cluster, engine=engine)
-        for engine in ("auto", "scalar", "batch")
-    }
-    assert by_engine["batch"] == pytest.approx(by_engine["scalar"],
-                                               rel=REL)
-    assert by_engine["auto"] == by_engine["batch"]
-
-    points = [(hidden, 4096) for hidden in sweeps.OVERLAP_H_VALUES]
-    ratios = {
-        engine: sweeps.overlap_sweep(points, cluster, engine=engine)
-        for engine in ("auto", "scalar", "batch")
-    }
-    assert ratios["batch"] == pytest.approx(ratios["scalar"], rel=REL)
-    assert ratios["auto"] == ratios["batch"]
+    batch = batch_execute(serialized_grid(configs), cluster)
+    assert sweeps.serialized_sweep(configs, cluster) == pytest.approx(
+        batch.serialized_comm_fraction.tolist(), rel=REL)
 
 
 def test_unknown_engine_rejected(cluster):
-    with pytest.raises(ValueError, match="unknown engine"):
+    """No engine is selectable: the sweeps and the session take no
+    ``engine`` argument."""
+    from repro.runtime.session import Session
+
+    with pytest.raises(TypeError, match="engine"):
         sweeps.serialized_sweep([(4096, 1024, 8)], cluster,
-                                engine="turbo")
+                                engine="batch")
+    with pytest.raises(TypeError, match="engine"):
+        sweeps.overlap_sweep([(1024, 4096)], cluster, engine="batch")
+    with pytest.raises(TypeError, match="engine"):
+        Session(engine="batch")
+
+
+def test_session_engines_produce_identical_experiments(cluster):
+    """Figures 10 and 12 as the session runs them (scalar) print the
+    same fractions the batch engine computes for their configurations."""
     from repro.runtime.session import Session
 
-    with pytest.raises(ValueError, match="unknown engine"):
-        Session(engine="turbo")
+    session = Session()
+    figure_10 = session.run("figure-10", use_cache=False)
+    batch = batch_execute(fig10_grid(), cluster)
+    assert [row[4] for row in figure_10.rows] == [
+        f"{fraction:.3f}" for fraction in batch.serialized_comm_fraction]
 
-
-def test_session_engines_produce_identical_experiments():
-    from repro.runtime.session import Session
-
-    for experiment_id in ("figure-10", "figure-13"):
-        results = [Session(engine=engine).run(experiment_id)
-                   for engine in ("batch", "scalar")]
-        assert results[0].rows == results[1].rows
-
-
-def test_session_batch_matches_scalar(cluster):
-    from repro.runtime.session import Session
-
-    session = Session(engine="batch")
-    grid = ConfigGrid.from_serialized([(4096, 1024, 8), (4096, 1024, 64)])
-    first = session.batch(grid)
-    second = session.batch(grid)
-    assert isinstance(first, BatchBreakdown)
-    assert (first.iteration_time == second.iteration_time).all()
-    assert_matches_scalar(first, grid, session.cluster)
+    figure_12 = session.run("figure-12", use_cache=False)
+    grid = serialized_grid(FIG12_CONFIGS)
+    by_scenario = [
+        batch_execute(grid, scenario.apply(cluster)).serialized_comm_fraction
+        for scenario in PAPER_SCENARIOS
+    ]
+    assert [row[4] for row in figure_12.rows] == [
+        f"{by_scenario[s][c]:.3f}"
+        for c in range(len(grid)) for s in range(len(PAPER_SCENARIOS))]
 
 
 def test_cli_engine_flag(capsys):
+    """``--engine`` is gone: argparse rejects it as a usage error."""
     from repro.cli import main
 
-    assert main(["experiment", "figure-11", "--engine", "batch"]) == 0
-    batch_out = capsys.readouterr().out
-    assert main(["experiment", "figure-11", "--engine", "scalar"]) == 0
-    scalar_out = capsys.readouterr().out
-    assert batch_out == scalar_out
-    assert "H" in batch_out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "figure-11", "--engine", "batch"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_breakdown_zero_guards():

@@ -358,18 +358,18 @@ class TestSessionDefaults:
 
     def test_explicit_session_overrides_default(self, session,
                                                 monkeypatch):
-        grids = []
-        run_batch = session.batch
+        traces = []
+        run_execute = session.execute
 
-        def recording_batch(grid, *args):
-            grids.append(grid)
-            return run_batch(grid, *args)
+        def recording_execute(trace, *args):
+            traces.append(trace)
+            return run_execute(trace, *args)
 
-        monkeypatch.setattr(session, "batch", recording_batch)
+        monkeypatch.setattr(session, "execute", recording_execute)
         result = fig10_serialized.run(session=session)
         assert result.experiment_id == "figure-10"
         # The sweep's ground truth ran through this session.
-        assert grids
+        assert len(traces) == len(result.rows)
 
     def test_fingerprint_tracks_cluster(self):
         assert Session().fingerprint == Session().fingerprint
@@ -419,7 +419,7 @@ class TestSweepHelpers:
     def test_overlap_sweep_matches_pointwise(self, session):
         cluster = session.cluster
         points = [(2048, 1024), (4096, 2048)]
-        swept = sweeps.overlap_sweep(points, cluster, session=session)
+        swept = sweeps.overlap_sweep(points, cluster)
         pointwise = [sweeps.overlap_ratio(h, slb, cluster)
                      for h, slb in points]
         assert swept == pointwise

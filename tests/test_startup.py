@@ -45,6 +45,10 @@ NOT_IN_SEARCH = ("repro.core.projection", "repro.core.evolution",
                  "repro.models.trace", "repro.experiments.base",
                  "repro.models.graph", "repro.core.hyperparams")
 
+#: Experiments that time a few dozen points on the scalar path only.
+SMALL_SWEEPS = ("figure-10", "figure-11", "figure-12", "figure-13",
+                "table-2", "extension-forecast", "extension-hwtrends")
+
 #: Most ``repro`` dataclasses a fresh process may define for a command.
 #: Each one costs about a millisecond of ``exec`` at import.  A pruned
 #: search adds the bound records of ``repro.core.bounds``.
@@ -221,6 +225,13 @@ class TestColdImports:
         modules = _loaded(_main(SEARCH + ["--mode", "project", "-o",
                                           str(tmp_path / "search.txt")]))
         assert "repro.core.projection" in modules
+
+    @pytest.mark.parametrize("experiment_id", SMALL_SWEEPS)
+    def test_small_sweep_loads_no_numpy(self, tmp_path, experiment_id):
+        modules = _loaded(_main(["experiment", experiment_id, "-o",
+                                 str(tmp_path / "out.txt")]))
+        assert (tmp_path / "out.txt").read_text()
+        _assert_absent(modules, ("numpy", "repro.core.batch"))
 
     def test_experiment_list(self):
         _assert_light(_loaded(
