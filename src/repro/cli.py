@@ -54,17 +54,7 @@ def _int_list(text: str) -> List[int]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Comp-vs-Comm analysis for Transformers "
-                    "(IISWC 2023 reproduction)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    analyze = subparsers.add_parser(
-        "analyze", help="break down one training configuration"
-    )
+def _analyze_arguments(analyze: argparse.ArgumentParser) -> None:
     analyze.add_argument("--hidden", type=int, required=True,
                          help="hidden dimension H")
     analyze.add_argument("--seq-len", type=int, required=True,
@@ -96,9 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="validate the schedule against the engine "
                               "invariants (also: REPRO_CHECK=1)")
 
-    experiment = subparsers.add_parser(
-        "experiment", help="reproduce a paper table/figure"
-    )
+
+def _experiment_arguments(experiment: argparse.ArgumentParser) -> None:
     experiment.add_argument("id",
                             help='experiment id (e.g. "figure-10") or '
                                  '"all" / "list"')
@@ -120,10 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "batched breakdown against the engine "
                                  "invariants (also: REPRO_CHECK=1)")
 
-    check = subparsers.add_parser(
-        "check", help="verify the engines: differential oracle + "
-                      "fault-seeding self-test"
-    )
+
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("--configs", type=int, default=200, metavar="N",
                        help="random configs for the differential oracle "
                             "(default 200)")
@@ -143,10 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max worker processes exercised by the "
                             "stream oracle (default 2)")
 
-    search = subparsers.add_parser(
-        "search", help="stream a large (H, SL, B, TP, DP) grid through "
-                       "chunked parallel evaluation + online reducers"
-    )
+
+def _search_arguments(search: argparse.ArgumentParser) -> None:
     search.add_argument("--hidden", type=_int_list, required=True,
                         metavar="H1,H2,...",
                         help="hidden-dimension axis (comma-separated)")
@@ -210,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--output", "-o", default=None,
                         help="write to a file instead of stdout")
 
-    zoo = subparsers.add_parser("zoo", help="print the Table 2 model zoo")
+
+def _zoo_arguments(zoo: argparse.ArgumentParser) -> None:
     zoo.add_argument("--format", choices=("text", "json", "csv"),
                      default="text",
                      help="output format (default text)")
     zoo.add_argument("--output", "-o", default=None,
                      help="write to a file instead of stdout")
 
-    forecast = subparsers.add_parser(
-        "forecast", help="synthesize and analyze future Transformers"
-    )
+
+def _forecast_arguments(forecast: argparse.ArgumentParser) -> None:
     forecast.add_argument("--start", type=int, default=2023)
     forecast.add_argument("--end", type=int, default=2027)
     forecast.add_argument("--format", choices=("text", "json", "csv"),
@@ -228,18 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     forecast.add_argument("--output", "-o", default=None,
                           help="write to a file instead of stdout")
 
-    cache = subparsers.add_parser(
-        "cache", help="inspect or clear the on-disk result cache"
-    )
+
+def _cache_arguments(cache: argparse.ArgumentParser) -> None:
     cache.add_argument("action", choices=("info", "clear"),
                        help="show cache contents or remove every entry")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: ~/.cache/repro or "
                             "$REPRO_CACHE_DIR)")
 
-    plan = subparsers.add_parser(
-        "plan", help="rank (TP, DP, PP) layouts for a device budget"
-    )
+
+def _plan_arguments(plan: argparse.ArgumentParser) -> None:
     plan.add_argument("--hidden", type=int, required=True)
     plan.add_argument("--seq-len", type=int, required=True)
     plan.add_argument("--layers", type=int, default=32)
@@ -252,7 +235,31 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--top", type=int, default=5,
                       help="show the N best plans")
 
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand gets its
+    arguments.
+
+    Every subcommand is registered either way, so the top-level help,
+    usage and choice errors read the same; adding a subcommand's
+    arguments is what costs, and a process runs one subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Comp-vs-Comm analysis for Transformers "
+                    "(IISWC 2023 reproduction)",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser, every subcommand with its arguments."""
+    return _parser()
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -638,15 +645,25 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommands in help order: name -> (one-line help, the function that
+#: adds the subcommand's arguments, the function that runs it).
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "experiment": _cmd_experiment,
-    "zoo": _cmd_zoo,
-    "forecast": _cmd_forecast,
-    "plan": _cmd_plan,
-    "cache": _cmd_cache,
-    "check": _cmd_check,
-    "search": _cmd_search,
+    "analyze": ("break down one training configuration",
+                _analyze_arguments, _cmd_analyze),
+    "experiment": ("reproduce a paper table/figure", _experiment_arguments,
+                   _cmd_experiment),
+    "check": ("verify the engines: differential oracle + "
+              "fault-seeding self-test", _check_arguments, _cmd_check),
+    "search": ("stream a large (H, SL, B, TP, DP) grid through "
+               "chunked parallel evaluation + online reducers",
+               _search_arguments, _cmd_search),
+    "zoo": ("print the Table 2 model zoo", _zoo_arguments, _cmd_zoo),
+    "forecast": ("synthesize and analyze future Transformers",
+                 _forecast_arguments, _cmd_forecast),
+    "cache": ("inspect or clear the on-disk result cache", _cache_arguments,
+              _cmd_cache),
+    "plan": ("rank (TP, DP, PP) layouts for a device budget",
+             _plan_arguments, _cmd_plan),
 }
 
 
@@ -676,9 +693,15 @@ def _freeze_at_exit() -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     _freeze_at_exit()
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the invoked subcommand needs its arguments; help, an unknown
+    # command or none at all get the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(command).parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except BrokenPipeError:
         # Output truncated by a downstream pipe (e.g. `| head`): fine.
         return 0

@@ -47,7 +47,6 @@ engines op by op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -60,6 +59,7 @@ from typing import (
 
 import numpy as np
 
+from repro._frozen import Frozen
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.specs import Precision
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
@@ -95,13 +95,15 @@ def _column(values, name: str) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class ConfigGrid:
+class ConfigGrid(Frozen):
     """Arrays of sweep configurations, one entry per grid point.
 
     All columns share one length; ``precision`` is uniform across the
     grid (mixed-precision grids fall back to the scalar engine).
     """
+
+    __slots__ = ("hidden", "seq_len", "batch", "tp", "dp", "num_heads",
+                 "ffn_dim", "precision")
 
     hidden: np.ndarray
     seq_len: np.ndarray
@@ -110,17 +112,18 @@ class ConfigGrid:
     dp: np.ndarray
     num_heads: np.ndarray
     ffn_dim: np.ndarray
-    precision: Precision = Precision.FP16
+    precision: Precision
 
-    def __post_init__(self) -> None:
+    def __init__(self, hidden, seq_len, batch, tp, dp, num_heads, ffn_dim,
+                 precision: Precision = Precision.FP16) -> None:
         columns = {
-            "hidden": _column(self.hidden, "hidden"),
-            "seq_len": _column(self.seq_len, "seq_len"),
-            "batch": _column(self.batch, "batch"),
-            "tp": _column(self.tp, "tp"),
-            "dp": _column(self.dp, "dp"),
-            "num_heads": _column(self.num_heads, "num_heads"),
-            "ffn_dim": _column(self.ffn_dim, "ffn_dim"),
+            "hidden": _column(hidden, "hidden"),
+            "seq_len": _column(seq_len, "seq_len"),
+            "batch": _column(batch, "batch"),
+            "tp": _column(tp, "tp"),
+            "dp": _column(dp, "dp"),
+            "num_heads": _column(num_heads, "num_heads"),
+            "ffn_dim": _column(ffn_dim, "ffn_dim"),
         }
         lengths = {a.shape[0] for a in columns.values()}
         if len(lengths) > 1:
@@ -130,13 +133,13 @@ class ConfigGrid:
         for name, array in columns.items():
             if (array < 1).any():
                 raise ValueError(f"{name} entries must be >= 1")
-            object.__setattr__(self, name, array)
         if (columns["hidden"] % columns["num_heads"] != 0).any():
             raise ValueError("hidden must be divisible by num_heads")
         if (columns["num_heads"] % columns["tp"] != 0).any():
             raise ValueError("num_heads must be divisible by TP")
         if (columns["ffn_dim"] % columns["tp"] != 0).any():
             raise ValueError("ffn_dim must be divisible by TP")
+        self._set(precision=precision, **columns)
 
     def __len__(self) -> int:
         return int(self.hidden.shape[0])
@@ -173,8 +176,7 @@ class ConfigGrid:
 
     def subset(self, mask: np.ndarray) -> "ConfigGrid":
         """Sub-grid selected by a boolean mask."""
-        return replace(
-            self,
+        return ConfigGrid(
             hidden=self.hidden[mask],
             seq_len=self.seq_len[mask],
             batch=self.batch[mask],
@@ -182,6 +184,7 @@ class ConfigGrid:
             dp=self.dp[mask],
             num_heads=self.num_heads[mask],
             ffn_dim=self.ffn_dim[mask],
+            precision=self.precision,
         )
 
     def at(self, index: int) -> Tuple[ModelConfig, ParallelConfig]:
@@ -397,18 +400,31 @@ def _slot_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
 # -- batched breakdown --------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BatchBreakdown:
+class BatchBreakdown(Frozen):
     """Per-config iteration-time breakdowns as parallel arrays.
 
     Array analogue of :class:`repro.sim.breakdown.Breakdown`: every
     derived quantity reproduces the scalar property on each entry.
     """
 
+    # Weakly referenceable: reducers memoize derived metric columns per
+    # breakdown without keeping evaluated chunks alive.
+    __slots__ = ("compute_time", "serialized_comm_time",
+                 "overlapped_comm_time", "iteration_time", "__weakref__")
+
     compute_time: np.ndarray
     serialized_comm_time: np.ndarray
     overlapped_comm_time: np.ndarray
     iteration_time: np.ndarray
+
+    def __init__(self, compute_time: np.ndarray,
+                 serialized_comm_time: np.ndarray,
+                 overlapped_comm_time: np.ndarray,
+                 iteration_time: np.ndarray) -> None:
+        self._set(compute_time=compute_time,
+                  serialized_comm_time=serialized_comm_time,
+                  overlapped_comm_time=overlapped_comm_time,
+                  iteration_time=iteration_time)
 
     def __len__(self) -> int:
         return int(self.iteration_time.shape[0])

@@ -50,12 +50,13 @@ bound cache keys (:meth:`repro.core.gridplan.GridSpec.chunk_key`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -63,6 +64,7 @@ from typing import (
 
 import numpy as np
 
+from repro._frozen import Frozen
 from repro.core.batch import (
     ConfigGrid,
     _dp_free_rows,
@@ -128,8 +130,7 @@ _STORED = ("compute_time", "serialized_comm_time",
            "overlapped_comm_time", "iteration_time")
 
 
-@dataclass(frozen=True, eq=False)
-class MetricBounds:
+class MetricBounds(Frozen):
     """Per-configuration interval bounds, one array pair per metric.
 
     Attributes:
@@ -139,15 +140,20 @@ class MetricBounds:
             <= upper`` elementwise against the batch engine).
     """
 
+    __slots__ = ("lower", "upper")
+
     lower: Dict[str, np.ndarray]
     upper: Dict[str, np.ndarray]
+
+    def __init__(self, lower: Dict[str, np.ndarray],
+                 upper: Dict[str, np.ndarray]) -> None:
+        self._set(lower=lower, upper=upper)
 
     def __len__(self) -> int:
         return int(self.lower["iteration_time"].shape[0])
 
 
-@dataclass(frozen=True)
-class ChunkBounds:
+class ChunkBounds(NamedTuple):
     """Chunk-level bound envelope: the coarsest certificate pruning needs.
 
     Attributes:

@@ -32,7 +32,6 @@ exactly as the scalar sweep would refuse to construct them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -45,6 +44,7 @@ from typing import (
 
 import numpy as np
 
+from repro._frozen import Frozen
 from repro.core.batch import ConfigGrid
 from repro.hardware.specs import Precision
 
@@ -68,13 +68,24 @@ DEFAULT_CHUNK_SIZE = 4096
 AXIS_NAMES = ("hidden", "seq_len", "batch", "tp", "dp")
 
 
-class GridConstraint:
+class GridConstraint(Frozen):
     """A declarative, vectorized row filter for :class:`GridSpec`.
 
     Subclasses implement :meth:`mask` over the raw column arrays and
     :meth:`spec_key`, a stable content tuple used for chunk fingerprints
-    (so equal constraints share cache entries across processes).
+    (so equal constraints share cache entries across processes).  The
+    spec key is also the constraint's identity: constraints of one type
+    with equal keys compare and hash equal.
     """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self)
+                and other.spec_key() == self.spec_key())
+
+    def __hash__(self) -> int:
+        return hash(self.spec_key())
 
     def mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Boolean keep-mask over the rows of ``columns``."""
@@ -85,15 +96,17 @@ class GridConstraint:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class MaxWorldSize(GridConstraint):
     """Keep rows whose world size ``tp * dp`` fits a device budget."""
 
+    __slots__ = ("devices",)
+
     devices: int
 
-    def __post_init__(self) -> None:
-        if self.devices < 1:
+    def __init__(self, devices: int) -> None:
+        if devices < 1:
             raise ValueError("devices must be >= 1")
+        self._set(devices=devices)
 
     def mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return columns["tp"] * columns["dp"] <= self.devices
@@ -102,7 +115,6 @@ class MaxWorldSize(GridConstraint):
         return ("max-world", self.devices)
 
 
-@dataclass(frozen=True)
 class FitsDeviceMemory(GridConstraint):
     """Keep rows whose per-device training footprint fits in HBM.
 
@@ -119,14 +131,22 @@ class FitsDeviceMemory(GridConstraint):
         precision_bytes: Bytes per value of the sweep precision.
     """
 
-    capacity_bytes: int
-    headroom: float = 0.9
-    checkpointing: bool = True
-    precision_bytes: int = 2
+    __slots__ = ("capacity_bytes", "headroom", "checkpointing",
+                 "precision_bytes")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.headroom <= 1:
+    capacity_bytes: int
+    headroom: float
+    checkpointing: bool
+    precision_bytes: int
+
+    def __init__(self, capacity_bytes: int, headroom: float = 0.9,
+                 checkpointing: bool = True,
+                 precision_bytes: int = 2) -> None:
+        if not 0 < headroom <= 1:
             raise ValueError("headroom must be in (0, 1]")
+        self._set(capacity_bytes=capacity_bytes, headroom=headroom,
+                  checkpointing=checkpointing,
+                  precision_bytes=precision_bytes)
 
     @classmethod
     def from_device(cls, device, headroom: float = 0.9,
@@ -165,7 +185,6 @@ class FitsDeviceMemory(GridConstraint):
                 self.checkpointing, self.precision_bytes)
 
 
-@dataclass(frozen=True)
 class Predicate(GridConstraint):
     """Arbitrary vectorized predicate with an explicit identity label.
 
@@ -176,10 +195,15 @@ class Predicate(GridConstraint):
     sweeps.
     """
 
+    __slots__ = ("label", "fn")
+
     label: str
-    fn: Callable[[Mapping[str, np.ndarray]], np.ndarray] = field(
-        compare=False
-    )
+    fn: Callable[[Mapping[str, np.ndarray]], np.ndarray]
+
+    def __init__(self, label: str,
+                 fn: Callable[[Mapping[str, np.ndarray]], np.ndarray]
+                 ) -> None:
+        self._set(label=label, fn=fn)
 
     def mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return np.asarray(self.fn(columns), dtype=bool)
@@ -188,8 +212,7 @@ class Predicate(GridConstraint):
         return ("predicate", self.label)
 
 
-@dataclass(frozen=True, eq=False)
-class GridChunk:
+class GridChunk(Frozen):
     """One evaluated-ready piece of a :class:`GridSpec` product.
 
     Attributes:
@@ -203,10 +226,17 @@ class GridChunk:
             constraint filtering).
     """
 
+    __slots__ = ("index", "grid", "offsets", "raw_rows")
+
     index: int
     grid: ConfigGrid
     offsets: np.ndarray
     raw_rows: int
+
+    def __init__(self, index: int, grid: ConfigGrid, offsets: np.ndarray,
+                 raw_rows: int) -> None:
+        self._set(index=index, grid=grid, offsets=offsets,
+                  raw_rows=raw_rows)
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -241,8 +271,7 @@ def _axis(values: Sequence[int], name: str) -> Tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """A lazy Cartesian sweep space over (H, SL, B, TP, DP).
 
     Never materializes the full product: chunks are derived on demand
@@ -258,20 +287,37 @@ class GridSpec:
         precision: Uniform sweep precision (one dtype per grid, the
             batch-engine contract).
         constraints: Declarative row filters, applied per chunk.
+
+    Specs with equal :meth:`content_key` compare and hash equal.
     """
+
+    __slots__ = ("hidden", "seq_len", "batch", "tp", "dp", "precision",
+                 "constraints", "_content_key")
 
     hidden: Tuple[int, ...]
     seq_len: Tuple[int, ...]
     batch: Tuple[int, ...]
     tp: Tuple[int, ...]
     dp: Tuple[int, ...]
-    precision: Precision = Precision.FP16
-    constraints: Tuple[GridConstraint, ...] = ()
+    precision: Precision
+    constraints: Tuple[GridConstraint, ...]
 
-    def __post_init__(self) -> None:
-        for name in AXIS_NAMES:
-            object.__setattr__(self, name, _axis(getattr(self, name), name))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, hidden: Sequence[int], seq_len: Sequence[int],
+                 batch: Sequence[int], tp: Sequence[int], dp: Sequence[int],
+                 precision: Precision = Precision.FP16,
+                 constraints: Sequence[GridConstraint] = ()) -> None:
+        self._set(hidden=_axis(hidden, "hidden"),
+                  seq_len=_axis(seq_len, "seq_len"),
+                  batch=_axis(batch, "batch"), tp=_axis(tp, "tp"),
+                  dp=_axis(dp, "dp"), precision=precision,
+                  constraints=tuple(constraints), _content_key=None)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self)
+                and other.content_key() == self.content_key())
+
+    def __hash__(self) -> int:
+        return hash(self.content_key())
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -293,7 +339,7 @@ class GridSpec:
         chunk key per chunk, and the spec is frozen, so the tuple can
         never change after construction.
         """
-        cached = self.__dict__.get("_content_key")
+        cached = self._content_key
         if cached is None:
             cached = (
                 self.hidden, self.seq_len, self.batch, self.tp, self.dp,
@@ -301,7 +347,7 @@ class GridSpec:
                 tuple(constraint.spec_key()
                       for constraint in self.constraints),
             )
-            object.__setattr__(self, "_content_key", cached)
+            self._set(_content_key=cached)
         return cached
 
     def chunk_count(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, \
     Sequence, Tuple
 
 import numpy as np
 
+from repro._frozen import Frozen
 from repro.core.batch import BatchBreakdown
 
 if TYPE_CHECKING:
@@ -98,8 +98,7 @@ def metric_values(name: str, breakdown: BatchBreakdown) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluatedChunk:
+class EvaluatedChunk(Frozen):
     """One evaluated grid chunk, as reducers consume it.
 
     Attributes:
@@ -108,9 +107,16 @@ class EvaluatedChunk:
         breakdown: Per-row breakdowns from the batch engine.
     """
 
+    __slots__ = ("offsets", "columns", "breakdown")
+
     offsets: np.ndarray
     columns: Mapping[str, np.ndarray]
     breakdown: BatchBreakdown
+
+    def __init__(self, offsets: np.ndarray,
+                 columns: Mapping[str, np.ndarray],
+                 breakdown: BatchBreakdown) -> None:
+        self._set(offsets=offsets, columns=columns, breakdown=breakdown)
 
     def __len__(self) -> int:
         return int(self.offsets.shape[0])
@@ -218,7 +224,7 @@ def exact_sum_value(partials: Sequence[float]) -> float:
 # -- reducer protocol ----------------------------------------------------
 
 
-class Reducer:
+class Reducer(Frozen):
     """One online reduction over evaluated chunks.
 
     The partial-state contract: :meth:`observe` maps a chunk to a
@@ -227,7 +233,11 @@ class Reducer:
     :meth:`finalize` renders the merged payload into the reported
     result.  Payload JSON-compatibility is what lets the runtime cache
     persist per-chunk partials and the process pool ship them compactly.
+    Reducers are immutable, and :meth:`key` is their identity:
+    reducers of one type with equal keys compare and hash equal.
     """
+
+    __slots__ = ()
 
     #: Reducer-kind tag used in labels and content keys.
     kind: str = "reducer"
@@ -240,6 +250,12 @@ class Reducer:
     def key(self) -> Tuple[object, ...]:
         """Stable content tuple (for cache keys)."""
         raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.key() == self.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     def empty(self) -> Dict[str, object]:
         """The identity payload (an empty chunk's observation)."""
@@ -305,7 +321,6 @@ def _entries(chunk: EvaluatedChunk, metric: str,
     ]
 
 
-@dataclass(frozen=True)
 class TopK(Reducer):
     """The ``k`` best configurations by one breakdown metric.
 
@@ -314,16 +329,20 @@ class TopK(Reducer):
     yields the same final k.
     """
 
+    __slots__ = ("metric", "k", "largest")
+
     metric: str
-    k: int = 10
-    largest: bool = True
+    k: int
+    largest: bool
 
     kind = "top-k"
 
-    def __post_init__(self) -> None:
-        metric_values(self.metric, _EMPTY_BREAKDOWN)  # validate the name
-        if self.k < 1:
+    def __init__(self, metric: str, k: int = 10,
+                 largest: bool = True) -> None:
+        metric_values(metric, _EMPTY_BREAKDOWN)  # validate the name
+        if k < 1:
             raise ValueError("k must be >= 1")
+        self._set(metric=metric, k=k, largest=largest)
 
     @property
     def label(self) -> str:
@@ -385,7 +404,6 @@ class TopK(Reducer):
         return (bounds.lower[self.metric],)
 
 
-@dataclass(frozen=True)
 class ParetoFront(Reducer):
     """Non-dominated configurations over two minimized metrics.
 
@@ -402,14 +420,18 @@ class ParetoFront(Reducer):
     lists with the same rule in Python.
     """
 
-    metric_x: str = "compute_time"
-    metric_y: str = "exposed_comm_time"
+    __slots__ = ("metric_x", "metric_y")
+
+    metric_x: str
+    metric_y: str
 
     kind = "pareto"
 
-    def __post_init__(self) -> None:
-        metric_values(self.metric_x, _EMPTY_BREAKDOWN)
-        metric_values(self.metric_y, _EMPTY_BREAKDOWN)
+    def __init__(self, metric_x: str = "compute_time",
+                 metric_y: str = "exposed_comm_time") -> None:
+        metric_values(metric_x, _EMPTY_BREAKDOWN)
+        metric_values(metric_y, _EMPTY_BREAKDOWN)
+        self._set(metric_x=metric_x, metric_y=metric_y)
 
     @property
     def label(self) -> str:
@@ -498,7 +520,6 @@ class ParetoFront(Reducer):
         return (bounds.lower[self.metric_x] + bounds.lower[self.metric_y],)
 
 
-@dataclass(frozen=True)
 class Histogram(Reducer):
     """Streaming fixed-bin histogram with exact running statistics.
 
@@ -512,28 +533,31 @@ class Histogram(Reducer):
     bounds.
     """
 
+    __slots__ = ("metric", "bins", "lo", "hi")
+
     metric: str
-    bins: int = 32
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    bins: int
+    lo: float
+    hi: float
 
     kind = "hist"
 
-    def __post_init__(self) -> None:
-        metric_values(self.metric, _EMPTY_BREAKDOWN)
-        if self.bins < 1:
+    def __init__(self, metric: str, bins: int = 32,
+                 lo: Optional[float] = None,
+                 hi: Optional[float] = None) -> None:
+        metric_values(metric, _EMPTY_BREAKDOWN)
+        if bins < 1:
             raise ValueError("bins must be >= 1")
-        if self.lo is None and self.hi is None \
-                and self.metric.endswith("fraction"):
-            object.__setattr__(self, "lo", 0.0)
-            object.__setattr__(self, "hi", 1.0)
-        if self.lo is None or self.hi is None:
+        if lo is None and hi is None and metric.endswith("fraction"):
+            lo, hi = 0.0, 1.0
+        if lo is None or hi is None:
             raise ValueError(
-                f"metric {self.metric!r} is unbounded; pass explicit "
+                f"metric {metric!r} is unbounded; pass explicit "
                 f"lo/hi histogram bounds"
             )
-        if not self.lo < self.hi:
+        if not lo < hi:
             raise ValueError("lo must be < hi")
+        self._set(metric=metric, bins=bins, lo=lo, hi=hi)
 
     @property
     def label(self) -> str:
@@ -620,7 +644,6 @@ class Histogram(Reducer):
         return result
 
 
-@dataclass(frozen=True)
 class ArgExtrema(Reducer):
     """The single best and worst configuration by one metric.
 
@@ -629,14 +652,16 @@ class ArgExtrema(Reducer):
     entry, "max": entry}`` payload (``None`` for a side with no rows).
     """
 
+    __slots__ = ("metric", "_sides")
+
     metric: str
 
     kind = "extrema"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_sides", {
-            "min": TopK(self.metric, 1, largest=False),
-            "max": TopK(self.metric, 1, largest=True),
+    def __init__(self, metric: str) -> None:
+        self._set(metric=metric, _sides={
+            "min": TopK(metric, 1, largest=False),
+            "max": TopK(metric, 1, largest=True),
         })
 
     @property
@@ -680,7 +705,6 @@ def _first(entries: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
     return entries[0] if entries else None
 
 
-@dataclass(frozen=True)
 class Collect(Reducer):
     """Collect every evaluated row (small grids / differential checks).
 
@@ -690,9 +714,14 @@ class Collect(Reducer):
     result is chunking- and arrival-order independent.
     """
 
-    limit: int = 1_000_000
+    __slots__ = ("limit",)
+
+    limit: int
 
     kind = "collect"
+
+    def __init__(self, limit: int = 1_000_000) -> None:
+        self._set(limit=limit)
 
     @property
     def label(self) -> str:

@@ -33,9 +33,12 @@ class RunMeta:
         cache: ``"hit"``, ``"miss"``, or ``"off"``.
         session: Fingerprint of the session (cluster + timing models +
             cache version) that produced the result.
-        checked: Whether the producing session validated executions
-            against the engine invariants (``Session(check=True)``,
-            CLI ``--check``, or ``REPRO_CHECK=1``).
+        checked: Whether a validator checked the run against the engine
+            invariants (``Session(check=True)``, CLI ``--check``, or
+            ``REPRO_CHECK=1``).  A run whose path no validator sees
+            (Figures 11 and 13 time the overlap ROI in closed form)
+            reports False even with checking on; a cache hit reports
+            the session's check flag.
     """
 
     wall_time_s: float

@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "DEFAULT_TIMING": "repro.hardware.timing",
     "DEVICE_CATALOG": "repro.hardware.specs",
     "DeviceSpec": "repro.hardware.specs",
-    "GemmShape": "repro.hardware.gemm",
+    "GemmShape": "repro.models.graph",
     "GemmTimingModel": "repro.hardware.gemm",
     "Link": "repro.hardware.network",
     "MI210": "repro.hardware.specs",

@@ -23,11 +23,24 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.hardware.specs import DeviceSpec, Precision
 
-__all__ = ["GemmShape", "GemmTimingModel", "DEFAULT_GEMM_MODEL", "gemm_time"]
+if TYPE_CHECKING:
+    from repro.models.graph import GemmShape
+
+__all__ = ["GemmTimingModel", "DEFAULT_GEMM_MODEL", "gemm_time"]
+
+
+def __getattr__(name: str) -> object:
+    # GemmShape is a scalar-op type defined beside the graph ops; the
+    # batch engine times GEMMs from arrays and never loads it.
+    if name == "GemmShape":
+        from repro.models.graph import GemmShape
+
+        return GemmShape
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Key-part types whose ``repr`` is stable.  A NumPy scalar is excluded:
@@ -55,33 +68,6 @@ def stable_unit_hash(*key: object) -> float:
             )
     digest = zlib.crc32(repr(key).encode("utf-8"))
     return (digest & 0xFFFFFFFF) / 2**32
-
-
-@dataclass(frozen=True)
-class GemmShape:
-    """A (possibly batched) GEMM: ``batch`` x [M, K] @ [K, N].
-
-    ``flops`` follows the paper's ``2 * M * N * K`` multiply-add convention.
-    """
-
-    m: int
-    n: int
-    k: int
-    batch: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "k", "batch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"GEMM dim {name} must be positive")
-
-    @property
-    def flops(self) -> int:
-        return 2 * self.batch * self.m * self.n * self.k
-
-    def bytes_moved(self, precision: Precision) -> int:
-        """Off-chip traffic lower bound: read A and B, write C once."""
-        per_instance = self.m * self.k + self.k * self.n + self.m * self.n
-        return precision.bytes * self.batch * per_instance
 
 
 @dataclass(frozen=True)

@@ -18,29 +18,61 @@ The op labels :class:`Phase`, :class:`SubLayer`, :class:`CommGroup` and
 :class:`CollectiveKind` are defined in :mod:`repro.models.layers`, the
 operator table that uses them, and re-exported here: the batch engine
 reads the table without ever building a graph op, so it does not load
-this module.
+this module.  :class:`GemmShape`, the shape of a :class:`GemmOp`, lives
+here for the same reason; :mod:`repro.hardware.gemm` still resolves
+``GemmShape`` on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.core.hyperparams import ModelConfig, ParallelConfig
-from repro.hardware.gemm import GemmShape
 from repro.models.layers import CollectiveKind, CommGroup, Phase, SubLayer
+
+if TYPE_CHECKING:
+    from repro.hardware.specs import Precision
 
 __all__ = [
     "Phase",
     "SubLayer",
     "CommGroup",
     "CollectiveKind",
+    "GemmShape",
     "GemmOp",
     "ElementwiseOp",
     "CommOp",
     "Op",
     "Trace",
 ]
+
+
+@dataclass(frozen=True)
+class GemmShape:
+    """A (possibly batched) GEMM: ``batch`` x [M, K] @ [K, N].
+
+    ``flops`` follows the paper's ``2 * M * N * K`` multiply-add convention.
+    """
+
+    m: int
+    n: int
+    k: int
+    batch: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("m", "n", "k", "batch"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"GEMM dim {name} must be positive")
+
+    @property
+    def flops(self) -> int:
+        return 2 * self.batch * self.m * self.n * self.k
+
+    def bytes_moved(self, precision: Precision) -> int:
+        """Off-chip traffic lower bound: read A and B, write C once."""
+        per_instance = self.m * self.k + self.k * self.n + self.m * self.n
+        return precision.bytes * self.batch * per_instance
 
 
 @dataclass(frozen=True)

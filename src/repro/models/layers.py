@@ -158,8 +158,7 @@ def _graph_classes() -> Tuple[type, type, type, type]:
     because the builders call it once per op, and a function-level
     import statement costs microseconds even when the module is loaded.
     """
-    from repro.hardware.gemm import GemmShape
-    from repro.models.graph import CommOp, ElementwiseOp, GemmOp
+    from repro.models.graph import CommOp, ElementwiseOp, GemmOp, GemmShape
 
     return GemmShape, GemmOp, ElementwiseOp, CommOp
 

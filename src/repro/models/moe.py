@@ -23,7 +23,6 @@ from repro.core.hyperparams import (
     ParallelConfig,
     validate_model_parallel,
 )
-from repro.hardware.gemm import GemmShape
 from repro.models import layers, sharding
 from repro.models.graph import (
     CollectiveKind,
@@ -31,6 +30,7 @@ from repro.models.graph import (
     CommOp,
     ElementwiseOp,
     GemmOp,
+    GemmShape,
     Op,
     Phase,
     SubLayer,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -47,20 +46,22 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-@dataclass
 class CacheStats:
     """Hit/miss/write counters for one cache instance."""
 
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
+    __slots__ = ("hits", "misses", "writes")
+
+    def __init__(self, hits: int = 0, misses: int = 0,
+                 writes: int = 0) -> None:
+        self.hits = hits
+        self.misses = misses
+        self.writes = writes
 
     def as_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "writes": self.writes}
 
 
-@dataclass
 class ResultCache:
     """Content-keyed JSON payload cache.
 
@@ -71,13 +72,14 @@ class ResultCache:
             written under a different tag read as misses.
     """
 
-    cache_dir: Optional[Path] = None
-    version: str = CACHE_VERSION
-    stats: CacheStats = field(default_factory=CacheStats)
+    __slots__ = ("cache_dir", "version", "stats", "_memory")
 
-    def __post_init__(self) -> None:
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
+    def __init__(self, cache_dir: Optional[Path] = None,
+                 version: str = CACHE_VERSION,
+                 stats: Optional[CacheStats] = None) -> None:
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.version = version
+        self.stats = stats if stats is not None else CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
 
     @property

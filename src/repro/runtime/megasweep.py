@@ -46,13 +46,14 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -92,8 +93,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Outcome of one streaming sweep.
 
     Attributes:
@@ -111,7 +111,7 @@ class SweepResult:
         cache_hits: Chunks replayed from a cache instead of evaluated
             (only nonzero when the caller supplies a cache).
         meta: ``spec_key`` plus, when ``prune=True`` was requested, the
-            ``prune`` accounting.
+            ``prune`` accounting (read-only and empty by default).
     """
 
     reductions: Dict[str, Dict[str, object]]
@@ -123,7 +123,7 @@ class SweepResult:
     mode: str
     wall_time_s: float
     cache_hits: int = 0
-    meta: Dict[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = MappingProxyType({})
 
 
 class _SweepContext(NamedTuple):

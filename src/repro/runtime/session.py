@@ -40,7 +40,7 @@ from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
 from repro.runtime.cache import CACHE_VERSION, ResultCache
 from repro.runtime.keys import cache_key, fingerprint
-from repro.sim.checkflag import check_enabled
+from repro.sim.checkflag import check_enabled, validation_count
 
 if TYPE_CHECKING:
     from repro.core.gridplan import GridSpec
@@ -239,7 +239,9 @@ class Session:
 
         Cache keys cover the experiment id and the session fingerprint,
         so sessions on different clusters or timing models never share
-        entries.  The returned result carries :class:`RunMeta`.
+        entries.  The returned result carries :class:`RunMeta`; when
+        the experiment ran, its ``checked`` says whether any validator
+        ran during the run, not merely whether checking was on.
         """
         from repro.experiments import registry
         from repro.experiments.base import ExperimentResult, RunMeta
@@ -257,12 +259,14 @@ class Session:
                                cache="hit", session=self.fingerprint,
                                checked=self.check)
                 return result.with_meta(meta)
+        validations = validation_count()
         result = self._invoke(registry.get_experiment(experiment_id))
         if use_cache:
             self.cache.put(key, result.to_dict())
         meta = RunMeta(wall_time_s=time.perf_counter() - start,
                        cache="miss" if use_cache else "off",
-                       session=self.fingerprint, checked=self.check)
+                       session=self.fingerprint,
+                       checked=validation_count() > validations)
         return result.with_meta(meta)
 
     def run_all(self,

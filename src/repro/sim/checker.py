@@ -65,7 +65,7 @@ from repro.core.invariants import (
 )
 from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.models.trace import layer_trace
-from repro.sim.checkflag import CHECK_ENV, check_enabled
+from repro.sim.checkflag import CHECK_ENV, _count_validation, check_enabled
 from repro.sim.engine import Schedule, ScheduledTask
 from repro.sim.executor import (
     DEFAULT_TIMING,
@@ -101,18 +101,21 @@ __all__ = [
 
 def validate_schedule(schedule: Schedule) -> None:
     """Raise :class:`InvariantError` unless the schedule is valid."""
+    _count_validation()
     assert_valid(schedule_violations(schedule), context="schedule")
 
 
 def validate_execution(result: ExecutionResult) -> None:
     """Raise :class:`InvariantError` unless the execution is consistent
     (schedule invariants + breakdown conservation)."""
+    _count_validation()
     assert_valid(execution_violations(result), context="execution")
 
 
 def validate_batch(batch) -> None:
     """Raise :class:`InvariantError` unless a batched breakdown obeys the
     conservation laws on every grid entry."""
+    _count_validation()
     assert_valid(batch_violations(batch), context="batch breakdown")
 
 

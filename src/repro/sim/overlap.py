@@ -26,8 +26,13 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.gemm import GemmShape
-from repro.models.graph import CollectiveKind, CommOp, GemmOp, Trace
+from repro.models.graph import (
+    CollectiveKind,
+    CommOp,
+    GemmOp,
+    GemmShape,
+    Trace,
+)
 from repro.sim.breakdown import Breakdown
 from repro.sim.engine import Task, run_schedule
 from repro.sim.executor import (

@@ -18,13 +18,13 @@ from repro.core.hyperparams import (
     ParallelConfig,
     Precision,
 )
-from repro.hardware.gemm import GemmShape
 from repro.models.graph import (
     CollectiveKind,
     CommGroup,
     CommOp,
     ElementwiseOp,
     GemmOp,
+    GemmShape,
     Op,
     Phase,
     SubLayer,

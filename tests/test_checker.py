@@ -131,12 +131,15 @@ class TestDifferentialOracle:
         real = batch_module.batch_execute
 
         def skewed(grid, cluster, timing=None, **kwargs):
-            from dataclasses import replace
-
             breakdown = real(grid, cluster, timing, **kwargs)
             iteration = np.array(breakdown.iteration_time, copy=True)
             iteration[3] *= 1.5  # silently corrupt one config
-            return replace(breakdown, iteration_time=iteration)
+            return batch_module.BatchBreakdown(
+                compute_time=breakdown.compute_time,
+                serialized_comm_time=breakdown.serialized_comm_time,
+                overlapped_comm_time=breakdown.overlapped_comm_time,
+                iteration_time=iteration,
+            )
 
         monkeypatch.setattr(batch_module, "batch_execute", skewed)
         report = differential_oracle(n=10, seed=7)
@@ -186,7 +189,7 @@ class TestCheckCli:
         assert "invariants hold" in capsys.readouterr().out
 
     def test_experiment_check_flag(self, capsys):
-        code = main(["experiment", "table-3", "--no-cache", "--meta",
+        code = main(["experiment", "figure-10", "--no-cache", "--meta",
                      "--check"])
         assert code == 0
         assert "checked" in capsys.readouterr().out

@@ -21,6 +21,47 @@ class TestParser:
         assert args.dp == 1  # default
 
 
+#: A usage error in each subcommand's own arguments.
+USAGE_ERRORS = {
+    "analyze": ["analyze", "--hidden", "2048"],
+    "experiment": ["experiment"],
+    "check": ["check", "--configs", "many"],
+    "search": ["search", "--hidden", "1024", "--seq-len", "0,x"],
+    "zoo": ["zoo", "--format", "xml"],
+    "forecast": ["forecast", "--start", "soon"],
+    "cache": ["cache", "purge"],
+    "plan": ["plan", "--devices", "8"],
+}
+
+
+def _parsed(parse, argv, capsys):
+    """``(exit code, stdout, stderr)`` of a parse that exits."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+class TestPerCommandParser:
+    """``main`` adds only the invoked subcommand's arguments; what it
+    prints must be byte-identical to the full parser's output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["-h", "search"], ["zoo", "extra"],
+        *([command, "--help"] for command in USAGE_ERRORS),
+        *USAGE_ERRORS.values(),
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_output_matches_full_parser(self, argv, capsys):
+        full = _parsed(build_parser().parse_args, argv, capsys)
+        assert _parsed(main, argv, capsys) == full
+        assert full[0] in (0, 2)
+        assert full[1] or full[2]
+
+    def test_every_command_has_a_case(self):
+        choices = build_parser()._subparsers._group_actions[0].choices
+        assert list(choices) == list(USAGE_ERRORS)
+
+
 class TestAnalyze:
     def test_prints_breakdown(self, capsys):
         code = main(["analyze", "--hidden", "2048", "--seq-len", "512",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import ConfigGrid, batch_execute
+from repro.core.batch import BatchBreakdown, ConfigGrid, batch_execute
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.invariants import (
     InvariantError,
@@ -180,8 +180,6 @@ class TestBatchViolations:
         assert batch_violations(batch_execute(grid, cluster)) == []
 
     def test_reports_first_offending_index(self, cluster):
-        from dataclasses import replace
-
         model = ModelConfig(name="m", hidden=2048, seq_len=512, batch=1,
                             num_heads=16)
         grid = ConfigGrid.from_models([
@@ -190,7 +188,12 @@ class TestBatchViolations:
         batch = batch_execute(grid, cluster)
         iteration = np.array(batch.iteration_time, copy=True)
         iteration[1] = 0.0  # shorter than its own blocking chain
-        broken = replace(batch, iteration_time=iteration)
+        broken = BatchBreakdown(
+            compute_time=batch.compute_time,
+            serialized_comm_time=batch.serialized_comm_time,
+            overlapped_comm_time=batch.overlapped_comm_time,
+            iteration_time=iteration,
+        )
         violations = batch_violations(broken)
         assert any(v.invariant == "conservation-lower"
                    and v.subject == "config 1" for v in violations)

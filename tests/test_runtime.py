@@ -400,11 +400,19 @@ class TestSessionCheck:
         assert checked.breakdown == plain.breakdown
 
     def test_run_meta_records_checked(self):
-        result = Session(check=True).run("table-3", use_cache=False)
+        result = Session(check=True).run("figure-10", use_cache=False)
         assert result.meta.checked is True
         assert "checked" in result.meta.describe()
-        assert Session().run("table-3",
+        assert Session().run("figure-10",
                              use_cache=False).meta.checked is False
+
+    @pytest.mark.parametrize("experiment_id", ["figure-11", "table-3"])
+    def test_run_meta_unchecked_when_no_validator_ran(self, experiment_id):
+        """Figure 11 times its overlap ROI in closed form and Table 3
+        times nothing, so no validator runs even with checking on."""
+        result = Session(check=True).run(experiment_id, use_cache=False)
+        assert result.meta.checked is False
+        assert "checked" not in result.meta.describe()
 
 
 class TestSweepHelpers:

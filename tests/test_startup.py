@@ -50,11 +50,15 @@ SMALL_SWEEPS = ("figure-10", "figure-11", "figure-12", "figure-13",
                 "table-2", "extension-forecast", "extension-hwtrends")
 
 #: Most ``repro`` dataclasses a fresh process may define for a command.
-#: Each one costs about a millisecond of ``exec`` at import.  A pruned
-#: search adds the bound records of ``repro.core.bounds``.
-SEARCH_DATACLASSES = 24
-PRUNED_SEARCH_DATACLASSES = 26
-REPLAY_DATACLASSES = 12
+#: Each one costs about a millisecond of ``exec`` at import, so only the
+#: seven hardware value objects that cache keys fingerprint field by
+#: field and that ``replace`` copies stay dataclasses on a search; a
+#: replay adds ``RunMeta`` and ``ExperimentResult``.  A project-mode
+#: search also fits operator models on scalar traces.
+SEARCH_DATACLASSES = 7
+PRUNED_SEARCH_DATACLASSES = 7
+PROJECT_SEARCH_DATACLASSES = 24
+REPLAY_DATACLASSES = 9
 
 #: A small search whose reducers all prune.
 SEARCH = ["search", "--hidden", "1024,2048", "--seq-len", "512",
@@ -135,8 +139,14 @@ class TestDataclassBudget:
     def test_execute_search(self, tmp_path, extra, budget):
         defined = _dataclasses(_main(SEARCH + extra + [
             "-o", str(tmp_path / "search.txt")]))
-        assert "repro.core.batch.ConfigGrid" in defined
+        assert "repro.hardware.cluster.ClusterSpec" in defined
         assert len(defined) <= budget, defined
+
+    def test_project_search(self, tmp_path):
+        defined = _dataclasses(_main(SEARCH + [
+            "--mode", "project", "-o", str(tmp_path / "search.txt")]))
+        assert "repro.core.projection.OperatorModelSuite" in defined
+        assert len(defined) <= PROJECT_SEARCH_DATACLASSES, defined
 
     def test_warm_experiment_replay(self, tmp_path):
         from repro.cli import main
@@ -342,10 +352,12 @@ class TestLazyNamespaces:
 
     def test_moved_names_keep_their_old_paths(self):
         from repro.core import hyperparams
-        from repro.hardware import specs
+        from repro.hardware import gemm, specs
         from repro.models import graph, layers
 
         assert hyperparams.Precision is specs.Precision is repro.Precision
+        assert (gemm.GemmShape is graph.GemmShape
+                is repro.hardware.GemmShape)
         for name in ("Phase", "SubLayer", "CommGroup", "CollectiveKind"):
             assert (getattr(graph, name) is getattr(layers, name)
                     is getattr(repro.models, name)), name
