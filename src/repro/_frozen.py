@@ -22,8 +22,8 @@ class Frozen:
     """Base of an immutable record whose fields are its ``__slots__``.
 
     ``__slots__`` lists the constructor's parameters in order; a slot
-    whose name starts with an underscore (a private cache, or
-    ``__weakref__``) is not a field.  Pickling rebuilds the record by
+    whose name starts with an underscore (a private cache) is not a
+    field.  Pickling rebuilds the record by
     calling the constructor with its fields, so it works for the sweep
     process pool.
     """

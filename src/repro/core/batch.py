@@ -303,9 +303,7 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
     (:func:`_dp_free_rows`); a DP-group all-reduce on every row.
 
     Int fields are stacked through
-    :func:`repro.sim.vectorized.stack_columns`, which reuses one scratch
-    buffer per field across chunks; ``evaluate`` consumes each stack
-    before the next family reuses the field.
+    :func:`repro.sim.vectorized.stack_columns`.
 
     Args:
         rows: The grid's DP-free runs.
@@ -339,7 +337,7 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
                                  widths)
             values = [_group_sizes(grid, op) if field == "group"
                       else getattr(op, field) for op in members]
-            return vectorized.stack_columns(field, [
+            return vectorized.stack_columns([
                 value if _reads_dp(op) else rows.compress(value)
                 for op, value in zip(members, values)], widths)
 
@@ -407,10 +405,8 @@ class BatchBreakdown(Frozen):
     derived quantity reproduces the scalar property on each entry.
     """
 
-    # Weakly referenceable: reducers memoize derived metric columns per
-    # breakdown without keeping evaluated chunks alive.
     __slots__ = ("compute_time", "serialized_comm_time",
-                 "overlapped_comm_time", "iteration_time", "__weakref__")
+                 "overlapped_comm_time", "iteration_time")
 
     compute_time: np.ndarray
     serialized_comm_time: np.ndarray

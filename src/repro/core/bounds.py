@@ -43,9 +43,10 @@ the exact projected metrics with zero interval width.
 :class:`~repro.core.gridplan.GridSpec` index space -- no jitter
 hashing -- and aggregates per-metric ``(min lower, max upper)``
 envelopes that the pruning protocol of :mod:`repro.core.reducers`
-compares against the incumbent.  :data:`BOUND_MODEL_VERSION` must be
-bumped whenever any bound formula changes; it is part of the chunk
-bound cache keys (:meth:`repro.core.gridplan.GridSpec.chunk_key`).
+compares against the incumbent.  Envelopes are recomputed on every
+pruned sweep and never cached: a chunk's envelope costs about as much
+to compute as to read back, and an uncached bound cannot outlive the
+formulas that produced it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -89,18 +89,12 @@ if TYPE_CHECKING:
     from repro.core.projection import OperatorModelSuite
 
 __all__ = [
-    "BOUND_MODEL_VERSION",
     "BOUNDED_METRICS",
     "MetricBounds",
     "ChunkBounds",
     "bound_grid",
     "chunk_bounds",
 ]
-
-#: Version of the bound formulas.  Part of every chunk-bound cache key:
-#: bump it when any bound formula changes so stale cached bounds can
-#: never mix with a newer pruning run.
-BOUND_MODEL_VERSION = 2
 
 #: Metrics with admissible interval bounds (the stored breakdown columns
 #: plus the derived exposed-comm slack).  Fraction metrics are excluded:
@@ -169,27 +163,6 @@ class ChunkBounds(NamedTuple):
     rows: int
     lower: Dict[str, float]
     upper: Dict[str, float]
-
-    def to_record(self) -> Dict[str, object]:
-        """JSON-serializable form (cacheable as-is)."""
-        return {
-            "index": self.index,
-            "raw": self.raw_rows,
-            "rows": self.rows,
-            "lower": dict(self.lower),
-            "upper": dict(self.upper),
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, object]) -> "ChunkBounds":
-        """Inverse of :meth:`to_record`."""
-        return cls(
-            index=int(record["index"]),
-            raw_rows=int(record["raw"]),
-            rows=int(record["rows"]),
-            lower={k: float(v) for k, v in record["lower"].items()},
-            upper={k: float(v) for k, v in record["upper"].items()},
-        )
 
 
 # -- per-op duration bounds ----------------------------------------------

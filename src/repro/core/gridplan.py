@@ -357,27 +357,17 @@ class GridSpec(Frozen):
         return -(-self.raw_size // chunk_size)
 
     def chunk_key(self, index: int,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  bound_version: Optional[int] = None) -> str:
-        """Content fingerprint of one chunk (for per-chunk result caches).
+                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> str:
+        """Content fingerprint of one chunk (for the exact chunk records
+        of a cached sweep).
 
         Derived purely from the spec content and the chunk geometry --
         two processes that never exchanged arrays agree on it.
-
-        Args:
-            bound_version: When the cached artifact is a chunk *bound*
-                record rather than exact reducer payloads, pass
-                :data:`repro.core.bounds.BOUND_MODEL_VERSION` so bounds
-                from an older envelope model can never satisfy a newer
-                pruning run.
         """
         from repro.runtime.keys import fingerprint
 
-        if bound_version is None:
-            return fingerprint("grid-chunk", self.content_key(),
-                               chunk_size, index)
-        return fingerprint("grid-chunk", self.content_key(), chunk_size,
-                           index, "bounds", bound_version)
+        return fingerprint("grid-chunk", self.content_key(),
+                           chunk_size, index)
 
     def _raw_columns(self, start: int, stop: int) -> Mapping[str, np.ndarray]:
         offsets = np.arange(start, stop, dtype=np.int64)

@@ -29,7 +29,6 @@ the derived properties of :class:`~repro.core.batch.BatchBreakdown`
 from __future__ import annotations
 
 import math
-import weakref
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, \
     Sequence, Tuple
 
@@ -71,31 +70,15 @@ METRICS: Tuple[str, ...] = (
 _CONFIG_COLUMNS = ("hidden", "seq_len", "batch", "tp", "dp")
 
 
-#: Memoized derived-metric columns, keyed by breakdown identity.  A
-#: multi-reducer sweep asks for the same derived property (e.g.
-#: ``exposed_comm_time``) several times per chunk; breakdowns are
-#: frozen, so the first materialized column can be reused verbatim.
-#: Weak keys let chunks be garbage-collected as the stream advances.
-_METRIC_CACHE: "weakref.WeakKeyDictionary[BatchBreakdown, Dict[str, np.ndarray]]" \
-    = weakref.WeakKeyDictionary()
-
-
 def metric_values(name: str, breakdown: BatchBreakdown) -> np.ndarray:
-    """The named metric as a per-config array (memoized per breakdown).
+    """The named metric as a per-config array.
 
     Raises:
         KeyError: for unknown metric names (lists the known ones).
     """
     if name not in METRICS:
         raise KeyError(f"unknown metric {name!r}; known: {list(METRICS)}")
-    columns = _METRIC_CACHE.get(breakdown)
-    if columns is None:
-        columns = _METRIC_CACHE.setdefault(breakdown, {})
-    values = columns.get(name)
-    if values is None:
-        values = columns[name] = np.asarray(getattr(breakdown, name),
-                                            dtype=np.float64)
-    return values
+    return np.asarray(getattr(breakdown, name), dtype=np.float64)
 
 
 class EvaluatedChunk(Frozen):

@@ -37,8 +37,8 @@ class RunMeta:
             invariants (``Session(check=True)``, CLI ``--check``, or
             ``REPRO_CHECK=1``).  A run whose path no validator sees
             (Figures 11 and 13 time the overlap ROI in closed form)
-            reports False even with checking on; a cache hit reports
-            the session's check flag.
+            reports False even with checking on, and so does a cache
+            hit, which validates nothing.
     """
 
     wall_time_s: float

@@ -68,9 +68,7 @@ def _format_config(config: Sequence[int]) -> str:
 
 def run(scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
         cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Streamed feasibility/bottleneck table, one row per scenario.
 
     Each scenario's row reports the raw and feasible point counts, the
@@ -83,7 +81,7 @@ def run(scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     analytical bounds prove irrelevant are never engine-evaluated.  The
     histogram needs every feasible point, so it streams in a separate
     exhaustive sweep.  Both use the ground-truth batch engine on the
-    scenario-scaled cluster and store no chunk or bound records: the
+    scenario-scaled cluster and store no chunk records: the
     experiment result is the one cache entry.
     """
     from repro.runtime.session import resolve_session
@@ -100,11 +98,9 @@ def run(scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
         target = scenario.apply(base)
         spec = design_spec(target)
         selected = session.stream_sweep(spec, selection(), cluster=target,
-                                        jobs=jobs, chunk_size=chunk_size,
                                         prune=True, use_cache=False)
         histogram = Histogram("serialized_comm_fraction", bins=64)
         full = session.stream_sweep(spec, (histogram,), cluster=target,
-                                    jobs=jobs, chunk_size=chunk_size,
                                     use_cache=False)
         total_raw += full.raw_points
         total_evaluated += full.evaluated_points

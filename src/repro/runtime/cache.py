@@ -1,7 +1,7 @@
 """Keyed result cache: in-memory dict plus an optional on-disk JSON store.
 
 The cache stores plain JSON payloads (``ExperimentResult.to_dict()``
-documents, and ``repro search``'s per-chunk sweep and bound records)
+documents, and ``repro search``'s exact per-chunk sweep records)
 under content keys from :mod:`repro.runtime.keys`.  Every on-disk entry is wrapped in
 an envelope carrying :data:`CACHE_VERSION`; bumping the version -- or
 constructing the cache with a different ``version`` tag -- invalidates

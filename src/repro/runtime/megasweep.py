@@ -28,7 +28,8 @@ chunks as they complete.
 One scheduler serves every sweep.  It replays cached exact chunks,
 then evaluates the rest.  ``prune=True`` adds a **bound-and-prune**
 step in between: it computes cheap admissible chunk intervals
-(:mod:`repro.core.bounds`), orders the chunks best-bound-first, and
+(:mod:`repro.core.bounds`; recomputed on every run, never cached, so
+exact chunk records are the only thing a sweep stores), orders the chunks best-bound-first, and
 skips any chunk whose interval proves -- via the reducers'
 :meth:`~repro.core.reducers.Reducer.can_prune` protocol -- that none of
 its rows can reach the output against the incumbent merged so far.  A
@@ -190,17 +191,6 @@ def _eval_chunk_task(index: int) -> Tuple[int, ChunkRecord]:
     return index, _evaluate_chunk(_WORKER_CTX, index)
 
 
-def _chunk_bound_record(ctx: _SweepContext, index: int) -> ChunkRecord:
-    """Phase-1 task: one chunk's bound envelope as a JSON record."""
-    from repro.core.bounds import chunk_bounds
-
-    return chunk_bounds(
-        ctx.spec, index, ctx.chunk_size, mode=ctx.mode,
-        cluster=ctx.cluster, timing=ctx.timing, suite=ctx.suite,
-        scenario=ctx.scenario,
-    ).to_record()
-
-
 def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
                     pending: Sequence[int]) -> List[int]:
     """Best-bound-first chunk order across all reducer objectives.
@@ -232,24 +222,18 @@ def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
                                                       pending[p]))]
 
 
-def _record_key(ctx: _SweepContext,
-                bound_version: Optional[int] = None) -> Callable[[int], str]:
-    """Chunk index -> cache key of its exact record (or, given
-    ``bound_version``, of its bound record).
+def _record_key(ctx: _SweepContext) -> Callable[[int], str]:
+    """Chunk index -> cache key of its exact record.
 
-    The context fingerprint covers the reducer set (exact records only),
-    the mode, cluster, timing and scenario; in project mode the suite is
-    the one fitted for that cluster and timing.
+    The context fingerprint covers the reducer set, the mode, cluster,
+    timing and scenario; in project mode the suite is the one fitted
+    for that cluster and timing.
     """
-    if bound_version is None:
-        context = fingerprint("stream-chunk", CACHE_VERSION,
-                              tuple(reducer.key() for reducer in ctx.reducers),
-                              ctx.mode, ctx.cluster, ctx.timing, ctx.scenario)
-    else:
-        context = fingerprint("chunk-bounds", CACHE_VERSION, bound_version,
-                              ctx.mode, ctx.cluster, ctx.timing, ctx.scenario)
+    context = fingerprint("stream-chunk", CACHE_VERSION,
+                          tuple(reducer.key() for reducer in ctx.reducers),
+                          ctx.mode, ctx.cluster, ctx.timing, ctx.scenario)
     return lambda index: cache_key(context, ctx.spec.chunk_key(
-        index, ctx.chunk_size, bound_version=bound_version))
+        index, ctx.chunk_size))
 
 
 def stream_sweep(spec: GridSpec,
@@ -298,10 +282,8 @@ def stream_sweep(spec: GridSpec,
             reducer set, the mode and the cluster/timing/scenario
             context, so pruned and exhaustive sweeps share them and a
             rerun -- or a larger sweep sharing chunks -- replays instead
-            of re-evaluating.  With ``prune=True`` bound records are
-            stored too, keyed under
-            :data:`repro.core.bounds.BOUND_MODEL_VERSION`.  Used only in
-            this process.
+            of re-evaluating.  Bounds are recomputed on every pruned
+            run, never cached.  Used only in this process.
 
     Raises:
         ValueError: Unknown mode, or project mode without a suite.
@@ -349,22 +331,21 @@ def stream_sweep(spec: GridSpec,
         for i, reducer in enumerate(ctx.reducers):
             payloads[i] = reducer.merge(payloads[i], record["payloads"][i])
 
-    def lookup(key_of: Callable[[int], str],
-               index: int) -> Optional[ChunkRecord]:
+    key_of = _record_key(ctx) if cache is not None else None
+
+    def lookup(index: int) -> Optional[ChunkRecord]:
         record = cache.get(key_of(index)) if cache is not None else None
         return record if isinstance(record, dict) else None
 
-    def store(key_of: Callable[[int], str], index: int,
-              record: ChunkRecord) -> None:
+    def store(index: int, record: ChunkRecord) -> None:
         if cache is not None:
             cache.put(key_of(index), record)
 
     # Replay already-exact chunks first: in a pruned sweep they only
     # tighten the incumbent.
-    exact_key = _record_key(ctx) if cache is not None else None
     pending: List[int] = []
     for index in range(n_chunks):
-        cached = lookup(exact_key, index)
+        cached = lookup(index)
         if cached is None:
             pending.append(index)
         else:
@@ -372,17 +353,15 @@ def stream_sweep(spec: GridSpec,
     cache_hits = n_chunks - len(pending)
 
     if prune:
-        from repro.core.bounds import BOUND_MODEL_VERSION, ChunkBounds
+        from repro.core.bounds import ChunkBounds, chunk_bounds
 
-        bound_key = (_record_key(ctx, BOUND_MODEL_VERSION)
-                     if cache is not None else None)
-        bounds: Dict[int, ChunkBounds] = {}
-        for index in pending:
-            record = lookup(bound_key, index)
-            if record is None:
-                record = _chunk_bound_record(ctx, index)
-                store(bound_key, index, record)
-            bounds[index] = ChunkBounds.from_record(record)
+        bounds: Dict[int, ChunkBounds] = {
+            index: chunk_bounds(ctx.spec, index, ctx.chunk_size,
+                                mode=ctx.mode, cluster=ctx.cluster,
+                                timing=ctx.timing, suite=ctx.suite,
+                                scenario=ctx.scenario)
+            for index in pending
+        }
         feasible = evaluated + sum(entry.rows for entry in bounds.values())
         order = _priority_order(
             ctx.reducers, bounds,
@@ -391,7 +370,7 @@ def stream_sweep(spec: GridSpec,
         order = pending
 
     def finish(index: int, record: ChunkRecord) -> None:
-        store(exact_key, index, record)
+        store(index, record)
         merge(record)
 
     pruned_chunks = 0
@@ -426,7 +405,6 @@ def stream_sweep(spec: GridSpec,
         exact_chunks = len(order) - pruned_chunks
         meta["prune"] = {
             "enabled": True,
-            "bound_version": BOUND_MODEL_VERSION,
             "chunks": n_chunks,
             "cached_chunks": cache_hits,
             "empty_chunks": len(pending) - len(order),

@@ -194,8 +194,8 @@ class Session:
         chunk's reducer payloads are stored under a content key, so
         re-running the same sweep -- or a larger sweep sharing a prefix
         of chunks -- replays instead of re-evaluating.  Pruned and
-        exhaustive sweeps share exact chunk records; pruned sweeps also
-        cache their bound records.
+        exhaustive sweeps share exact chunk records; a pruned sweep
+        recomputes its chunk bounds and stores nothing else.
 
         In ``"project"`` mode the operator-model suite comes from
         :meth:`suite` (fitted once per session).  The sweep inherits
@@ -229,7 +229,11 @@ class Session:
     def _invoke(self, runner: Callable[..., ExperimentResult]
                 ) -> ExperimentResult:
         """Call a registry runner, passing ``session=self`` if accepted."""
-        if "session" in _runner_params(runner):
+        try:
+            params = inspect.signature(runner).parameters
+        except (TypeError, ValueError):
+            params = {}
+        if "session" in params:
             return runner(session=self)
         return runner()
 
@@ -239,9 +243,10 @@ class Session:
 
         Cache keys cover the experiment id and the session fingerprint,
         so sessions on different clusters or timing models never share
-        entries.  The returned result carries :class:`RunMeta`; when
-        the experiment ran, its ``checked`` says whether any validator
-        ran during the run, not merely whether checking was on.
+        entries.  The returned result carries :class:`RunMeta`; its
+        ``checked`` says whether any validator ran during this call,
+        not merely whether checking was on, so a cache hit reports
+        False.
         """
         from repro.experiments import registry
         from repro.experiments.base import ExperimentResult, RunMeta
@@ -257,7 +262,7 @@ class Session:
                 result = ExperimentResult.from_dict(cached)
                 meta = RunMeta(wall_time_s=time.perf_counter() - start,
                                cache="hit", session=self.fingerprint,
-                               checked=self.check)
+                               checked=False)
                 return result.with_meta(meta)
         validations = validation_count()
         result = self._invoke(registry.get_experiment(experiment_id))
@@ -284,20 +289,6 @@ class Session:
             experiment_ids = list(registry.EXPERIMENTS)
         return [self.run(experiment_id, use_cache=use_cache)
                 for experiment_id in experiment_ids]
-
-
-_PARAMS_CACHE: Dict[object, frozenset] = {}
-
-
-def _runner_params(runner: Callable[..., object]) -> frozenset:
-    params = _PARAMS_CACHE.get(runner)
-    if params is None:
-        try:
-            params = frozenset(inspect.signature(runner).parameters)
-        except (TypeError, ValueError):
-            params = frozenset()
-        _PARAMS_CACHE[runner] = params
-    return params
 
 
 _default_session: Optional[Session] = None

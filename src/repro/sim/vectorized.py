@@ -79,12 +79,12 @@ def _as_i64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-# -- reusable stacking buffers -------------------------------------------
+# -- stacking and hash scratch buffers ------------------------------------
 
-#: Pool of int64 stacking buffers, keyed by call-site tag.  Grids are
-#: evaluated slot-kind by slot-kind with the same stacked shapes chunk
-#: after chunk; reusing one buffer per tag removes the per-chunk
-#: allocation tax (each sweep worker process has its own pool).
+#: Pool of int64 scratch buffers for :func:`_unit_hashes`, keyed by tag.
+#: The hash's digit passes see the same shapes chunk after chunk;
+#: reusing one buffer per tag removes the per-chunk allocation tax
+#: (each sweep worker process has its own pool).
 _SCRATCH: Dict[str, np.ndarray] = {}
 
 
@@ -98,21 +98,17 @@ def _scratch(tag: str, shape: Tuple[int, ...]) -> np.ndarray:
     return buffer[:needed].reshape(shape)
 
 
-def stack_columns(tag: str, columns: Sequence[object],
+def stack_columns(columns: Sequence[object],
                   widths: Union[int, Sequence[int]]) -> np.ndarray:
-    """Stack per-slot columns into one reused flat buffer.
+    """Stack per-slot columns into one new flat int64 array.
 
     ``widths`` is every column's length, or one length per column;
     scalar entries are broadcast to their width by the fill itself.
-    Bit-identical to ``np.concatenate(columns)`` for int64 inputs; the
-    returned array is a view of a module-level scratch buffer, valid
-    only until the next :func:`stack_columns` call with the same
-    ``tag`` -- callers must consume it (e.g. feed it to a timing
-    model) before stacking into that tag again.
+    Bit-identical to ``np.concatenate(columns)`` for int64 inputs.
     """
     if isinstance(widths, int):
         widths = [widths] * len(columns)
-    out = _scratch(tag, (sum(widths),))
+    out = np.empty(sum(widths), dtype=np.int64)
     start = 0
     for column, width in zip(columns, widths):
         out[start:start + width] = column

@@ -196,6 +196,20 @@ class TestExperimentRuntime:
         assert main(["experiment", "table-3"]) == 0
         assert "run:" not in capsys.readouterr().out
 
+    def test_cache_hit_reports_unchecked(self, tmp_path, capsys):
+        # Figure 10 runs a validator under --check; replaying its cached
+        # result validates nothing, so the warm run must not claim it.
+        cache = str(tmp_path / "cache")
+        assert main(["experiment", "figure-10", "--cache-dir", cache,
+                     "--check", "--meta"]) == 0
+        cold = capsys.readouterr().out.splitlines()[-1]
+        assert "cache miss" in cold and "checked" in cold
+        assert main(["experiment", "figure-10", "--cache-dir", cache,
+                     "--check", "--meta"]) == 0
+        warm = capsys.readouterr().out.splitlines()[-1]
+        assert "cache hit" in warm
+        assert "checked" not in warm
+
     def test_no_cache_flag(self, capsys):
         assert main(["experiment", "table-3", "--no-cache",
                      "--meta"]) == 0

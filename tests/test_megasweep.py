@@ -303,10 +303,26 @@ class TestBoundAndPrune:
         warm = session.stream_sweep(spec, PRUNABLE, chunk_size=4,
                                     prune=True)
         assert warm.reductions == cold.reductions
-        # exact chunk records replay; the rest are re-pruned from the
-        # (also cached) bound records without touching the engine.
+        # exact chunk records replay; the rest are re-pruned from
+        # freshly computed bounds without touching the engine.
         assert warm.cache_hits == cold.meta["prune"]["exact_chunks"]
         assert warm.meta["prune"]["cached_chunks"] == warm.cache_hits
+
+    def test_pruned_sweep_stores_exact_records_only(self, tmp_path):
+        spec, reducers = spec_with(), PRUNABLE[:2]
+        cold = Session(cluster=CLUSTER, cache_dir=tmp_path).stream_sweep(
+            spec, reducers, chunk_size=4, prune=True)
+        meta = cold.meta["prune"]
+        assert meta["pruned_chunks"] > 0
+        assert len(list(tmp_path.glob("*.json"))) == meta["exact_chunks"]
+        warm = Session(cluster=CLUSTER, cache_dir=tmp_path).stream_sweep(
+            spec, reducers, chunk_size=4, prune=True)
+        assert warm.reductions == cold.reductions
+        # Only the replayed chunks move from "exact" to "cached".
+        assert warm.meta["prune"] == dict(
+            meta, cached_chunks=meta["exact_chunks"], exact_chunks=0,
+            exact_chunk_fraction=0.0)
+        assert len(list(tmp_path.glob("*.json"))) == meta["exact_chunks"]
 
     def test_pruned_sweep_never_starts_a_pool(self, monkeypatch):
         spec = spec_with()
@@ -370,12 +386,13 @@ class TestVectorizedBuffers:
     def test_stack_columns_matches_concatenate(self):
         columns = [np.arange(8, dtype=np.int64) * factor
                    for factor in (1, 3, 7)]
-        stacked = vectorized.stack_columns("test.a", columns, 8)
+        stacked = vectorized.stack_columns(columns, 8)
         np.testing.assert_array_equal(stacked, np.concatenate(columns))
-        # reuse with fewer rows returns a trimmed view of the same buffer
-        again = vectorized.stack_columns("test.a", columns[:2], 8)
+        # each call returns its own array: an earlier stack survives
+        again = vectorized.stack_columns(columns[:2], [8, 8])
         np.testing.assert_array_equal(again, np.concatenate(columns[:2]))
-        assert again.base is stacked.base or again.base is not None
+        np.testing.assert_array_equal(stacked, np.concatenate(columns))
+        assert not np.shares_memory(stacked, again)
 
     def test_batch_execute_unaffected_by_buffer_reuse(self):
         # Two different grids evaluated back to back share scratch
