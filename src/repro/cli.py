@@ -518,12 +518,16 @@ def _render_search_text(result) -> str:
     prune_meta = result.meta.get("prune")
     if prune_meta is not None:
         if prune_meta["enabled"]:
+            # The fraction's base excludes the points replayed from the
+            # cache (none without --cache-dir).
+            unreplayed = (prune_meta["feasible_points"]
+                          - prune_meta["cached_points"])
             lines.append(
                 f"prune: {prune_meta['pruned_chunks']} of "
                 f"{prune_meta['chunks']} chunks pruned by analytical "
                 f"bounds; {prune_meta['exact_chunks']} evaluated exactly "
                 f"({prune_meta['exact_point_fraction']:.1%} of "
-                f"{prune_meta['feasible_points']:,} feasible points) -- "
+                f"{unreplayed:,} feasible points) -- "
                 f"results bit-identical to exhaustive"
             )
         else:

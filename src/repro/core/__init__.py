@@ -22,7 +22,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "batch_execute": "repro.core.batch",
     "batch_project": "repro.core.batch",
     "batch_violations": "repro.core.invariants",
-    "best_plan": "repro.core.autotune",
     "breakdown_violations": "repro.core.invariants",
     "enumerate_plans": "repro.core.autotune",
     "execution_violations": "repro.core.invariants",

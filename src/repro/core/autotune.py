@@ -25,7 +25,7 @@ from repro.models.pipeline import estimate_pipeline
 from repro.models.trace import training_trace
 from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 
-__all__ = ["PlanCandidate", "enumerate_plans", "best_plan"]
+__all__ = ["PlanCandidate", "enumerate_plans"]
 
 
 @dataclass(frozen=True)
@@ -139,23 +139,3 @@ def enumerate_plans(
             ))
     candidates.sort(key=lambda c: c.tokens_per_second, reverse=True)
     return candidates
-
-
-def best_plan(
-    model: ModelConfig,
-    world_size: int,
-    cluster: ClusterSpec,
-    **kwargs,
-) -> PlanCandidate:
-    """The highest-throughput feasible plan.
-
-    Raises:
-        ValueError: if no plan fits (the model needs more devices).
-    """
-    plans = enumerate_plans(model, world_size, cluster, **kwargs)
-    if not plans:
-        raise ValueError(
-            f"no feasible (TP, DP, PP) plan for {model.name} on "
-            f"{world_size} devices -- increase the device budget"
-        )
-    return plans[0]

@@ -174,19 +174,6 @@ class ConfigGrid(Frozen):
             precision=precisions.pop(),
         )
 
-    def subset(self, mask: np.ndarray) -> "ConfigGrid":
-        """Sub-grid selected by a boolean mask."""
-        return ConfigGrid(
-            hidden=self.hidden[mask],
-            seq_len=self.seq_len[mask],
-            batch=self.batch[mask],
-            tp=self.tp[mask],
-            dp=self.dp[mask],
-            num_heads=self.num_heads[mask],
-            ffn_dim=self.ffn_dim[mask],
-            precision=self.precision,
-        )
-
     def at(self, index: int) -> Tuple[ModelConfig, ParallelConfig]:
         """Scalar ``(model, parallel)`` pair of one grid entry."""
         from repro.core.hyperparams import ModelConfig, ParallelConfig

@@ -114,10 +114,6 @@ class CaseStudyRow:
     def critical_comm_fraction(self) -> float:
         return self.breakdown.critical_comm_fraction
 
-    @property
-    def dp_comm_fully_hidden(self) -> bool:
-        return self.breakdown.exposed_comm_time == 0.0
-
 
 def run_case_study(
     model: ModelConfig = CASE_STUDY_MODEL,

@@ -42,15 +42,6 @@ class EdgeAnalysis:
     exact_ratio: float
     asymptotic_ratio: float
 
-    @property
-    def compute_has_edge(self) -> bool:
-        """True when compute ops outnumber communicated bytes.
-
-        The paper observes that with ``(H + SL) > TP`` for all practical
-        configurations, compute retains this edge algorithmically.
-        """
-        return self.exact_ratio > 1.0
-
 
 def amdahl_edge(model: ModelConfig, parallel: ParallelConfig) -> EdgeAnalysis:
     """Compute compute's Amdahl's Law edge for one (model, setup) pair.

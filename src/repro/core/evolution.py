@@ -12,17 +12,14 @@ communication times stay, shifting the bottleneck toward communication
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.hyperparams import Precision
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.specs import DEVICE_CATALOG, flop_vs_bw_ratio
 from repro.models.graph import Trace
 
 __all__ = [
     "HardwareScenario",
     "PAPER_SCENARIOS",
-    "historical_flop_vs_bw",
     "scale_durations",
 ]
 
@@ -63,23 +60,6 @@ PAPER_SCENARIOS: Tuple[HardwareScenario, ...] = (
     HardwareScenario(name="2x flop-vs-bw", compute_scale=2.0),
     HardwareScenario(name="4x flop-vs-bw", compute_scale=4.0),
 )
-
-
-def historical_flop_vs_bw(
-    pairs: Sequence[Tuple[str, str]] = (("V100", "A100"), ("MI50", "MI100")),
-    precision: Precision = Precision.FP16,
-) -> Dict[str, float]:
-    """Flop-vs-bw ratios derived from catalog device generations.
-
-    Reproduces the paper's 2-4x historical range from public datasheets.
-    """
-    ratios = {}
-    for old_name, new_name in pairs:
-        old, new = DEVICE_CATALOG[old_name], DEVICE_CATALOG[new_name]
-        ratios[f"{old_name}->{new_name}"] = flop_vs_bw_ratio(
-            old, new, precision
-        )
-    return ratios
 
 
 def scale_durations(

@@ -28,7 +28,6 @@ __all__ = [
     "fit_exponential_trend",
     "hidden_trend",
     "seq_len_trend",
-    "params_trend",
     "forecast_model",
     "forecast_series",
 ]
@@ -55,16 +54,6 @@ class GrowthTrend:
     def at(self, year: int) -> float:
         """Trend value at ``year`` (interpolates and extrapolates)."""
         return self.value0 * self.annual_rate ** (year - self.year0)
-
-    def doubling_time_years(self) -> float:
-        """Years for the quantity to double under this trend.
-
-        Raises:
-            ValueError: if the trend is flat or shrinking.
-        """
-        if self.annual_rate <= 1.0:
-            raise ValueError("trend is not growing; no doubling time")
-        return math.log(2.0) / math.log(self.annual_rate)
 
 
 def fit_exponential_trend(points: Sequence[Tuple[int, float]]) -> GrowthTrend:
@@ -114,13 +103,6 @@ def hidden_trend() -> GrowthTrend:
 def seq_len_trend() -> GrowthTrend:
     """Sequence-length growth fitted from the model zoo."""
     return fit_exponential_trend(_zoo_points("seq_len"))
-
-
-def params_trend() -> GrowthTrend:
-    """Parameter-count growth fitted from reported zoo sizes."""
-    points = [(zoo.MODEL_ZOO[name].year, zoo.REPORTED_SIZES_B[name] * 1e9)
-              for name in zoo.ZOO_ORDER]
-    return fit_exponential_trend(points)
 
 
 def _round_to(value: float, multiple: int) -> int:

@@ -33,7 +33,6 @@ exactly as the scalar sweep would refuse to construct them.
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     Iterator,
     Mapping,
@@ -52,7 +51,6 @@ __all__ = [
     "GridConstraint",
     "MaxWorldSize",
     "FitsDeviceMemory",
-    "Predicate",
     "GridChunk",
     "GridSpec",
     "DEFAULT_CHUNK_SIZE",
@@ -183,33 +181,6 @@ class FitsDeviceMemory(GridConstraint):
     def spec_key(self) -> Tuple[object, ...]:
         return ("fits-memory", self.capacity_bytes, self.headroom,
                 self.checkpointing, self.precision_bytes)
-
-
-class Predicate(GridConstraint):
-    """Arbitrary vectorized predicate with an explicit identity label.
-
-    ``fn`` receives the raw column mapping and returns a keep-mask.  The
-    ``label`` -- not the function object -- is what enters chunk
-    fingerprints, so it must uniquely identify the predicate's semantics;
-    ``fn`` must be picklable (a module-level function) for process-pool
-    sweeps.
-    """
-
-    __slots__ = ("label", "fn")
-
-    label: str
-    fn: Callable[[Mapping[str, np.ndarray]], np.ndarray]
-
-    def __init__(self, label: str,
-                 fn: Callable[[Mapping[str, np.ndarray]], np.ndarray]
-                 ) -> None:
-        self._set(label=label, fn=fn)
-
-    def mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        return np.asarray(self.fn(columns), dtype=bool)
-
-    def spec_key(self) -> Tuple[object, ...]:
-        return ("predicate", self.label)
 
 
 class GridChunk(Frozen):

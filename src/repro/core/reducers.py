@@ -751,13 +751,6 @@ class Collect(Reducer):
             merged["breakdown"][name] = [column[i] for i in order]
         return merged
 
-    def arrays(self, payload: Mapping[str, object]) -> BatchBreakdown:
-        """The collected rows as a :class:`BatchBreakdown`."""
-        return BatchBreakdown(**{
-            name: np.asarray(payload["breakdown"][name], dtype=np.float64)
-            for name in _BREAKDOWN_FIELDS
-        })
-
 
 _BREAKDOWN_FIELDS = ("compute_time", "serialized_comm_time",
                      "overlapped_comm_time", "iteration_time")

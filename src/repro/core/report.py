@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_pct", "format_ms", "format_series"]
+__all__ = ["format_table", "format_pct", "format_ms"]
 
 
 def format_pct(value: float, digits: int = 1) -> str:
@@ -19,12 +19,6 @@ def format_pct(value: float, digits: int = 1) -> str:
 def format_ms(seconds: float, digits: int = 3) -> str:
     """Render seconds as milliseconds (0.0042 -> ``"4.200 ms"``)."""
     return f"{seconds * 1e3:.{digits}f} ms"
-
-
-def format_series(values: Sequence[float], digits: int = 3) -> str:
-    """Render a numeric series compactly: ``[0.12, 0.34, ...]``."""
-    inner = ", ".join(f"{v:.{digits}f}" for v in values)
-    return f"[{inner}]"
 
 
 def format_table(headers: Sequence[str],

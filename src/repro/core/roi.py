@@ -102,11 +102,6 @@ class OverlapRoiTiming:
         """True when compute slack can hide all the communication."""
         return self.comm_time <= self.compute_time
 
-    @property
-    def remaining_slack(self) -> float:
-        """Compute time left after hiding communication (>= 0)."""
-        return max(0.0, self.compute_time - self.comm_time)
-
 
 def overlap_roi_timing(
     model: ModelConfig,

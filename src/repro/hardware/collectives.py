@@ -2,8 +2,8 @@
 
 Implements the collectives distributed Transformer training relies on:
 all-reduce (ring and in-network/PIN variants), reduce-scatter, all-gather,
-all-to-all (MoE expert parallelism), broadcast, and point-to-point sends
-(pipeline parallelism).
+all-to-all (MoE expert parallelism), and point-to-point sends (pipeline
+parallelism).
 
 Timing follows the standard alpha-beta formulation on top of the
 saturating-bandwidth links of :mod:`repro.hardware.network`: a ring
@@ -30,7 +30,6 @@ __all__ = [
     "reduce_scatter_time",
     "all_gather_time",
     "all_to_all_time",
-    "broadcast_time",
     "p2p_time",
 ]
 
@@ -209,22 +208,6 @@ def all_to_all_time(
         (n_devices - 1) / n_devices * nbytes / bw
     )
     return base * model.jitter("all-to-all", nbytes, n_devices)
-
-
-def broadcast_time(
-    nbytes: float,
-    n_devices: int,
-    link: Link,
-    model: CollectiveTimingModel = DEFAULT_COLLECTIVE_MODEL,
-) -> float:
-    """Binary-tree broadcast of ``nbytes`` from one root to the group."""
-    _validate(nbytes, n_devices)
-    if n_devices == 1:
-        return 0.0
-    depth = math.ceil(math.log2(n_devices))
-    bw = effective_bandwidth(link, nbytes)
-    base = depth * (link.latency + nbytes / bw)
-    return base * model.jitter("broadcast", nbytes, n_devices)
 
 
 def p2p_time(

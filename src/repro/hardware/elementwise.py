@@ -21,8 +21,6 @@ from repro.hardware.specs import DeviceSpec, Precision
 __all__ = [
     "ElementwiseTimingModel",
     "DEFAULT_ELEMENTWISE_MODEL",
-    "elementwise_time",
-    "layernorm_time",
 ]
 
 
@@ -81,32 +79,3 @@ class ElementwiseTimingModel:
 
 #: Model calibrated to the paper's MI210 testbed behaviour.
 DEFAULT_ELEMENTWISE_MODEL = ElementwiseTimingModel()
-
-
-def elementwise_time(
-    elements: int,
-    device: DeviceSpec,
-    precision: Precision,
-    rw_factor: float = 3.0,
-    kind: str = "elementwise",
-    model: ElementwiseTimingModel = DEFAULT_ELEMENTWISE_MODEL,
-) -> float:
-    """Convenience wrapper: fused element-wise kernel time."""
-    return model.time(elements, device, precision, rw_factor=rw_factor,
-                      kind=kind)
-
-
-def layernorm_time(
-    batch: int,
-    seq_len: int,
-    hidden: int,
-    device: DeviceSpec,
-    precision: Precision,
-    model: ElementwiseTimingModel = DEFAULT_ELEMENTWISE_MODEL,
-) -> float:
-    """LayerNorm over a [B, SL, H] activation (Figure 15(b) operator).
-
-    Linear in both SL and H, matching the paper's measured behaviour.
-    """
-    return model.time(batch * seq_len * hidden, device, precision,
-                      rw_factor=3.0, kind="layernorm")

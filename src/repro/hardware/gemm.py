@@ -30,7 +30,7 @@ from repro.hardware.specs import DeviceSpec, Precision
 if TYPE_CHECKING:
     from repro.models.graph import GemmShape
 
-__all__ = ["GemmTimingModel", "DEFAULT_GEMM_MODEL", "gemm_time"]
+__all__ = ["GemmTimingModel", "DEFAULT_GEMM_MODEL"]
 
 
 def __getattr__(name: str) -> object:
@@ -191,9 +191,3 @@ class GemmTimingModel:
 
 #: Model calibrated to the paper's MI210 testbed behaviour.
 DEFAULT_GEMM_MODEL = GemmTimingModel()
-
-
-def gemm_time(shape: GemmShape, device: DeviceSpec, precision: Precision,
-              model: GemmTimingModel = DEFAULT_GEMM_MODEL) -> float:
-    """Convenience wrapper: time of one GEMM under the default model."""
-    return model.time(shape, device, precision)

@@ -55,10 +55,6 @@ class Precision(enum.Enum):
         """Storage width in bytes (TF32 is stored as 32-bit words)."""
         return _PRECISION_BYTES[self]
 
-    @property
-    def bits(self) -> int:
-        return 8 * self.bytes
-
 
 _PRECISION_BYTES = {
     Precision.FP32: 4,

@@ -81,17 +81,6 @@ class Topology:
         """Aggregate ring all-reduce bus bandwidth, bytes/s."""
         return self.ring_count() * self.link_bandwidth
 
-    def bisection_bandwidth(self) -> float:
-        """Worst-case bandwidth across an even device cut, bytes/s."""
-        n = self.num_devices
-        if self.kind is TopologyKind.FULLY_CONNECTED:
-            return (n // 2) * (n - n // 2) * self.link_bandwidth
-        if self.kind is TopologyKind.RING:
-            return 2 * self.link_bandwidth
-        if self.kind is TopologyKind.TORUS_2D:
-            return 2 * math.isqrt(n) * self.link_bandwidth
-        return (n // 2) * self.link_bandwidth  # non-blocking switch
-
     @property
     def supports_in_network_reduction(self) -> bool:
         """Only switched fabrics can reduce in the network (Section 5)."""

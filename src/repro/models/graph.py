@@ -189,10 +189,6 @@ class Trace:
     def comms(self) -> List[CommOp]:
         return [op for op in self.ops if isinstance(op, CommOp)]
 
-    def serialized_comms(self) -> List[CommOp]:
-        """Critical-path collectives (TP activation all-reduces etc.)."""
-        return [op for op in self.comms() if not op.overlappable]
-
     def overlappable_comms(self) -> List[CommOp]:
         """Collectives that may hide under compute (DP gradient ARs)."""
         return [op for op in self.comms() if op.overlappable]
@@ -215,13 +211,3 @@ class Trace:
             CommGroup.EP: self.parallel.ep,
             CommGroup.PP: self.parallel.pp,
         }[group]
-
-    def filtered(self, phase: Optional[Phase] = None,
-                 sublayer: Optional[SubLayer] = None) -> "Trace":
-        """Sub-trace restricted to a phase and/or sub-layer (ROI support)."""
-        ops = [
-            op for op in self.ops
-            if (phase is None or op.phase == phase)
-            and (sublayer is None or op.sublayer == sublayer)
-        ]
-        return Trace(model=self.model, parallel=self.parallel, ops=tuple(ops))

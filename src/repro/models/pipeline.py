@@ -28,21 +28,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.models.trace import training_trace
 from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 
-__all__ = ["PipelineEstimate", "bubble_fraction", "estimate_pipeline"]
-
-
-def bubble_fraction(pp: int, microbatches: int) -> float:
-    """Idle-bubble fraction of a GPipe schedule.
-
-    ``(PP - 1) / (M + PP - 1)``: with one stage or infinitely many
-    micro-batches the pipeline is bubble-free.
-
-    Raises:
-        ValueError: for non-positive arguments.
-    """
-    if pp < 1 or microbatches < 1:
-        raise ValueError("pp and microbatches must be >= 1")
-    return (pp - 1) / (microbatches + pp - 1)
+__all__ = ["PipelineEstimate", "estimate_pipeline"]
 
 
 @dataclass(frozen=True)

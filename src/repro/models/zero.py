@@ -39,11 +39,7 @@ from repro.models.graph import (
     Trace,
 )
 
-__all__ = [
-    "zero_layer_comm_ops",
-    "zero_training_trace",
-    "zero_dp_comm_volume",
-]
+__all__ = ["zero_training_trace"]
 
 
 def _layer_param_bytes(model: ModelConfig, parallel: ParallelConfig) -> int:
@@ -80,27 +76,6 @@ def _grad_reduce_scatter(model: ModelConfig, parallel: ParallelConfig,
     )
 
 
-def zero_layer_comm_ops(model: ModelConfig, parallel: ParallelConfig,
-                        stage: int, layer: int = 0) -> List[CommOp]:
-    """The DP collectives one layer contributes under a ZeRO stage.
-
-    Raises:
-        ValueError: for stages outside 1-3.
-    """
-    if stage not in (1, 2, 3):
-        raise ValueError(f"ZeRO stage must be 1, 2, or 3; got {stage}")
-    if not parallel.uses_data_parallelism:
-        return []
-    ops: List[CommOp] = [
-        _param_all_gather(model, parallel, Phase.FORWARD, layer, "fwd"),
-        _grad_reduce_scatter(model, parallel, layer),
-    ]
-    if stage >= 3:
-        ops.insert(1, _param_all_gather(model, parallel, Phase.BACKWARD,
-                                        layer, "bwd"))
-    return ops
-
-
 def zero_training_trace(model: ModelConfig, parallel: ParallelConfig,
                         stage: int) -> Trace:
     """One training iteration under ZeRO data parallelism.
@@ -131,15 +106,3 @@ def zero_training_trace(model: ModelConfig, parallel: ParallelConfig,
         if dp:
             ops.append(_grad_reduce_scatter(model, parallel, layer))
     return Trace(model=model, parallel=parallel, ops=tuple(ops))
-
-
-def zero_dp_comm_volume(model: ModelConfig, parallel: ParallelConfig,
-                        stage: int) -> int:
-    """Per-layer DP-collective bytes under a ZeRO stage.
-
-    Stages 1/2 move the same volume as plain DP's all-reduce (one
-    gather + one scatter of the layer parameters); stage 3 adds the
-    backward re-gather for 1.5x.
-    """
-    return sum(op.nbytes
-               for op in zero_layer_comm_ops(model, parallel, stage))

@@ -22,7 +22,6 @@ __all__ = [
     "REPORTED_SIZES_B",
     "ZOO_ORDER",
     "MEGATRON_LM_BERT",
-    "get_model",
     "zoo_table",
 ]
 
@@ -87,19 +86,6 @@ MEGATRON_LM_BERT = ModelConfig(
 
 #: The anchor's tensor-parallel degree in its published training setup.
 MEGATRON_LM_BERT_TP = 8
-
-
-def get_model(name: str) -> ModelConfig:
-    """Look up a zoo model by name.
-
-    Raises:
-        KeyError: with the list of known names when ``name`` is unknown.
-    """
-    try:
-        return MODEL_ZOO[name]
-    except KeyError:
-        known = ", ".join(ZOO_ORDER)
-        raise KeyError(f"unknown model {name!r}; known models: {known}") from None
 
 
 def zoo_table() -> List[Dict[str, object]]:

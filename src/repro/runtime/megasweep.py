@@ -351,6 +351,7 @@ def stream_sweep(spec: GridSpec,
         else:
             merge(cached)
     cache_hits = n_chunks - len(pending)
+    replayed = evaluated
 
     if prune:
         from repro.core.bounds import ChunkBounds, chunk_bounds
@@ -407,13 +408,15 @@ def stream_sweep(spec: GridSpec,
             "enabled": True,
             "chunks": n_chunks,
             "cached_chunks": cache_hits,
+            "cached_points": replayed,
             "empty_chunks": len(pending) - len(order),
             "pruned_chunks": pruned_chunks,
             "exact_chunks": exact_chunks,
             "feasible_points": feasible,
-            "exact_points": evaluated,
+            "exact_points": evaluated - replayed,
             "exact_chunk_fraction": exact_chunks / max(1, len(order)),
-            "exact_point_fraction": evaluated / max(1, feasible),
+            "exact_point_fraction": ((evaluated - replayed)
+                                     / max(1, feasible - replayed)),
         }
     return SweepResult(
         reductions={reducer.label: reducer.finalize(payload)

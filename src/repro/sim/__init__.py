@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "run_schedule": "repro.sim.engine",
     "schedule_with_durations": "repro.sim.executor",
     "seeded_faults": "repro.sim.checker",
-    "utilization_summary": "repro.sim.timeline",
     "validate_batch": "repro.sim.checker",
     "validate_execution": "repro.sim.checker",
     "validate_schedule": "repro.sim.checker",

@@ -88,17 +88,6 @@ class Breakdown:
             return 0.0 if self.overlapped_comm_time == 0 else float("inf")
         return self.overlapped_comm_time / self.compute_time
 
-    def scaled_iteration(self, factor: float) -> "Breakdown":
-        """Breakdown with every component scaled (e.g. layer-count x)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return Breakdown(
-            compute_time=self.compute_time * factor,
-            serialized_comm_time=self.serialized_comm_time * factor,
-            overlapped_comm_time=self.overlapped_comm_time * factor,
-            iteration_time=self.iteration_time * factor,
-        )
-
     @staticmethod
     def combine(first: "Breakdown", second: "Breakdown") -> "Breakdown":
         """Sum two breakdowns (e.g. distinct execution regions)."""

@@ -71,19 +71,10 @@ class Schedule:
             return 0.0
         return max(st.finish for st in self.tasks)
 
-    def by_id(self) -> Dict[str, ScheduledTask]:
-        return {st.task.id: st for st in self.tasks}
-
     def busy_time(self, resource: str) -> float:
         """Total execution time on one resource."""
         return sum(st.task.duration for st in self.tasks
                    if st.task.resource == resource)
-
-    def resource_finish(self, resource: str) -> float:
-        """Finish time of the last task on one resource (0 if none)."""
-        times = [st.finish for st in self.tasks
-                 if st.task.resource == resource]
-        return max(times) if times else 0.0
 
     def resources(self) -> List[str]:
         seen: Dict[str, None] = {}

@@ -15,7 +15,7 @@ compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.hardware.cluster import ClusterSpec
 from repro.models.graph import CommOp, ElementwiseOp, GemmOp, Op, Trace
@@ -75,36 +75,6 @@ class Profile:
     def total_time(self) -> float:
         """Summed kernel time: the testbed wall time this profile cost."""
         return sum(r.duration for r in self.records)
-
-    def categories(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.category, None)
-        return list(seen)
-
-    def by_category(self) -> Dict[str, float]:
-        """Total time per kernel category."""
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            totals[record.category] = (
-                totals.get(record.category, 0.0) + record.duration
-            )
-        return totals
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        name: Optional[str] = None,
-        predicate: Optional[Callable[[KernelRecord], bool]] = None,
-    ) -> "Profile":
-        """Sub-profile matching a category, exact name, and/or predicate."""
-        records = [
-            r for r in self.records
-            if (category is None or r.category == category)
-            and (name is None or r.name == name)
-            and (predicate is None or predicate(r))
-        ]
-        return Profile(records=tuple(records))
 
     def first(self, name: str) -> KernelRecord:
         """The first record with ``name``.

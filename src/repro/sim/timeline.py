@@ -18,11 +18,11 @@ Example output::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.sim.engine import Schedule
 
-__all__ = ["render_timeline", "utilization_summary"]
+__all__ = ["render_timeline"]
 
 
 def render_timeline(schedule: Schedule, width: int = 72,
@@ -62,9 +62,3 @@ def render_timeline(schedule: Schedule, width: int = 72,
               f"{' ' * max(1, width - 14)}{makespan * 1e3:.1f} ms")
     lines.append(footer)
     return "\n".join(lines)
-
-
-def utilization_summary(schedule: Schedule) -> Dict[str, float]:
-    """Busy fraction per resource over the makespan."""
-    return {name: schedule.utilization(name)
-            for name in schedule.resources()}

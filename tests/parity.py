@@ -27,4 +27,7 @@ def parity_partitions(grid: ConfigGrid
         for dp_flag in (False, True):
             mask = (tp_par == tp_flag) & (dp_par == dp_flag)
             if mask.any():
-                yield mask, grid.subset(mask), tp_flag, dp_flag
+                columns = (getattr(grid, name)[mask]
+                           for name in ConfigGrid.__slots__[:-1])
+                yield (mask, ConfigGrid(*columns, precision=grid.precision),
+                       tp_flag, dp_flag)

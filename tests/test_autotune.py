@@ -60,10 +60,9 @@ class TestEnumeration:
 class TestBestPlan:
     def test_best_beats_naive_extremes(self, cluster):
         model = _model(num_layers=16, batch=8)
-        best = autotune.best_plan(model, 64, cluster, microbatches=8)
-        plans = {p.parallel: p for p in autotune.enumerate_plans(
-            model, 64, cluster, microbatches=8
-        )}
+        ranked = autotune.enumerate_plans(model, 64, cluster, microbatches=8)
+        best = ranked[0]
+        plans = {p.parallel: p for p in ranked}
         all_tp = plans.get(ParallelConfig(tp=32, dp=2, pp=1))
         if all_tp is not None:
             assert best.tokens_per_second >= all_tp.tokens_per_second
@@ -73,11 +72,10 @@ class TestBestPlan:
         # num_heads=16 caps TP at 16; 8 layers cap PP at 8; one layer of
         # H=32K with only TP=16 sharding cannot fit alongside optimizer
         # state in 64 GB at world size 4.
-        with pytest.raises(ValueError, match="no feasible"):
-            autotune.best_plan(huge, 4, cluster)
+        assert autotune.enumerate_plans(huge, 4, cluster) == []
 
     def test_small_model_prefers_data_parallelism(self, cluster):
         small = _model(hidden=1024, num_layers=4, batch=8)
-        best = autotune.best_plan(small, 16, cluster)
+        best = autotune.enumerate_plans(small, 16, cluster)[0]
         # A model that fits a single device gains nothing from sharding.
         assert best.parallel.dp >= best.parallel.tp

@@ -62,23 +62,21 @@ class TestDerivedQuantities:
 
 class TestCombinators:
     def test_scaled_iteration(self):
-        b = _breakdown().scaled_iteration(3.0)
+        # Three identical regions: every component triples.
+        base = _breakdown()
+        b = Breakdown.combine(Breakdown.combine(base, base), base)
         assert b.compute_time == pytest.approx(30.0)
         assert b.iteration_time == pytest.approx(42.0)
 
     def test_scaled_preserves_fractions(self):
         base = _breakdown(iteration=16.0)
-        scaled = base.scaled_iteration(7.0)
+        scaled = Breakdown.combine(base, base)
         assert scaled.serialized_comm_fraction == pytest.approx(
             base.serialized_comm_fraction
         )
         assert scaled.critical_comm_fraction == pytest.approx(
             base.critical_comm_fraction
         )
-
-    def test_scaled_rejects_non_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            _breakdown().scaled_iteration(0.0)
 
     def test_combine_sums_components(self):
         combined = Breakdown.combine(_breakdown(), _breakdown())

@@ -56,7 +56,7 @@ class TestResults:
         assert internode.breakdown.exposed_comm_time > (
             fourx.breakdown.exposed_comm_time
         )
-        assert not internode.dp_comm_fully_hidden
+        assert internode.breakdown.exposed_comm_time > 0.0
 
     def test_internode_critical_comm_dominates(self, rows):
         # Paper: total communication becomes a larger bottleneck.

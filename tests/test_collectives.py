@@ -24,7 +24,6 @@ ALL_FUNCTIONS = [
     coll.reduce_scatter_time,
     coll.all_gather_time,
     coll.all_to_all_time,
-    coll.broadcast_time,
 ]
 
 
@@ -161,12 +160,6 @@ class TestOtherCollectives:
         assert coll.all_to_all_time(nbytes, n, LINK, model=EXACT) == (
             pytest.approx(expected)
         )
-
-    def test_broadcast_log_depth(self):
-        nbytes = 1 << 24
-        t8 = coll.broadcast_time(nbytes, 8, LINK, model=EXACT)
-        t64 = coll.broadcast_time(nbytes, 64, LINK, model=EXACT)
-        assert t64 == pytest.approx(2 * t8, rel=0.01)  # depth 3 -> 6
 
     def test_p2p(self):
         nbytes = 1 << 24

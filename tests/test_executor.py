@@ -63,7 +63,8 @@ class TestStreamSemantics:
         assert by_resource[COMPUTE_STREAM] == len(trace.gemms()) + len(
             trace.elementwise()
         )
-        assert by_resource[COMM_STREAM] == len(trace.serialized_comms())
+        assert by_resource[COMM_STREAM] == len(
+            [op for op in trace.comms() if not op.overlappable])
         assert by_resource[COMM_ASYNC_STREAM] == len(
             trace.overlappable_comms()
         )
@@ -77,8 +78,9 @@ class TestStreamSemantics:
         chain_busy = schedule.busy_time(COMPUTE_STREAM) + schedule.busy_time(
             COMM_STREAM
         )
-        chain_finish = max(schedule.resource_finish(COMPUTE_STREAM),
-                           schedule.resource_finish(COMM_STREAM))
+        chain_finish = max(st.finish for st in schedule.tasks
+                           if st.task.resource in (COMPUTE_STREAM,
+                                                   COMM_STREAM))
         assert chain_finish == pytest.approx(chain_busy)
 
     def test_overlapped_comm_runs_concurrently(self, cluster):

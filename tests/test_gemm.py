@@ -11,7 +11,6 @@ from repro.hardware.gemm import (
     DEFAULT_GEMM_MODEL,
     GemmShape,
     GemmTimingModel,
-    gemm_time,
     stable_unit_hash,
 )
 from repro.hardware.specs import MI210
@@ -105,8 +104,8 @@ class TestEfficiency:
 
 class TestTiming:
     def test_time_positive_and_finite(self):
-        t = gemm_time(GemmShape(m=1024, n=1024, k=1024), MI210,
-                      Precision.FP16)
+        t = DEFAULT_GEMM_MODEL.time(GemmShape(m=1024, n=1024, k=1024), MI210,
+                                    Precision.FP16)
         assert 0 < t < 1.0
 
     def test_jitterless_matches_roofline(self):
@@ -134,13 +133,13 @@ class TestTiming:
 
     def test_jitter_deterministic_across_calls(self):
         shape = GemmShape(m=777, n=333, k=555)
-        first = gemm_time(shape, MI210, Precision.FP16)
-        second = gemm_time(shape, MI210, Precision.FP16)
+        first = DEFAULT_GEMM_MODEL.time(shape, MI210, Precision.FP16)
+        second = DEFAULT_GEMM_MODEL.time(shape, MI210, Precision.FP16)
         assert first == second
 
     def test_tiny_gemm_dominated_by_launch_overhead(self):
-        t = gemm_time(GemmShape(m=1, n=1, k=1), MI210, Precision.FP16,
-                      model=DEFAULT_GEMM_MODEL.without_jitter())
+        t = DEFAULT_GEMM_MODEL.without_jitter().time(
+            GemmShape(m=1, n=1, k=1), MI210, Precision.FP16)
         assert t >= MI210.compute_launch_overhead
 
     def test_fp16_faster_than_fp32(self):

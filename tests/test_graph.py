@@ -73,7 +73,6 @@ class TestTrace:
         assert len(trace.gemms()) == 1
         assert len(trace.elementwise()) == 1
         assert len(trace.comms()) == 2
-        assert [op.name for op in trace.serialized_comms()] == ["c"]
         assert [op.name for op in trace.overlappable_comms()] == ["c2"]
 
     def test_totals(self):
@@ -89,19 +88,6 @@ class TestTrace:
         assert trace.group_size(CommGroup.DP) == 2
         assert trace.group_size(CommGroup.EP) == 8
         assert trace.group_size(CommGroup.PP) == 1
-
-    def test_filtered_by_phase(self):
-        trace = _trace(_gemm("f", Phase.FORWARD), _gemm("b", Phase.BACKWARD))
-        forward = trace.filtered(phase=Phase.FORWARD)
-        assert [op.name for op in forward] == ["f"]
-        assert forward.model is trace.model
-
-    def test_filtered_by_sublayer(self):
-        attn = GemmOp(name="a", shape=GemmShape(m=8, n=8, k=8),
-                      phase=Phase.FORWARD, sublayer=SubLayer.ATTENTION)
-        trace = _trace(attn, _gemm("f"))
-        assert [op.name
-                for op in trace.filtered(sublayer=SubLayer.ATTENTION)] == ["a"]
 
     def test_ops_coerced_to_tuple(self):
         model = ModelConfig(name="m", hidden=256, seq_len=128, num_heads=4)

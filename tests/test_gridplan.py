@@ -9,14 +9,26 @@ from repro.core.batch import ConfigGrid
 from repro.core.gridplan import (
     DEFAULT_CHUNK_SIZE,
     FitsDeviceMemory,
+    GridConstraint,
     GridSpec,
     MaxWorldSize,
-    Predicate,
 )
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.strategy import sweep_num_heads
 from repro.hardware.cluster import mi210_node
 from repro.models.memory import fits_on_device
+
+
+class EvenDp(GridConstraint):
+    """A user-defined constraint: keep rows with an even DP degree."""
+
+    __slots__ = ()
+
+    def mask(self, columns):
+        return columns["dp"] % 2 == 0
+
+    def spec_key(self):
+        return ("even-dp",)
 
 
 def small_spec(**overrides) -> GridSpec:
@@ -190,13 +202,12 @@ class TestConstraints:
             )
 
     def test_predicate_filters_and_keys_on_label(self):
-        spec = small_spec(constraints=(
-            Predicate("dp-even", lambda cols: cols["dp"] % 2 == 0),
-        ))
+        spec = small_spec(constraints=(EvenDp(),))
         whole = spec.materialize()
         assert set(whole.grid.dp.tolist()) == {2, 4}
-        same = Predicate("dp-even", lambda cols: cols["dp"] % 2 == 0)
-        assert same.spec_key() == spec.constraints[0].spec_key()
+        assert spec.chunk_key(0, 4) == small_spec(
+            constraints=(EvenDp(),)).chunk_key(0, 4)
+        assert spec.chunk_key(0, 4) != small_spec().chunk_key(0, 4)
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):

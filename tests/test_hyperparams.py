@@ -30,10 +30,6 @@ class TestPrecision:
         assert Precision.BF16.bytes == 2
         assert Precision.FP8.bytes == 1
 
-    def test_bits(self):
-        assert Precision.FP16.bits == 16
-        assert Precision.FP8.bits == 8
-
     def test_all_members_have_bytes(self):
         for precision in Precision:
             assert precision.bytes >= 1

@@ -39,9 +39,9 @@ class TestTraceEquationConsistency:
         parallel = ParallelConfig(tp=tp, dp=dp)
         trace = layer_trace(model, parallel)
 
-        fwd = trace.filtered(phase=Phase.FORWARD)
-        assert fwd.total_gemm_flops() == flops.forward_layer_ops(model,
-                                                                 parallel)
+        forward_flops = sum(op.flops for op in trace.gemms()
+                            if op.phase is Phase.FORWARD)
+        assert forward_flops == flops.forward_layer_ops(model, parallel)
         assert trace.total_gemm_flops() == flops.training_layer_ops(
             model, parallel
         )

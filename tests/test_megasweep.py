@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import batch_execute, batch_project
-from repro.core.gridplan import GridSpec, MaxWorldSize, Predicate
+from repro.core.gridplan import GridConstraint, GridSpec, MaxWorldSize
 from repro.core.reducers import (
     ArgExtrema,
     Collect,
@@ -96,10 +96,10 @@ class TestStreamedEquivalence:
         collect = Collect()
         result = stream_sweep(spec, (collect,), cluster=CLUSTER,
                               chunk_size=5, jobs=1)
-        rebuilt = collect.arrays(result.reductions[collect.label])
+        rebuilt = result.reductions[collect.label]["breakdown"]
         for name in ("compute_time", "serialized_comm_time",
                      "overlapped_comm_time", "iteration_time"):
-            np.testing.assert_array_equal(getattr(rebuilt, name),
+            np.testing.assert_array_equal(rebuilt[name],
                                           getattr(reference, name))
 
     def test_project_mode(self):
@@ -155,10 +155,18 @@ class _EveryOtherPut(ResultCache):
             super().put(key, payload)
 
 
-def _fail_on_large_offset(columns):
-    if int(columns["hidden"].max(initial=0)) >= 4096:
-        raise RuntimeError("seeded chunk failure")
-    return np.ones(len(columns["hidden"]), dtype=bool)
+class FailLarge(GridConstraint):
+    """Raises on any chunk that reaches ``hidden >= 4096``."""
+
+    __slots__ = ()
+
+    def mask(self, columns):
+        if int(columns["hidden"].max(initial=0)) >= 4096:
+            raise RuntimeError("seeded chunk failure")
+        return np.ones(len(columns["hidden"]), dtype=bool)
+
+    def spec_key(self):
+        return ("fail-large",)
 
 
 class TestFailurePropagation:
@@ -168,9 +176,7 @@ class TestFailurePropagation:
 
     @pytest.mark.parametrize("prune", (False, True))
     def test_serial_failure_propagates(self, prune):
-        spec = spec_with(constraints=(
-            Predicate("fail-large", _fail_on_large_offset),
-        ))
+        spec = spec_with(constraints=(FailLarge(),))
         with pytest.raises(RuntimeError, match="seeded chunk failure"):
             stream_sweep(spec, PRUNABLE if prune else REDUCERS,
                          cluster=CLUSTER, chunk_size=4, jobs=1,
@@ -178,9 +184,7 @@ class TestFailurePropagation:
 
     @pytest.mark.parametrize("prune", (False, True))
     def test_pool_failure_propagates(self, prune):
-        spec = spec_with(constraints=(
-            Predicate("fail-large", _fail_on_large_offset),
-        ))
+        spec = spec_with(constraints=(FailLarge(),))
         with pytest.raises(RuntimeError, match="seeded chunk failure"):
             stream_sweep(spec, PRUNABLE if prune else REDUCERS,
                          cluster=CLUSTER, chunk_size=4, jobs=2,
@@ -321,8 +325,23 @@ class TestBoundAndPrune:
         # Only the replayed chunks move from "exact" to "cached".
         assert warm.meta["prune"] == dict(
             meta, cached_chunks=meta["exact_chunks"], exact_chunks=0,
-            exact_chunk_fraction=0.0)
+            exact_chunk_fraction=0.0, cached_points=meta["exact_points"],
+            exact_points=0, exact_point_fraction=0.0)
         assert len(list(tmp_path.glob("*.json"))) == meta["exact_chunks"]
+
+    def test_warm_pruned_replay_counts_no_exact_work(self):
+        spec, cache = spec_with(), ResultCache()
+        cold = stream_sweep(spec, PRUNABLE, cluster=CLUSTER, chunk_size=4,
+                            prune=True, cache=cache)
+        warm = stream_sweep(spec, PRUNABLE, cluster=CLUSTER, chunk_size=4,
+                            prune=True, cache=cache)
+        assert warm.reductions == cold.reductions
+        cold_meta, meta = cold.meta["prune"], warm.meta["prune"]
+        assert cold_meta["cached_chunks"] == cold_meta["cached_points"] == 0
+        assert meta["exact_chunks"] == meta["exact_points"] == 0
+        assert meta["exact_point_fraction"] == 0.0
+        assert meta["cached_chunks"] == cold_meta["exact_chunks"]
+        assert meta["cached_points"] == cold_meta["exact_points"]
 
     def test_pruned_sweep_never_starts_a_pool(self, monkeypatch):
         spec = spec_with()

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hyperparams import ModelConfig, ParallelConfig
-from repro.models.pipeline import (
-    PipelineEstimate,
-    bubble_fraction,
-    estimate_pipeline,
-)
+from repro.models.pipeline import PipelineEstimate, estimate_pipeline
 
 
 def _model(layers=8, batch=8) -> ModelConfig:
@@ -18,20 +14,31 @@ def _model(layers=8, batch=8) -> ModelConfig:
 
 
 class TestBubbleFraction:
-    def test_gpipe_formula(self):
-        assert bubble_fraction(4, 4) == pytest.approx(3 / 7)
+    """The estimate's bubble is GPipe's ``(PP - 1) / (M + PP - 1)`` of
+    the pipelined compute."""
 
-    def test_single_stage_bubble_free(self):
-        assert bubble_fraction(1, 1) == 0.0
+    @staticmethod
+    def _bubble(multinode, pp, microbatches):
+        estimate = estimate_pipeline(_model(batch=64),
+                                     ParallelConfig(tp=4, pp=pp), multinode,
+                                     microbatches=microbatches)
+        return estimate.bubble_time / (estimate.stage_time
+                                       + estimate.bubble_time)
 
-    def test_many_microbatches_shrink_bubble(self):
-        assert bubble_fraction(8, 64) < bubble_fraction(8, 4)
+    def test_gpipe_formula(self, multinode):
+        assert self._bubble(multinode, 4, 4) == pytest.approx(3 / 7)
 
-    def test_validation(self):
+    def test_single_stage_bubble_free(self, multinode):
+        assert self._bubble(multinode, 1, 1) == 0.0
+
+    def test_many_microbatches_shrink_bubble(self, multinode):
+        assert self._bubble(multinode, 8, 64) < self._bubble(multinode, 8, 4)
+
+    def test_validation(self, multinode):
         with pytest.raises(ValueError):
-            bubble_fraction(0, 4)
+            self._bubble(multinode, 4, 0)
         with pytest.raises(ValueError):
-            bubble_fraction(4, 0)
+            self._bubble(multinode, 3, 4)
 
 
 class TestEstimate:

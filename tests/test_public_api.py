@@ -41,7 +41,6 @@ class TestSubpackageSurfaces:
     def test_core_analysis_entry_points(self):
         from repro.core import (
             amdahl_edge,
-            best_plan,
             fit_operator_models,
             overlap_roi_timing,
             required_tp,
@@ -49,7 +48,7 @@ class TestSubpackageSurfaces:
         )
         assert callable(amdahl_edge) and callable(slack_advantage)
         assert callable(fit_operator_models)
-        assert callable(best_plan) and callable(required_tp)
+        assert callable(required_tp)
         assert callable(overlap_roi_timing)
 
     def test_sim_entry_points(self):

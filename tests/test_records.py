@@ -15,7 +15,6 @@ from repro.core.gridplan import (
     GridChunk,
     GridSpec,
     MaxWorldSize,
-    Predicate,
 )
 from repro.core.reducers import (
     ArgExtrema,
@@ -29,15 +28,10 @@ from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.megasweep import SweepResult
 
 
-def _even_dp(columns):
-    return columns["dp"] % 2 == 0
-
-
 SPEC = GridSpec(hidden=(1024, 2048), seq_len=(512,), batch=(1,),
                 tp=(1, 2), dp=(1, 2),
                 constraints=(MaxWorldSize(4),
-                             FitsDeviceMemory(capacity_bytes=1 << 36),
-                             Predicate("dp-even", _even_dp)))
+                             FitsDeviceMemory(capacity_bytes=1 << 36)))
 
 #: Records with value equality, one per class.
 VALUES = [SPEC, *SPEC.constraints, TopK("iteration_time", k=3),
@@ -82,7 +76,7 @@ def test_array_records_are_read_only_and_pickle():
 
 def test_no_search_record_is_a_dataclass():
     for cls in (ConfigGrid, BatchBreakdown, GridSpec, GridChunk,
-                MaxWorldSize, FitsDeviceMemory, Predicate, EvaluatedChunk,
+                MaxWorldSize, FitsDeviceMemory, EvaluatedChunk,
                 TopK, ParetoFront, Histogram, ArgExtrema, Collect,
                 MetricBounds, ChunkBounds, SweepResult, CacheStats,
                 ResultCache):

@@ -15,9 +15,6 @@ class TestFormatters:
     def test_ms(self):
         assert report.format_ms(0.0042) == "4.200 ms"
 
-    def test_series(self):
-        assert report.format_series([0.5, 0.25], digits=2) == "[0.50, 0.25]"
-
 
 class TestFormatTable:
     def test_alignment(self):

@@ -41,7 +41,7 @@ class TestMemoryDemandProxy:
 
 class TestModelSizeParams:
     def test_prefers_reported_sizes(self):
-        assert scaling.model_size_params(zoo.get_model("T5")) == 11.0e9
+        assert scaling.model_size_params(zoo.MODEL_ZOO["T5"]) == 11.0e9
 
     def test_anchor_size(self):
         assert scaling.model_size_params(zoo.MEGATRON_LM_BERT) == 3.9e9

@@ -42,7 +42,7 @@ class TestTraceTransform:
     def test_rs_ag_pairs_replace_each_ar(self):
         plain = training_trace(_model(), TP8)
         seq = sequence_parallel_trace(_model(), TP8)
-        ar_count = len(plain.serialized_comms())
+        ar_count = len([op for op in plain.comms() if not op.overlappable])
         rs = [op for op in seq if isinstance(op, CommOp)
               and op.collective is CollectiveKind.REDUCE_SCATTER]
         ag = [op for op in seq if isinstance(op, CommOp)

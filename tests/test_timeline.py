@@ -8,7 +8,7 @@ from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.models.trace import layer_trace
 from repro.sim.engine import Schedule, Task, run_schedule
 from repro.sim.executor import execute_trace
-from repro.sim.timeline import render_timeline, utilization_summary
+from repro.sim.timeline import render_timeline
 
 
 def _simple_schedule() -> Schedule:
@@ -76,6 +76,5 @@ class TestRendering:
 class TestUtilizationSummary:
     def test_matches_schedule_utilization(self):
         schedule = _simple_schedule()
-        summary = utilization_summary(schedule)
-        assert summary["compute"] == pytest.approx(3.0 / 4.0)
-        assert summary["comm"] == pytest.approx(1.0 / 4.0)
+        assert schedule.utilization("compute") == pytest.approx(3.0 / 4.0)
+        assert schedule.utilization("comm") == pytest.approx(1.0 / 4.0)

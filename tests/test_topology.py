@@ -56,16 +56,6 @@ class TestDerivedBandwidths:
             pytest.approx(50e9)
         )
 
-    def test_fully_connected_bisection_scales_quadratically(self):
-        small = _topo(TopologyKind.FULLY_CONNECTED, n=4)
-        large = _topo(TopologyKind.FULLY_CONNECTED, n=16)
-        assert large.bisection_bandwidth() > 10 * small.bisection_bandwidth()
-
-    def test_ring_bisection_constant(self):
-        assert _topo(TopologyKind.RING, n=4).bisection_bandwidth() == (
-            _topo(TopologyKind.RING, n=64).bisection_bandwidth()
-        )
-
 
 class TestClusterBuilding:
     def test_testbed_cluster_matches_quoted_bandwidth(self):

@@ -19,39 +19,44 @@ def _model(layers=2) -> ModelConfig:
 PARALLEL = ParallelConfig(tp=4, dp=8)
 
 
+def _layer_zero_ops(stage, parallel=PARALLEL):
+    """The ZeRO collectives of a one-layer trace, in trace order."""
+    trace = zero.zero_training_trace(_model(layers=1), parallel, stage)
+    return [op for op in trace if isinstance(op, CommOp)
+            and op.collective in (CollectiveKind.ALL_GATHER,
+                                  CollectiveKind.REDUCE_SCATTER)]
+
+
 class TestLayerCommOps:
     def test_stage_validation(self):
         with pytest.raises(ValueError, match="stage"):
-            zero.zero_layer_comm_ops(_model(), PARALLEL, 0)
+            zero.zero_training_trace(_model(), PARALLEL, 0)
         with pytest.raises(ValueError, match="stage"):
             zero.zero_training_trace(_model(), PARALLEL, 4)
 
     def test_no_dp_no_collectives(self):
-        assert zero.zero_layer_comm_ops(_model(), ParallelConfig(tp=4),
-                                        2) == []
+        assert _layer_zero_ops(2, ParallelConfig(tp=4)) == []
 
     def test_stage_one_has_gather_and_scatter(self):
-        ops = zero.zero_layer_comm_ops(_model(), PARALLEL, 1)
-        kinds = [op.collective for op in ops]
+        kinds = [op.collective for op in _layer_zero_ops(1)]
         assert kinds == [CollectiveKind.ALL_GATHER,
                          CollectiveKind.REDUCE_SCATTER]
 
     def test_stage_three_adds_backward_gather(self):
-        ops = zero.zero_layer_comm_ops(_model(), PARALLEL, 3)
-        gathers = [op for op in ops
+        gathers = [op for op in _layer_zero_ops(3)
                    if op.collective is CollectiveKind.ALL_GATHER]
         assert len(gathers) == 2
         assert {op.phase for op in gathers} == {Phase.FORWARD,
                                                 Phase.BACKWARD}
 
     def test_all_collectives_on_dp_group_and_overlappable(self):
-        for op in zero.zero_layer_comm_ops(_model(), PARALLEL, 3):
+        for op in _layer_zero_ops(3):
             assert op.group is CommGroup.DP
             assert op.overlappable
 
     def test_volume_ratio_stage3_is_1_5x(self):
-        v1 = zero.zero_dp_comm_volume(_model(), PARALLEL, 1)
-        v3 = zero.zero_dp_comm_volume(_model(), PARALLEL, 3)
+        v1 = sum(op.nbytes for op in _layer_zero_ops(1))
+        v3 = sum(op.nbytes for op in _layer_zero_ops(3))
         assert v3 == pytest.approx(1.5 * v1)
 
     def test_stage1_volume_matches_plain_dp(self):
@@ -59,7 +64,7 @@ class TestLayerCommOps:
         # at the trace level (2x the parameter bytes each way).
         plain = training_trace(_model(layers=1), PARALLEL)
         plain_bytes = plain.total_comm_bytes(overlappable=True)
-        assert zero.zero_dp_comm_volume(_model(), PARALLEL, 1) == (
+        assert sum(op.nbytes for op in _layer_zero_ops(1)) == (
             pytest.approx(2 * plain_bytes, rel=1e-3)
         )
 

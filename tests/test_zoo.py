@@ -18,18 +18,18 @@ class TestZooContents:
         assert years == sorted(years)
 
     def test_bert_hyperparameters(self):
-        bert = zoo.get_model("BERT")
+        bert = zoo.MODEL_ZOO["BERT"]
         assert (bert.num_layers, bert.hidden, bert.num_heads) == (24, 1024, 16)
         assert (bert.seq_len, bert.ffn_dim) == (512, 4096)
         assert bert.layer_type is LayerType.ENCODER
 
     def test_palm_hyperparameters(self):
-        palm = zoo.get_model("PaLM")
+        palm = zoo.MODEL_ZOO["PaLM"]
         assert (palm.num_layers, palm.hidden) == (118, 18432)
         assert palm.seq_len == 2048
 
     def test_gpt3_size_matches_reported(self):
-        gpt3 = zoo.get_model("GPT-3")
+        gpt3 = zoo.MODEL_ZOO["GPT-3"]
         computed = gpt3.total_params() / 1e9
         assert computed == pytest.approx(175.0, rel=0.05)
 
@@ -38,12 +38,8 @@ class TestZooContents:
     def test_standard_models_match_reported_sizes(self, name):
         # T5 and PaLM use non-standard blocks; the rest should agree with
         # layer-stack counting within ~15%.
-        computed = zoo.get_model(name).total_params() / 1e9
+        computed = zoo.MODEL_ZOO[name].total_params() / 1e9
         assert computed == pytest.approx(zoo.REPORTED_SIZES_B[name], rel=0.15)
-
-    def test_unknown_model_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="BERT"):
-            zoo.get_model("LLaMA")
 
     def test_anchor_is_megatron_bert(self):
         anchor = zoo.MEGATRON_LM_BERT
