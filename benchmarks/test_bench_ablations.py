@@ -12,8 +12,6 @@ phenomenon it is responsible for:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core import projection
@@ -57,7 +55,7 @@ def test_bench_ablation_saturation(benchmark):
     def ratio_spread(saturation_half: float) -> float:
         link = Link(bandwidth=150e9, latency=1e-6,
                     saturation_half_bytes=saturation_half)
-        cluster = replace(mi210_node(), intra_link=link)
+        cluster = mi210_node().replace(intra_link=link)
         small_h = sweeps.overlap_ratio(1024, 4096, cluster)
         large_h = sweeps.overlap_ratio(16384, 4096, cluster)
         return small_h / large_h
@@ -77,7 +75,7 @@ def test_bench_ablation_straggler(benchmark):
     """Ring straggler overhead drives the large-TP fraction growth."""
     def fraction_at_tp256(straggler_half: float) -> float:
         model = CollectiveTimingModel(straggler_half=straggler_half)
-        cluster = replace(mi210_node(), collective_model=model)
+        cluster = mi210_node().replace(collective_model=model)
         config = ModelConfig(name="a", hidden=65536, seq_len=4096, batch=1,
                              num_heads=256)
         trace = layer_trace(config, ParallelConfig(tp=256, dp=1))

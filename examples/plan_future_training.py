@@ -17,8 +17,6 @@ Run:  python examples/plan_future_training.py
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro import ModelConfig, ParallelConfig, mi210_node
 from repro.core import scaling
 from repro.core.evolution import PAPER_SCENARIOS
@@ -50,7 +48,7 @@ def main() -> None:
     # Pipeline parallelism (8 stages of 15 layers) bounds the TP degree,
     # as the paper notes (Section 4.3.2); capacity is then sized per stage.
     pp = 8
-    stage = replace(model, num_layers=model.num_layers // pp)
+    stage = model.replace(num_layers=model.num_layers // pp)
     capacity_tp = memory.min_tp_degree(stage, device, checkpointing=True)
     trend_tp = scaling.required_tp(model, max_tp=1024)
     print(f"\nTP from memory capacity  : {capacity_tp} (with PP={pp})")
@@ -69,7 +67,7 @@ def main() -> None:
     # -- Step 3: where does the time go, today and tomorrow?  Per-layer
     # behaviour repeats identically, so a 4-layer slice of one pipeline
     # stage times quickly and its fractions hold for the full stack.
-    slice_model = replace(model, num_layers=4)
+    slice_model = model.replace(num_layers=4)
     slice_parallel = ParallelConfig(tp=parallel.tp, dp=parallel.dp)
     trace = training_trace(slice_model, slice_parallel)
     print("\nserialized (TP) communication share:")

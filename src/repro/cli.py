@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.core.hyperparams import ModelConfig, ParallelConfig
     from repro.core.report import format_ms, format_pct
     from repro.hardware.cluster import mi210_node
@@ -285,7 +283,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             precision=Precision(args.precision),
         )
         parallel = ParallelConfig(tp=args.tp, dp=args.dp)
-        cluster = replace(mi210_node(), device=get_device(args.device))
+        cluster = mi210_node().replace(device=get_device(args.device))
         cluster = cluster.scaled(compute_scale=args.compute_scale,
                                  network_scale=args.network_scale)
         trace = training_trace(model, parallel)

@@ -15,9 +15,9 @@ all-reduces -- all priced by the same machinery as the paper's figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.cluster import ClusterSpec
 from repro.models import memory
@@ -28,8 +28,7 @@ from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 __all__ = ["PlanCandidate", "enumerate_plans"]
 
 
-@dataclass(frozen=True)
-class PlanCandidate:
+class PlanCandidate(Frozen):
     """One feasible (TP, DP, PP) plan and its estimated performance.
 
     Attributes:
@@ -40,11 +39,21 @@ class PlanCandidate:
         serialized_comm_fraction: Communication share of the iteration.
     """
 
+    __slots__ = ("parallel", "iteration_time", "tokens_per_second",
+                 "memory_gb", "serialized_comm_fraction")
+
     parallel: ParallelConfig
     iteration_time: float
     tokens_per_second: float
     memory_gb: float
     serialized_comm_fraction: float
+
+    def __init__(self, parallel: ParallelConfig, iteration_time: float,
+                 tokens_per_second: float, memory_gb: float,
+                 serialized_comm_fraction: float) -> None:
+        self._set(parallel=parallel, iteration_time=iteration_time,
+                  tokens_per_second=tokens_per_second, memory_gb=memory_gb,
+                  serialized_comm_fraction=serialized_comm_fraction)
 
 
 def _pow2_divisors(value: int) -> List[int]:

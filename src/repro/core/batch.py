@@ -104,6 +104,9 @@ class ConfigGrid(Frozen):
 
     __slots__ = ("hidden", "seq_len", "batch", "tp", "dp", "num_heads",
                  "ffn_dim", "precision")
+    # Array fields: equality is identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     hidden: np.ndarray
     seq_len: np.ndarray
@@ -394,6 +397,9 @@ class BatchBreakdown(Frozen):
 
     __slots__ = ("compute_time", "serialized_comm_time",
                  "overlapped_comm_time", "iteration_time")
+    # Array fields: equality is identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     compute_time: np.ndarray
     serialized_comm_time: np.ndarray

@@ -51,7 +51,6 @@ formulas that produced it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -135,6 +134,9 @@ class MetricBounds(Frozen):
     """
 
     __slots__ = ("lower", "upper")
+    # Array fields: equality is identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     lower: Dict[str, np.ndarray]
     upper: Dict[str, np.ndarray]
@@ -185,7 +187,7 @@ def _op_bound_durations(
     comm = cluster.collective_model
     base = _op_durations(
         ops, grid, rows,
-        replace(cluster, collective_model=comm.without_jitter()),
+        cluster.replace(collective_model=comm.without_jitter()),
         timing.without_jitter(),
     )
     gemm_amp = timing.gemm.jitter_amplitude

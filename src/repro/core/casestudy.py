@@ -16,9 +16,9 @@ scenarios:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core.evolution import HardwareScenario, PAPER_SCENARIOS
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.cluster import (
@@ -57,13 +57,19 @@ CASE_STUDY_MODEL = ModelConfig(
 CASE_STUDY_PARALLEL = ParallelConfig(tp=128, dp=8)
 
 
-@dataclass(frozen=True)
-class CaseStudyScenario:
+class CaseStudyScenario(Frozen):
     """One Figure 14 scenario: a hardware scaling + interference setting."""
+
+    __slots__ = ("name", "hardware", "overlapped_comm_slowdown")
 
     name: str
     hardware: HardwareScenario
-    overlapped_comm_slowdown: float = 1.0
+    overlapped_comm_slowdown: float
+
+    def __init__(self, name: str, hardware: HardwareScenario,
+                 overlapped_comm_slowdown: float = 1.0) -> None:
+        self._set(name=name, hardware=hardware,
+                  overlapped_comm_slowdown=overlapped_comm_slowdown)
 
     def build_cluster(self, base: Optional[ClusterSpec] = None) -> ClusterSpec:
         cluster = (base or mi210_node()).with_interference(
@@ -86,8 +92,7 @@ def default_scenarios() -> Tuple[CaseStudyScenario, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CaseStudyRow:
+class CaseStudyRow(Frozen):
     """One scenario's outcome.
 
     Attributes:
@@ -95,8 +100,13 @@ class CaseStudyRow:
         breakdown: Full time breakdown of the iteration.
     """
 
+    __slots__ = ("scenario", "breakdown")
+
     scenario: str
     breakdown: Breakdown
+
+    def __init__(self, scenario: str, breakdown: Breakdown) -> None:
+        self._set(scenario=scenario, breakdown=breakdown)
 
     @property
     def serialized_fraction(self) -> float:

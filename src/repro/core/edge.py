@@ -13,17 +13,16 @@ the zoo-wide normalized series plotted in Figure 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro._frozen import Frozen
 from repro.core import algebra, flops
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 
 __all__ = ["EdgeAnalysis", "amdahl_edge", "edge_series"]
 
 
-@dataclass(frozen=True)
-class EdgeAnalysis:
+class EdgeAnalysis(Frozen):
     """Result of the Amdahl's-Law-edge computation for one configuration.
 
     Attributes:
@@ -35,12 +34,22 @@ class EdgeAnalysis:
         asymptotic_ratio: The Equation 6 form ``(H + SL) / TP``.
     """
 
+    __slots__ = ("model", "parallel", "compute_ops", "serialized_bytes",
+                 "exact_ratio", "asymptotic_ratio")
+
     model: ModelConfig
     parallel: ParallelConfig
     compute_ops: int
     serialized_bytes: int
     exact_ratio: float
     asymptotic_ratio: float
+
+    def __init__(self, model: ModelConfig, parallel: ParallelConfig,
+                 compute_ops: int, serialized_bytes: int, exact_ratio: float,
+                 asymptotic_ratio: float) -> None:
+        self._set(model=model, parallel=parallel, compute_ops=compute_ops,
+                  serialized_bytes=serialized_bytes, exact_ratio=exact_ratio,
+                  asymptotic_ratio=asymptotic_ratio)
 
 
 def amdahl_edge(model: ModelConfig, parallel: ParallelConfig) -> EdgeAnalysis:

@@ -13,16 +13,15 @@ they are explicit parameters, not calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import Precision
 from repro.models.graph import CommOp, ElementwiseOp, GemmOp, Trace
 
 __all__ = ["EnergyCoefficients", "EnergyBreakdown", "trace_energy"]
 
 
-@dataclass(frozen=True)
-class EnergyCoefficients:
+class EnergyCoefficients(Frozen):
     """Energy cost coefficients.
 
     Attributes:
@@ -34,12 +33,19 @@ class EnergyCoefficients:
             that have an execution result).
     """
 
-    pj_per_flop: float = 0.8
-    pj_per_hbm_byte: float = 60.0
-    pj_per_link_byte: float = 250.0
-    idle_watts: float = 0.0
+    __slots__ = ("pj_per_flop", "pj_per_hbm_byte", "pj_per_link_byte",
+                 "idle_watts")
 
-    def __post_init__(self) -> None:
+    pj_per_flop: float
+    pj_per_hbm_byte: float
+    pj_per_link_byte: float
+    idle_watts: float
+
+    def __init__(self, pj_per_flop: float = 0.8, pj_per_hbm_byte: float = 60.0,
+                 pj_per_link_byte: float = 250.0,
+                 idle_watts: float = 0.0) -> None:
+        self._set(pj_per_flop=pj_per_flop, pj_per_hbm_byte=pj_per_hbm_byte,
+                  pj_per_link_byte=pj_per_link_byte, idle_watts=idle_watts)
         if min(self.pj_per_flop, self.pj_per_hbm_byte,
                self.pj_per_link_byte) <= 0:
             raise ValueError("energy coefficients must be positive")
@@ -51,13 +57,19 @@ class EnergyCoefficients:
 _RING_TRAFFIC_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(Frozen):
     """Per-device energy of one iteration, in joules."""
+
+    __slots__ = ("compute_j", "memory_j", "communication_j")
 
     compute_j: float
     memory_j: float
     communication_j: float
+
+    def __init__(self, compute_j: float, memory_j: float,
+                 communication_j: float) -> None:
+        self._set(compute_j=compute_j, memory_j=memory_j,
+                  communication_j=communication_j)
 
     @property
     def total_j(self) -> float:

@@ -11,9 +11,9 @@ communication times stay, shifting the bottleneck toward communication
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.hardware.cluster import ClusterSpec
 from repro.models.graph import Trace
 
@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HardwareScenario:
+class HardwareScenario(Frozen):
     """One hardware-evolution point.
 
     Attributes:
@@ -34,11 +33,16 @@ class HardwareScenario:
         network_scale: Factor by which network bandwidth grows.
     """
 
+    __slots__ = ("name", "compute_scale", "network_scale")
+
     name: str
     compute_scale: float
-    network_scale: float = 1.0
+    network_scale: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, compute_scale: float,
+                 network_scale: float = 1.0) -> None:
+        self._set(name=name, compute_scale=compute_scale,
+                  network_scale=network_scale)
         if self.compute_scale <= 0 or self.network_scale <= 0:
             raise ValueError("scale factors must be positive")
 

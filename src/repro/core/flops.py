@@ -19,8 +19,8 @@ multiply-add operations per GEMM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 
 __all__ = [
@@ -155,8 +155,7 @@ def layer_weight_grad_bytes(model: ModelConfig, parallel: ParallelConfig) -> int
     return model.precision.bytes * sharded_params
 
 
-@dataclass(frozen=True)
-class LayerCounts:
+class LayerCounts(Frozen):
     """Per-layer algorithmic totals for one training iteration.
 
     Attributes:
@@ -165,9 +164,16 @@ class LayerCounts:
         overlapped_bytes: DP weight-gradient all-reduce bytes (overlappable).
     """
 
+    __slots__ = ("compute_ops", "serialized_bytes", "overlapped_bytes")
+
     compute_ops: int
     serialized_bytes: int
     overlapped_bytes: int
+
+    def __init__(self, compute_ops: int, serialized_bytes: int,
+                 overlapped_bytes: int) -> None:
+        self._set(compute_ops=compute_ops, serialized_bytes=serialized_bytes,
+                  overlapped_bytes=overlapped_bytes)
 
     @property
     def ops_per_serialized_byte(self) -> float:

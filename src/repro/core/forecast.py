@@ -15,9 +15,9 @@ the zoo's (year, value) points; no randomness, fully reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import LayerType, ModelConfig
 from repro.models import zoo
 
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrowthTrend:
+class GrowthTrend(Frozen):
     """An exponential growth trend ``value = a * rate**(year - year0)``.
 
     Attributes:
@@ -43,11 +42,14 @@ class GrowthTrend:
         annual_rate: Multiplicative growth per year.
     """
 
+    __slots__ = ("year0", "value0", "annual_rate")
+
     year0: int
     value0: float
     annual_rate: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, year0: int, value0: float, annual_rate: float) -> None:
+        self._set(year0=year0, value0=value0, annual_rate=annual_rate)
         if self.value0 <= 0 or self.annual_rate <= 0:
             raise ValueError("value0 and annual_rate must be positive")
 

@@ -78,13 +78,6 @@ class GridConstraint(Frozen):
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self)
-                and other.spec_key() == self.spec_key())
-
-    def __hash__(self) -> int:
-        return hash(self.spec_key())
-
     def mask(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Boolean keep-mask over the rows of ``columns``."""
         raise NotImplementedError
@@ -198,6 +191,9 @@ class GridChunk(Frozen):
     """
 
     __slots__ = ("index", "grid", "offsets", "raw_rows")
+    # Array fields: equality is identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     index: int
     grid: ConfigGrid
@@ -282,13 +278,6 @@ class GridSpec(Frozen):
                   batch=_axis(batch, "batch"), tp=_axis(tp, "tp"),
                   dp=_axis(dp, "dp"), precision=precision,
                   constraints=tuple(constraints), _content_key=None)
-
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self)
-                and other.content_key() == self.content_key())
-
-    def __hash__(self) -> int:
-        return hash(self.content_key())
 
     @property
     def shape(self) -> Tuple[int, ...]:

@@ -19,9 +19,9 @@ number format (Section 6.2), is re-exported from
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro._frozen import Frozen
 from repro.hardware.specs import Precision
 
 
@@ -43,8 +43,7 @@ def _require_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Frozen):
     """Architecture + input hyperparameters of a Transformer model.
 
     Parameters mirror Table 1/Table 2 of the paper.  ``ffn_dim`` defaults to
@@ -65,31 +64,42 @@ class ModelConfig:
         year: Publication year, used by scaling-trend analyses.
     """
 
+    __slots__ = ("name", "hidden", "seq_len", "batch", "num_layers",
+                 "num_heads", "ffn_dim", "layer_type", "precision", "year")
+
     name: str
     hidden: int
     seq_len: int
-    batch: int = 1
-    num_layers: int = 1
-    num_heads: int = 16
-    ffn_dim: Optional[int] = None
-    layer_type: LayerType = LayerType.DECODER
-    precision: Precision = Precision.FP16
-    year: Optional[int] = None
+    batch: int
+    num_layers: int
+    num_heads: int
+    ffn_dim: int
+    layer_type: LayerType
+    precision: Precision
+    year: Optional[int]
 
-    def __post_init__(self) -> None:
-        _require_positive("hidden", self.hidden)
-        _require_positive("seq_len", self.seq_len)
-        _require_positive("batch", self.batch)
-        _require_positive("num_layers", self.num_layers)
-        _require_positive("num_heads", self.num_heads)
-        if self.ffn_dim is None:
-            object.__setattr__(self, "ffn_dim", 4 * self.hidden)
-        _require_positive("ffn_dim", self.ffn_dim)
-        if self.hidden % self.num_heads != 0:
+    def __init__(self, name: str, hidden: int, seq_len: int, batch: int = 1,
+                 num_layers: int = 1, num_heads: int = 16,
+                 ffn_dim: Optional[int] = None,
+                 layer_type: LayerType = LayerType.DECODER,
+                 precision: Precision = Precision.FP16,
+                 year: Optional[int] = None) -> None:
+        _require_positive("hidden", hidden)
+        _require_positive("seq_len", seq_len)
+        _require_positive("batch", batch)
+        _require_positive("num_layers", num_layers)
+        _require_positive("num_heads", num_heads)
+        if ffn_dim is None:
+            ffn_dim = 4 * hidden
+        _require_positive("ffn_dim", ffn_dim)
+        if hidden % num_heads != 0:
             raise ValueError(
-                f"hidden ({self.hidden}) must be divisible by "
-                f"num_heads ({self.num_heads})"
+                f"hidden ({hidden}) must be divisible by "
+                f"num_heads ({num_heads})"
             )
+        self._set(name=name, hidden=hidden, seq_len=seq_len, batch=batch,
+                  num_layers=num_layers, num_heads=num_heads, ffn_dim=ffn_dim,
+                  layer_type=layer_type, precision=precision, year=year)
 
     @property
     def head_dim(self) -> int:
@@ -137,8 +147,7 @@ class ModelConfig:
         new_hidden -= new_hidden % self.num_heads
         new_seq = max(64, int(self.seq_len * seq_scale))
         new_seq -= new_seq % 64
-        return replace(
-            self,
+        return self.replace(
             name=name or f"{self.name}-scaled",
             hidden=new_hidden,
             seq_len=new_seq,
@@ -149,15 +158,13 @@ class ModelConfig:
     def with_inputs(self, batch: Optional[int] = None,
                     seq_len: Optional[int] = None) -> "ModelConfig":
         """Copy with different input sizes (B and/or SL)."""
-        return replace(
-            self,
+        return self.replace(
             batch=self.batch if batch is None else batch,
             seq_len=self.seq_len if seq_len is None else seq_len,
         )
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(Frozen):
     """Distributed-training setup (Sections 2.3 and 3.2).
 
     Attributes:
@@ -169,12 +176,16 @@ class ParallelConfig:
         ep: Expert-parallel degree for MoE models (Section 6.1.1 extension).
     """
 
-    tp: int = 1
-    dp: int = 1
-    pp: int = 1
-    ep: int = 1
+    __slots__ = ("tp", "dp", "pp", "ep")
 
-    def __post_init__(self) -> None:
+    tp: int
+    dp: int
+    pp: int
+    ep: int
+
+    def __init__(self, tp: int = 1, dp: int = 1, pp: int = 1,
+                 ep: int = 1) -> None:
+        self._set(tp=tp, dp=dp, pp=pp, ep=ep)
         for name in ("tp", "dp", "pp", "ep"):
             _require_positive(name, getattr(self, name))
 

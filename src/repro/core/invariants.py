@@ -52,9 +52,9 @@ use a relative tolerance of :data:`RELATIVE_TOLERANCE`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.sim.breakdown import Breakdown
 from repro.sim.engine import Schedule
 
@@ -78,8 +78,7 @@ __all__ = [
 RELATIVE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One violated invariant.
 
     Attributes:
@@ -88,9 +87,14 @@ class Violation:
         detail: Human-readable explanation with the offending values.
     """
 
+    __slots__ = ("invariant", "subject", "detail")
+
     invariant: str
     subject: str
     detail: str
+
+    def __init__(self, invariant: str, subject: str, detail: str) -> None:
+        self._set(invariant=invariant, subject=subject, detail=detail)
 
     def __str__(self) -> str:
         return f"[{self.invariant}] {self.subject}: {self.detail}"

@@ -22,9 +22,9 @@ LayerNorm, ~11% geomean for all-reduce (Figure 15), which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware import collectives
 from repro.hardware.cluster import ClusterSpec
@@ -73,8 +73,7 @@ def _ring_factor(n_devices: int) -> float:
     return (n_devices - 1) / n_devices
 
 
-@dataclass(frozen=True)
-class CollectiveReference:
+class CollectiveReference(Frozen):
     """A measured collective data point to project from.
 
     The paper cannot profile collectives from the single-GPU baseline
@@ -84,12 +83,17 @@ class CollectiveReference:
     (size, group) combination.
     """
 
+    __slots__ = ("collective", "nbytes", "group_size", "time")
+
     collective: CollectiveKind
     nbytes: int
     group_size: int
     time: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, collective: CollectiveKind, nbytes: int,
+                 group_size: int, time: float) -> None:
+        self._set(collective=collective, nbytes=nbytes, group_size=group_size,
+                  time=time)
         if self.nbytes <= 0 or self.group_size < 2 or self.time <= 0:
             raise ValueError("reference needs nbytes > 0, group >= 2, "
                              "time > 0")
@@ -133,8 +137,7 @@ def _measure_collective_reference(
                                group_size=group_size, time=time)
 
 
-@dataclass(frozen=True)
-class OperatorModelSuite:
+class OperatorModelSuite(Frozen):
     """Fitted operator-level models for one baseline + testbed.
 
     Attributes:
@@ -147,10 +150,23 @@ class OperatorModelSuite:
             profile (for profiling-speedup accounting).
     """
 
+    __slots__ = ("baseline_model", "compute_reference",
+                 "collective_references", "baseline_cost")
+
     baseline_model: ModelConfig
     compute_reference: Mapping[str, Tuple[Op, float]]
     collective_references: Mapping[CollectiveKind, CollectiveReference]
     baseline_cost: float
+
+    def __init__(self, baseline_model: ModelConfig,
+                 compute_reference: Mapping[str, Tuple[Op, float]],
+                 collective_references: Mapping[CollectiveKind,
+                                                 CollectiveReference],
+                 baseline_cost: float) -> None:
+        self._set(baseline_model=baseline_model,
+                  compute_reference=compute_reference,
+                  collective_references=collective_references,
+                  baseline_cost=baseline_cost)
 
     def project_op(self, op: Op, trace: Trace) -> float:
         """Projected runtime of one target operator.
@@ -243,17 +259,23 @@ def fit_operator_models(
     )
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(Frozen):
     """Projection-error statistics over a set of operators.
 
     All values are relative errors (0.15 == 15%).
     """
 
+    __slots__ = ("mean_abs", "geomean_abs", "max_abs", "count")
+
     mean_abs: float
     geomean_abs: float
     max_abs: float
     count: int
+
+    def __init__(self, mean_abs: float, geomean_abs: float, max_abs: float,
+                 count: int) -> None:
+        self._set(mean_abs=mean_abs, geomean_abs=geomean_abs, max_abs=max_abs,
+                  count=count)
 
     @staticmethod
     def empty() -> "ErrorStats":

@@ -91,6 +91,9 @@ class EvaluatedChunk(Frozen):
     """
 
     __slots__ = ("offsets", "columns", "breakdown")
+    # Array fields: equality is identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     offsets: np.ndarray
     columns: Mapping[str, np.ndarray]
@@ -233,12 +236,6 @@ class Reducer(Frozen):
     def key(self) -> Tuple[object, ...]:
         """Stable content tuple (for cache keys)."""
         raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.key() == self.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def empty(self) -> Dict[str, object]:
         """The identity payload (an empty chunk's observation)."""

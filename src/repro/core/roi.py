@@ -14,9 +14,9 @@ slack); at or above 1.0 it is exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.cluster import ClusterSpec
 from repro.models.graph import CommOp, GemmOp, Op, Phase, Trace
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OverlapRoi:
+class OverlapRoi(Frozen):
     """The ops of one layer's overlapped-communication region.
 
     Attributes:
@@ -41,8 +40,14 @@ class OverlapRoi:
         comm_ops: The overlappable (DP) weight-gradient all-reduces.
     """
 
+    __slots__ = ("compute_ops", "comm_ops")
+
     compute_ops: Tuple[GemmOp, ...]
     comm_ops: Tuple[CommOp, ...]
+
+    def __init__(self, compute_ops: Tuple[GemmOp, ...],
+                 comm_ops: Tuple[CommOp, ...]) -> None:
+        self._set(compute_ops=compute_ops, comm_ops=comm_ops)
 
 
 def extract_overlap_roi(trace: Trace) -> OverlapRoi:
@@ -74,8 +79,7 @@ def extract_overlap_roi(trace: Trace) -> OverlapRoi:
     return OverlapRoi(compute_ops=compute_ops, comm_ops=comm_ops)
 
 
-@dataclass(frozen=True)
-class OverlapRoiTiming:
+class OverlapRoiTiming(Frozen):
     """Timed overlap ROI for one configuration (a Figure 11 data point).
 
     Attributes:
@@ -85,10 +89,17 @@ class OverlapRoiTiming:
         comm_time: Summed gradient all-reduce time, seconds.
     """
 
+    __slots__ = ("model", "parallel", "compute_time", "comm_time")
+
     model: ModelConfig
     parallel: ParallelConfig
     compute_time: float
     comm_time: float
+
+    def __init__(self, model: ModelConfig, parallel: ParallelConfig,
+                 compute_time: float, comm_time: float) -> None:
+        self._set(model=model, parallel=parallel, compute_time=compute_time,
+                  comm_time=comm_time)
 
     @property
     def overlapped_pct_of_compute(self) -> float:

@@ -19,9 +19,9 @@ Three trend analyses from the paper live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.models import zoo
 
@@ -158,13 +158,15 @@ def round_up_pow2(value: float) -> int:
     return 1 << math.ceil(math.log2(value))
 
 
-@dataclass(frozen=True)
-class MemoryGapRow:
+class MemoryGapRow(Frozen):
     """One model's entry in the Figure 6 demand-vs-capacity comparison.
 
     All normalized fields are relative to the first (oldest) model in the
     series, mirroring the figure's normalized axes.
     """
+
+    __slots__ = ("model", "year", "demand_proxy", "params", "capacity_gb",
+                 "demand_norm", "params_norm", "capacity_norm")
 
     model: str
     year: int
@@ -174,6 +176,14 @@ class MemoryGapRow:
     demand_norm: float
     params_norm: float
     capacity_norm: float
+
+    def __init__(self, model: str, year: int, demand_proxy: int, params: int,
+                 capacity_gb: float, demand_norm: float, params_norm: float,
+                 capacity_norm: float) -> None:
+        self._set(model=model, year=year, demand_proxy=demand_proxy,
+                  params=params, capacity_gb=capacity_gb,
+                  demand_norm=demand_norm, params_norm=params_norm,
+                  capacity_norm=capacity_norm)
 
     @property
     def gap(self) -> float:
@@ -216,9 +226,10 @@ def memory_gap_series(models: Optional[List[ModelConfig]] = None
     return rows
 
 
-@dataclass(frozen=True)
-class TpScalingRow:
+class TpScalingRow(Frozen):
     """One model's entry in the Figure 9(b) TP-scaling series."""
+
+    __slots__ = ("model", "year", "p", "s", "p_over_s", "required_tp")
 
     model: str
     year: int
@@ -226,6 +237,11 @@ class TpScalingRow:
     s: float
     p_over_s: float
     required_tp: int
+
+    def __init__(self, model: str, year: int, p: float, s: float,
+                 p_over_s: float, required_tp: int) -> None:
+        self._set(model=model, year=year, p=p, s=s, p_over_s=p_over_s,
+                  required_tp=required_tp)
 
 
 def tp_scaling_series(max_tp: Optional[int] = None) -> List[TpScalingRow]:

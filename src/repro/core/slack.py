@@ -13,17 +13,16 @@ zoo-wide normalized series plotted in Figure 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro._frozen import Frozen
 from repro.core import algebra, flops
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 
 __all__ = ["SlackAnalysis", "slack_advantage", "slack_series"]
 
 
-@dataclass(frozen=True)
-class SlackAnalysis:
+class SlackAnalysis(Frozen):
     """Result of the slack-advantage computation for one configuration.
 
     Attributes:
@@ -35,12 +34,22 @@ class SlackAnalysis:
         asymptotic_ratio: The Equation 9 form ``SL * B``.
     """
 
+    __slots__ = ("model", "parallel", "backprop_ops", "overlapped_bytes",
+                 "exact_ratio", "asymptotic_ratio")
+
     model: ModelConfig
     parallel: ParallelConfig
     backprop_ops: int
     overlapped_bytes: int
     exact_ratio: float
     asymptotic_ratio: float
+
+    def __init__(self, model: ModelConfig, parallel: ParallelConfig,
+                 backprop_ops: int, overlapped_bytes: int, exact_ratio: float,
+                 asymptotic_ratio: float) -> None:
+        self._set(model=model, parallel=parallel, backprop_ops=backprop_ops,
+                  overlapped_bytes=overlapped_bytes, exact_ratio=exact_ratio,
+                  asymptotic_ratio=asymptotic_ratio)
 
 
 def slack_advantage(model: ModelConfig, parallel: ParallelConfig

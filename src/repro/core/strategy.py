@@ -11,9 +11,9 @@ headline 2100x profiling-cost reduction (Section 4.3.8).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """A hyperparameter sweep space (Table 3).
 
     Attributes:
@@ -42,12 +41,16 @@ class SweepSpec:
         tp: Tensor-parallel degrees.
     """
 
+    __slots__ = ("hidden", "batch", "seq_len", "tp")
+
     hidden: Tuple[int, ...]
     batch: Tuple[int, ...]
     seq_len: Tuple[int, ...]
     tp: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, hidden: Tuple[int, ...], batch: Tuple[int, ...],
+                 seq_len: Tuple[int, ...], tp: Tuple[int, ...]) -> None:
+        self._set(hidden=hidden, batch=batch, seq_len=seq_len, tp=tp)
         for name in ("hidden", "batch", "seq_len", "tp"):
             values = getattr(self, name)
             if not values:
@@ -102,8 +105,7 @@ TABLE3_SWEEP = SweepSpec(
 )
 
 
-@dataclass(frozen=True)
-class ProfilingCostReport:
+class ProfilingCostReport(Frozen):
     """Profiling-cost comparison: exhaustive execution vs our strategy.
 
     All costs are simulated-testbed wall seconds per profiled training
@@ -121,11 +123,22 @@ class ProfilingCostReport:
             them -- projection has no memory-capacity constraint).
     """
 
+    __slots__ = ("exhaustive_cost", "strategy_cost", "configs_total",
+                 "configs_feasible", "configs_projected")
+
     exhaustive_cost: float
     strategy_cost: float
     configs_total: int
     configs_feasible: int
     configs_projected: int
+
+    def __init__(self, exhaustive_cost: float, strategy_cost: float,
+                 configs_total: int, configs_feasible: int,
+                 configs_projected: int) -> None:
+        self._set(exhaustive_cost=exhaustive_cost, strategy_cost=strategy_cost,
+                  configs_total=configs_total,
+                  configs_feasible=configs_feasible,
+                  configs_projected=configs_projected)
 
     @property
     def speedup(self) -> float:

@@ -18,9 +18,9 @@ with quantifiable fidelity, exactly the paper's claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core import roi
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.strategy import sweep_num_heads
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LawFit:
+class LawFit(Frozen):
     """A proportionality-law fit ``y ~ slope * x``.
 
     Attributes:
@@ -46,9 +45,15 @@ class LawFit:
         points: The (x, y) observations the fit used.
     """
 
+    __slots__ = ("slope", "r_squared", "points")
+
     slope: float
     r_squared: float
     points: Tuple[Tuple[float, float], ...]
+
+    def __init__(self, slope: float, r_squared: float,
+                 points: Tuple[Tuple[float, float], ...]) -> None:
+        self._set(slope=slope, r_squared=r_squared, points=points)
 
     @property
     def count(self) -> int:

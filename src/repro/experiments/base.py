@@ -12,16 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core import report
 
 __all__ = ["ExperimentResult", "RunMeta"]
 
 
-@dataclass(frozen=True)
-class RunMeta:
+class RunMeta(Frozen):
     """How one ``ExperimentResult`` was produced by the runtime layer.
 
     Attached by :class:`repro.runtime.Session` and excluded from result
@@ -41,10 +40,17 @@ class RunMeta:
             hit, which validates nothing.
     """
 
+    __slots__ = ("wall_time_s", "cache", "session", "checked")
+
     wall_time_s: float
     cache: str
     session: str
-    checked: bool = False
+    checked: bool
+
+    def __init__(self, wall_time_s: float, cache: str, session: str,
+                 checked: bool = False) -> None:
+        self._set(wall_time_s=wall_time_s, cache=cache, session=session,
+                  checked=checked)
 
     def to_dict(self) -> Dict[str, object]:
         return {"wall_time_s": self.wall_time_s, "cache": self.cache,
@@ -57,8 +63,7 @@ class RunMeta:
                 f"(cache {self.cache}, session {self.session}{checked})")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(Frozen):
     """A reproduced table/figure as rows of printable values.
 
     Attributes:
@@ -73,27 +78,30 @@ class ExperimentResult:
             and fresh results stay byte-identical.
     """
 
+    __slots__ = ("experiment_id", "title", "headers", "rows", "notes",
+                 "meta")
+    _uncompared = ("meta",)
+
     experiment_id: str
     title: str
     headers: Tuple[str, ...]
     rows: Tuple[Tuple[object, ...], ...]
-    notes: Tuple[str, ...] = ()
-    meta: Optional[RunMeta] = field(default=None, compare=False,
-                                    repr=False)
+    notes: Tuple[str, ...]
+    meta: Optional[RunMeta]
 
-    def __post_init__(self) -> None:
-        for name in ("headers", "notes"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-        if not isinstance(self.rows, tuple):
-            object.__setattr__(self, "rows", tuple(
-                tuple(row) for row in self.rows
-            ))
+    def __init__(self, experiment_id: str, title: str,
+                 headers: Sequence[str], rows: Sequence[Sequence[object]],
+                 notes: Sequence[str] = (),
+                 meta: Optional[RunMeta] = None) -> None:
+        if not isinstance(rows, tuple):
+            rows = tuple(tuple(row) for row in rows)
+        self._set(experiment_id=experiment_id, title=title,
+                  headers=tuple(headers), rows=rows, notes=tuple(notes),
+                  meta=meta)
 
     def with_meta(self, meta: Optional[RunMeta]) -> "ExperimentResult":
         """A copy carrying (or clearing) run metadata."""
-        return replace(self, meta=meta)
+        return self.replace(meta=meta)
 
     def to_text(self, include_meta: bool = False) -> str:
         """Render the result as an aligned text block.

@@ -8,7 +8,6 @@ naive all-TP and max-DP extremes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.core import autotune
@@ -38,7 +37,7 @@ def run(cluster: Optional[ClusterSpec] = None) -> ExperimentResult:
     rows = []
     for base_model, world, microbatches in _STUDY:
         name = base_model.name
-        model = replace(base_model, batch=microbatches)
+        model = base_model.replace(batch=microbatches)
         plans = autotune.enumerate_plans(model, world, cluster,
                                          microbatches=microbatches)
         if not plans:

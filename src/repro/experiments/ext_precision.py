@@ -9,7 +9,6 @@ highlighted configurations across formats.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.hyperparams import ParallelConfig, Precision
@@ -32,7 +31,7 @@ def _cluster_with_fp8(cluster: ClusterSpec) -> ClusterSpec:
         return cluster
     flops = dict(device.peak_flops)
     flops[Precision.FP8] = flops[Precision.FP16] * _FP8_OVER_FP16
-    return replace(cluster, device=replace(device, peak_flops=flops))
+    return cluster.replace(device=device.replace(peak_flops=flops))
 
 
 def run(
@@ -48,10 +47,8 @@ def run(
             if hidden != line.hidden:
                 continue
             for precision in precisions:
-                model = replace(
-                    sweeps.serialized_model(line.hidden, line.seq_len, tp),
-                    precision=precision,
-                )
+                model = sweeps.serialized_model(
+                    line.hidden, line.seq_len, tp).replace(precision=precision)
                 trace = layer_trace(model, ParallelConfig(tp=tp, dp=1))
                 breakdown = execute_trace(trace, cluster).breakdown
                 rows.append((

@@ -13,7 +13,6 @@ configuration:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.core import casestudy
@@ -50,8 +49,8 @@ def run(base_cluster: Optional[ClusterSpec] = None) -> ExperimentResult:
             f"{result.critical_comm_fraction:.3f}",
         ))
     # PIN: switch-based all-reduce (2x effective bandwidth for AR traffic).
-    pin_cluster = replace(base,
-                          allreduce_algorithm=AllReduceAlgorithm.IN_NETWORK)
+    pin_cluster = base.replace(
+        allreduce_algorithm=AllReduceAlgorithm.IN_NETWORK)
     pin = casestudy.run_case_study(
         scenarios=[CaseStudyScenario(
             name="technique: in-network reduction (PIN)", hardware=fourx,

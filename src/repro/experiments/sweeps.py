@@ -16,9 +16,9 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core import roi
 from repro.core.evolution import HardwareScenario
 from repro.core.hyperparams import ModelConfig, ParallelConfig
@@ -48,13 +48,17 @@ __all__ = [
     "overlap_sweep",
 ]
 
-@dataclass(frozen=True)
-class SerializedLine:
+class SerializedLine(Frozen):
     """One (H, SL) line of the Figure 10/12 sweep."""
+
+    __slots__ = ("hidden", "seq_len", "label")
 
     hidden: int
     seq_len: int
     label: str
+
+    def __init__(self, hidden: int, seq_len: int, label: str) -> None:
+        self._set(hidden=hidden, seq_len=seq_len, label=label)
 
 
 #: The paper's three model lines: a medium Transformer (~T-NLG), one of

@@ -16,9 +16,9 @@ all-gather decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro._frozen import Frozen
 from repro.hardware import collectives
 from repro.hardware.collectives import (
     AllReduceAlgorithm,
@@ -34,9 +34,11 @@ __all__ = ["ClusterSpec", "mi210_node", "multi_node_cluster"]
 #: communication (Section 4.3.7, citing Rashidi et al.).
 DEFAULT_INTER_NODE_SLOWDOWN = 8.0
 
+#: The testbed's intra-node ring (the default ``intra_link``).
+_MI210_RING = Link(bandwidth=MI210.ring_allreduce_bw)
 
-@dataclass(frozen=True)
-class ClusterSpec:
+
+class ClusterSpec(Frozen):
     """A training cluster: devices grouped into nodes.
 
     Attributes:
@@ -55,21 +57,36 @@ class ClusterSpec:
         collective_model: Jitter/calibration parameters for collectives.
     """
 
-    device: DeviceSpec = MI210
-    devices_per_node: int = 4
-    intra_link: Link = field(
-        default_factory=lambda: Link(bandwidth=MI210.ring_allreduce_bw)
-    )
-    inter_link: Optional[Link] = None
-    allreduce_algorithm: AllReduceAlgorithm = AllReduceAlgorithm.RING
-    comm_interference_slowdown: float = 1.0
-    collective_model: CollectiveTimingModel = DEFAULT_COLLECTIVE_MODEL
+    __slots__ = ("device", "devices_per_node", "intra_link", "inter_link",
+                 "allreduce_algorithm", "comm_interference_slowdown",
+                 "collective_model")
 
-    def __post_init__(self) -> None:
-        if self.devices_per_node < 1:
+    device: DeviceSpec
+    devices_per_node: int
+    intra_link: Link
+    inter_link: Optional[Link]
+    allreduce_algorithm: AllReduceAlgorithm
+    comm_interference_slowdown: float
+    collective_model: CollectiveTimingModel
+
+    def __init__(self, device: DeviceSpec = MI210,
+                 devices_per_node: int = 4,
+                 intra_link: Link = _MI210_RING,
+                 inter_link: Optional[Link] = None,
+                 allreduce_algorithm: AllReduceAlgorithm = (
+                     AllReduceAlgorithm.RING),
+                 comm_interference_slowdown: float = 1.0,
+                 collective_model: CollectiveTimingModel = (
+                     DEFAULT_COLLECTIVE_MODEL)) -> None:
+        if devices_per_node < 1:
             raise ValueError("devices_per_node must be >= 1")
-        if self.comm_interference_slowdown < 1.0:
+        if comm_interference_slowdown < 1.0:
             raise ValueError("interference slowdown must be >= 1")
+        self._set(device=device, devices_per_node=devices_per_node,
+                  intra_link=intra_link, inter_link=inter_link,
+                  allreduce_algorithm=allreduce_algorithm,
+                  comm_interference_slowdown=comm_interference_slowdown,
+                  collective_model=collective_model)
 
     def is_single_node(self, group_size: int) -> bool:
         """Whether a group fits one node, or no inter-node link is modeled
@@ -155,8 +172,7 @@ class ClusterSpec:
         independently -- the flop-vs-bw scenarios use
         ``compute_scale > network_scale``.
         """
-        return replace(
-            self,
+        return self.replace(
             device=self.device.scaled(compute_scale=compute_scale,
                                       network_scale=network_scale),
             intra_link=self.intra_link.scaled(network_scale),
@@ -166,7 +182,7 @@ class ClusterSpec:
 
     def with_interference(self, slowdown: float) -> "ClusterSpec":
         """Copy with a different overlapped-comm interference slowdown."""
-        return replace(self, comm_interference_slowdown=slowdown)
+        return self.replace(comm_interference_slowdown=slowdown)
 
 
 def mi210_node(jitter: bool = True) -> ClusterSpec:

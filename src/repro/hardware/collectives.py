@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.hardware.gemm import stable_unit_hash
 from repro.hardware.network import Link, effective_bandwidth
 
@@ -64,8 +64,7 @@ def _validate(nbytes: float, n_devices: int) -> None:
         raise ValueError("device count must be >= 1")
 
 
-@dataclass(frozen=True)
-class CollectiveTimingModel:
+class CollectiveTimingModel(Frozen):
     """Parameters shared by all collective timing functions.
 
     Attributes:
@@ -79,10 +78,15 @@ class CollectiveTimingModel:
             interconnect technology").
     """
 
-    jitter_amplitude: float = 0.10
-    straggler_half: float = 340.0
+    __slots__ = ("jitter_amplitude", "straggler_half")
 
-    def __post_init__(self) -> None:
+    jitter_amplitude: float
+    straggler_half: float
+
+    def __init__(self, jitter_amplitude: float = 0.10,
+                 straggler_half: float = 340.0) -> None:
+        self._set(jitter_amplitude=jitter_amplitude,
+                  straggler_half=straggler_half)
         if self.straggler_half <= 0:
             raise ValueError("straggler_half must be positive")
 

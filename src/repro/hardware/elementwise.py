@@ -13,8 +13,8 @@ variation so projections carry realistic (~7%) error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.hardware.gemm import stable_unit_hash
 from repro.hardware.specs import DeviceSpec, Precision
 
@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ElementwiseTimingModel:
+class ElementwiseTimingModel(Frozen):
     """Parameters of the bandwidth-bound operator timing model.
 
     Attributes:
@@ -34,8 +33,15 @@ class ElementwiseTimingModel:
         jitter_amplitude: Half-width of the size-keyed jitter multiplier.
     """
 
-    saturation_half_bytes: float = 0.5e6
-    jitter_amplitude: float = 0.05
+    __slots__ = ("saturation_half_bytes", "jitter_amplitude")
+
+    saturation_half_bytes: float
+    jitter_amplitude: float
+
+    def __init__(self, saturation_half_bytes: float = 0.5e6,
+                 jitter_amplitude: float = 0.05) -> None:
+        self._set(saturation_half_bytes=saturation_half_bytes,
+                  jitter_amplitude=jitter_amplitude)
 
     def achieved_bandwidth(self, nbytes: int, device: DeviceSpec) -> float:
         """Achieved HBM bandwidth for a kernel moving ``nbytes``."""

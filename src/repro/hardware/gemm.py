@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
+from repro._frozen import Frozen
 from repro.hardware.specs import DeviceSpec, Precision
 
 if TYPE_CHECKING:
@@ -70,8 +70,7 @@ def stable_unit_hash(*key: object) -> float:
     return (digest & 0xFFFFFFFF) / 2**32
 
 
-@dataclass(frozen=True)
-class GemmTimingModel:
+class GemmTimingModel(Frozen):
     """Parameters of the analytical GEMM timing model.
 
     Attributes:
@@ -88,21 +87,38 @@ class GemmTimingModel:
             that need exact scaling laws).
     """
 
-    tile: int = 128
-    compute_units: int = 104
-    k_half: int = 32
-    m_half: int = 64
-    jitter_amplitude: float = 0.08
+    __slots__ = ("tile", "compute_units", "k_half", "m_half",
+                 "jitter_amplitude", "SPLIT_K_MIN", "SPLIT_K_EFFICIENCY",
+                 "TILE_CANDIDATES", "TILE_REUSE_EXP")
+
+    tile: int
+    compute_units: int
+    k_half: int
+    m_half: int
+    jitter_amplitude: float
 
     #: Minimum K extent per split-K slice; below this splitting stops paying.
-    SPLIT_K_MIN: int = 512
+    SPLIT_K_MIN: int
     #: Efficiency retained by a split-K kernel (partial-sum reduction cost).
-    SPLIT_K_EFFICIENCY: float = 0.9
+    SPLIT_K_EFFICIENCY: float
     #: Candidate output-tile edge lengths the autotuner chooses among.
-    TILE_CANDIDATES: Tuple[int, ...] = (128, 64, 32)
+    TILE_CANDIDATES: Tuple[int, ...]
     #: Per-CU throughput loss exponent of smaller tiles (reduced reuse):
     #: a ``t``-wide tile retains ``(t / tile)**TILE_REUSE_EXP`` efficiency.
-    TILE_REUSE_EXP: float = 0.3
+    TILE_REUSE_EXP: float
+
+    def __init__(self, tile: int = 128, compute_units: int = 104,
+                 k_half: int = 32, m_half: int = 64,
+                 jitter_amplitude: float = 0.08, SPLIT_K_MIN: int = 512,
+                 SPLIT_K_EFFICIENCY: float = 0.9,
+                 TILE_CANDIDATES: Tuple[int, ...] = (128, 64, 32),
+                 TILE_REUSE_EXP: float = 0.3) -> None:
+        self._set(tile=tile, compute_units=compute_units, k_half=k_half,
+                  m_half=m_half, jitter_amplitude=jitter_amplitude,
+                  SPLIT_K_MIN=SPLIT_K_MIN,
+                  SPLIT_K_EFFICIENCY=SPLIT_K_EFFICIENCY,
+                  TILE_CANDIDATES=TILE_CANDIDATES,
+                  TILE_REUSE_EXP=TILE_REUSE_EXP)
 
     @staticmethod
     def _pow2_at_most(value: int, cap: int) -> int:

@@ -11,15 +11,14 @@ saturation behaviour as device interconnects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.hardware.network import Link, effective_bandwidth
 
 __all__ = ["HostLink", "PCIE_GEN4_X16", "PCIE_GEN5_X16", "transfer_time"]
 
 
-@dataclass(frozen=True)
-class HostLink:
+class HostLink(Frozen):
     """A device <-> host-memory channel.
 
     Attributes:
@@ -28,9 +27,14 @@ class HostLink:
         h2d: Host-to-device link (parameter prefetch direction).
     """
 
+    __slots__ = ("name", "d2h", "h2d")
+
     name: str
     d2h: Link
     h2d: Link
+
+    def __init__(self, name: str, d2h: Link, h2d: Link) -> None:
+        self._set(name=name, d2h=d2h, h2d=h2d)
 
 
 def _pcie(gb_per_s: float) -> Link:

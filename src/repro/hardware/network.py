@@ -10,13 +10,12 @@ with a saturating utilization curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._frozen import Frozen
 
 __all__ = ["Link", "effective_bandwidth"]
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Frozen):
     """A point-to-point or ring-aggregate interconnect link.
 
     Attributes:
@@ -26,11 +25,16 @@ class Link:
             reaches half of peak.
     """
 
-    bandwidth: float
-    latency: float = 1e-6
-    saturation_half_bytes: float = 1e6
+    __slots__ = ("bandwidth", "latency", "saturation_half_bytes")
 
-    def __post_init__(self) -> None:
+    bandwidth: float
+    latency: float
+    saturation_half_bytes: float
+
+    def __init__(self, bandwidth: float, latency: float = 1e-6,
+                 saturation_half_bytes: float = 1e6) -> None:
+        self._set(bandwidth=bandwidth, latency=latency,
+                  saturation_half_bytes=saturation_half_bytes)
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if self.latency < 0:

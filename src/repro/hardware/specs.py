@@ -19,8 +19,9 @@ but never build a ``ModelConfig``, so they do not load that module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Dict, Mapping
+
+from repro._frozen import Frozen
 
 __all__ = [
     "Precision",
@@ -65,8 +66,7 @@ _PRECISION_BYTES = {
 }
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Frozen):
     """Performance-relevant parameters of one accelerator.
 
     Attributes:
@@ -86,6 +86,11 @@ class DeviceSpec:
             streaming kernels achieve.
     """
 
+    __slots__ = ("name", "year", "peak_flops", "mem_bw", "mem_capacity",
+                 "link_bw", "ring_allreduce_bw", "compute_launch_overhead",
+                 "network_latency", "peak_compute_efficiency",
+                 "peak_memory_efficiency")
+
     name: str
     year: int
     peak_flops: Mapping[Precision, float]
@@ -93,12 +98,25 @@ class DeviceSpec:
     mem_capacity: float
     link_bw: float
     ring_allreduce_bw: float
-    compute_launch_overhead: float = 1e-6
-    network_latency: float = 10e-6
-    peak_compute_efficiency: float = 0.85
-    peak_memory_efficiency: float = 0.80
+    compute_launch_overhead: float
+    network_latency: float
+    peak_compute_efficiency: float
+    peak_memory_efficiency: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, year: int,
+                 peak_flops: Mapping[Precision, float], mem_bw: float,
+                 mem_capacity: float, link_bw: float, ring_allreduce_bw: float,
+                 compute_launch_overhead: float = 1e-6,
+                 network_latency: float = 10e-6,
+                 peak_compute_efficiency: float = 0.85,
+                 peak_memory_efficiency: float = 0.80) -> None:
+        self._set(name=name, year=year, peak_flops=peak_flops, mem_bw=mem_bw,
+                  mem_capacity=mem_capacity, link_bw=link_bw,
+                  ring_allreduce_bw=ring_allreduce_bw,
+                  compute_launch_overhead=compute_launch_overhead,
+                  network_latency=network_latency,
+                  peak_compute_efficiency=peak_compute_efficiency,
+                  peak_memory_efficiency=peak_memory_efficiency)
         if not self.peak_flops:
             raise ValueError("peak_flops must not be empty")
         for field_name in ("mem_bw", "mem_capacity", "link_bw",
@@ -140,8 +158,7 @@ class DeviceSpec:
         if min(compute_scale, network_scale, memory_bw_scale,
                memory_capacity_scale) <= 0:
             raise ValueError("scale factors must be positive")
-        return replace(
-            self,
+        return self.replace(
             name=name or f"{self.name}-x{compute_scale:g}c-x{network_scale:g}n",
             peak_flops={
                 p: f * compute_scale for p, f in self.peak_flops.items()

@@ -9,8 +9,8 @@ scalar simulator (:mod:`repro.sim.executor` re-exports both names).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.hardware.elementwise import (
     DEFAULT_ELEMENTWISE_MODEL,
     ElementwiseTimingModel,
@@ -20,8 +20,7 @@ from repro.hardware.gemm import DEFAULT_GEMM_MODEL, GemmTimingModel
 __all__ = ["TimingModels", "DEFAULT_TIMING"]
 
 
-@dataclass(frozen=True)
-class TimingModels:
+class TimingModels(Frozen):
     """Bundle of the per-operator-family timing models.
 
     ``without_jitter()`` yields idealized models whose runtimes follow the
@@ -30,8 +29,15 @@ class TimingModels:
     projection error comes from hardware non-idealities).
     """
 
-    gemm: GemmTimingModel = DEFAULT_GEMM_MODEL
-    elementwise: ElementwiseTimingModel = DEFAULT_ELEMENTWISE_MODEL
+    __slots__ = ("gemm", "elementwise")
+
+    gemm: GemmTimingModel
+    elementwise: ElementwiseTimingModel
+
+    def __init__(self, gemm: GemmTimingModel = DEFAULT_GEMM_MODEL,
+                 elementwise: ElementwiseTimingModel = (
+                     DEFAULT_ELEMENTWISE_MODEL)) -> None:
+        self._set(gemm=gemm, elementwise=elementwise)
 
     def without_jitter(self) -> "TimingModels":
         return TimingModels(

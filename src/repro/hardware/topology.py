@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.collectives import AllReduceAlgorithm
 from repro.hardware.network import Link
@@ -39,8 +39,7 @@ class TopologyKind(enum.Enum):
     SWITCH = "switch"
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Frozen):
     """A node/pod interconnect description.
 
     Attributes:
@@ -50,12 +49,17 @@ class Topology:
         link_latency: Per-hop latency, seconds.
     """
 
+    __slots__ = ("kind", "num_devices", "link_bandwidth", "link_latency")
+
     kind: TopologyKind
     num_devices: int
     link_bandwidth: float
-    link_latency: float = 1e-6
+    link_latency: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: TopologyKind, num_devices: int,
+                 link_bandwidth: float, link_latency: float = 1e-6) -> None:
+        self._set(kind=kind, num_devices=num_devices,
+                  link_bandwidth=link_bandwidth, link_latency=link_latency)
         if self.num_devices < 2:
             raise ValueError("a topology needs at least two devices")
         if self.link_bandwidth <= 0:

@@ -18,7 +18,6 @@ too small is latency/underutilization-bound, too large forfeits overlap.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 from repro.models.graph import CollectiveKind, CommOp, Op, Trace
@@ -37,7 +36,7 @@ def _split(op: CommOp, bucket_bytes: int) -> List[CommOp]:
     index = 0
     while remaining > 0:
         size = min(bucket_bytes, remaining)
-        pieces.append(replace(op, name=f"{op.name}[{index}]", nbytes=size))
+        pieces.append(op.replace(name=f"{op.name}[{index}]", nbytes=size))
         remaining -= size
         index += 1
     return pieces
@@ -65,8 +64,7 @@ def bucket_gradients(trace: Trace, bucket_bytes: int) -> Trace:
         if not pending:
             return
         template = pending[-1]  # emitted where the bucket completed
-        merged = replace(
-            template,
+        merged = template.replace(
             name=f"grad_bucket[{len([o for o in ops if _is_gradient_ar(o)])}]",
             nbytes=pending_bytes,
         )

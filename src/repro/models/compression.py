@@ -22,9 +22,9 @@ position relative to the all-reduce tail is second-order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import List
 
+from repro._frozen import Frozen
 from repro.models.graph import (
     CollectiveKind,
     CommOp,
@@ -37,8 +37,7 @@ __all__ = ["CompressionScheme", "ONE_BIT", "POWER_SGD_RANK4",
            "compress_gradients"]
 
 
-@dataclass(frozen=True)
-class CompressionScheme:
+class CompressionScheme(Frozen):
     """A gradient-compression configuration.
 
     Attributes:
@@ -49,12 +48,17 @@ class CompressionScheme:
         decode_passes: Passes to decode/apply error feedback.
     """
 
+    __slots__ = ("name", "ratio", "encode_passes", "decode_passes")
+
     name: str
     ratio: float
-    encode_passes: float = 1.0
-    decode_passes: float = 1.0
+    encode_passes: float
+    decode_passes: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, ratio: float, encode_passes: float = 1.0,
+                 decode_passes: float = 1.0) -> None:
+        self._set(name=name, ratio=ratio, encode_passes=encode_passes,
+                  decode_passes=decode_passes)
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
         if self.encode_passes < 0 or self.decode_passes < 0:
@@ -95,8 +99,7 @@ def compress_gradients(trace: Trace, scheme: CompressionScheme) -> Trace:
                     kind="compress_encode",
                     layer=op.layer,
                 ))
-            ops.append(replace(
-                op,
+            ops.append(op.replace(
                 name=f"{op.name}.compressed",
                 nbytes=max(1, int(op.nbytes * scheme.ratio)),
             ))

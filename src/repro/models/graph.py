@@ -25,9 +25,17 @@ here for the same reason; :mod:`repro.hardware.gemm` still resolves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.models.layers import CollectiveKind, CommGroup, Phase, SubLayer
 
@@ -47,23 +55,34 @@ __all__ = [
     "Trace",
 ]
 
+#: The simulator builds thousands of these records per trace, so they
+#: assign their slots directly instead of through ``Frozen._set``.
+_assign = object.__setattr__
 
-@dataclass(frozen=True)
-class GemmShape:
+
+class GemmShape(Frozen):
     """A (possibly batched) GEMM: ``batch`` x [M, K] @ [K, N].
 
     ``flops`` follows the paper's ``2 * M * N * K`` multiply-add convention.
     """
 
+    __slots__ = ("m", "n", "k", "batch")
+
     m: int
     n: int
     k: int
-    batch: int = 1
+    batch: int
 
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "k", "batch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"GEMM dim {name} must be positive")
+    def __init__(self, m: int, n: int, k: int, batch: int = 1) -> None:
+        if m <= 0 or n <= 0 or k <= 0 or batch <= 0:
+            name = next(name for name, dim in (("m", m), ("n", n), ("k", k),
+                                               ("batch", batch))
+                        if dim <= 0)
+            raise ValueError(f"GEMM dim {name} must be positive")
+        _assign(self, "m", m)
+        _assign(self, "n", n)
+        _assign(self, "k", k)
+        _assign(self, "batch", batch)
 
     @property
     def flops(self) -> int:
@@ -75,8 +94,7 @@ class GemmShape:
         return precision.bytes * self.batch * per_instance
 
 
-@dataclass(frozen=True)
-class GemmOp:
+class GemmOp(Frozen):
     """A (batched) matrix multiplication on the compute stream.
 
     ``has_weights`` distinguishes weight-bearing projections (QKV, output
@@ -86,12 +104,24 @@ class GemmOp:
     (Section 3.4 considers WG/IG GEMMs of weight sub-layers).
     """
 
+    __slots__ = ("name", "shape", "phase", "sublayer", "layer", "has_weights")
+
     name: str
     shape: GemmShape
     phase: Phase
     sublayer: SubLayer
-    layer: int = 0
-    has_weights: bool = True
+    layer: int
+    has_weights: bool
+
+    def __init__(self, name: str, shape: GemmShape, phase: Phase,
+                 sublayer: SubLayer, layer: int = 0,
+                 has_weights: bool = True) -> None:
+        _assign(self, "name", name)
+        _assign(self, "shape", shape)
+        _assign(self, "phase", phase)
+        _assign(self, "sublayer", sublayer)
+        _assign(self, "layer", layer)
+        _assign(self, "has_weights", has_weights)
 
     @property
     def flops(self) -> int:
@@ -102,29 +132,39 @@ class GemmOp:
         return True
 
 
-@dataclass(frozen=True)
-class ElementwiseOp:
+class ElementwiseOp(Frozen):
     """A fused element-wise / reduction kernel (LayerNorm, softmax, ...)."""
+
+    __slots__ = ("name", "elements", "phase", "sublayer", "rw_factor", "kind",
+                 "layer")
 
     name: str
     elements: int
     phase: Phase
     sublayer: SubLayer
-    rw_factor: float = 3.0
-    kind: str = "elementwise"
-    layer: int = 0
+    rw_factor: float
+    kind: str
+    layer: int
 
-    def __post_init__(self) -> None:
-        if self.elements <= 0:
+    def __init__(self, name: str, elements: int, phase: Phase,
+                 sublayer: SubLayer, rw_factor: float = 3.0,
+                 kind: str = "elementwise", layer: int = 0) -> None:
+        if elements <= 0:
             raise ValueError("elements must be positive")
+        _assign(self, "name", name)
+        _assign(self, "elements", elements)
+        _assign(self, "phase", phase)
+        _assign(self, "sublayer", sublayer)
+        _assign(self, "rw_factor", rw_factor)
+        _assign(self, "kind", kind)
+        _assign(self, "layer", layer)
 
     @property
     def is_compute(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class CommOp:
+class CommOp(Frozen):
     """A communication collective.
 
     Attributes:
@@ -134,6 +174,9 @@ class CommOp:
             True for communication that may overlap independent compute.
     """
 
+    __slots__ = ("name", "collective", "nbytes", "group", "phase", "sublayer",
+                 "overlappable", "layer")
+
     name: str
     collective: CollectiveKind
     nbytes: int
@@ -141,11 +184,21 @@ class CommOp:
     phase: Phase
     sublayer: SubLayer
     overlappable: bool
-    layer: int = 0
+    layer: int
 
-    def __post_init__(self) -> None:
-        if self.nbytes <= 0:
+    def __init__(self, name: str, collective: CollectiveKind, nbytes: int,
+                 group: CommGroup, phase: Phase, sublayer: SubLayer,
+                 overlappable: bool, layer: int = 0) -> None:
+        if nbytes <= 0:
             raise ValueError("nbytes must be positive")
+        _assign(self, "name", name)
+        _assign(self, "collective", collective)
+        _assign(self, "nbytes", nbytes)
+        _assign(self, "group", group)
+        _assign(self, "phase", phase)
+        _assign(self, "sublayer", sublayer)
+        _assign(self, "overlappable", overlappable)
+        _assign(self, "layer", layer)
 
     @property
     def is_compute(self) -> bool:
@@ -155,8 +208,7 @@ class CommOp:
 Op = Union[GemmOp, ElementwiseOp, CommOp]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     """An ordered operator trace for one training iteration.
 
     Attributes:
@@ -166,13 +218,15 @@ class Trace:
             stream semantics).
     """
 
+    __slots__ = ("model", "parallel", "ops")
+
     model: ModelConfig
     parallel: ParallelConfig
     ops: Tuple[Op, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.ops, tuple):
-            object.__setattr__(self, "ops", tuple(self.ops))
+    def __init__(self, model: ModelConfig, parallel: ParallelConfig,
+                 ops: Sequence[Op]) -> None:
+        self._set(model=model, parallel=parallel, ops=tuple(ops))
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -10,8 +10,8 @@ optimizer-state partitioning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.specs import DeviceSpec
 from repro.models import sharding
@@ -30,14 +30,20 @@ __all__ = [
 ADAM_OPTIMIZER_BYTES_PER_PARAM = 12
 
 
-@dataclass(frozen=True)
-class MemoryFootprint:
+class MemoryFootprint(Frozen):
     """Per-device memory demand of a training setup, in bytes."""
+
+    __slots__ = ("params", "gradients", "optimizer", "activations")
 
     params: int
     gradients: int
     optimizer: int
     activations: int
+
+    def __init__(self, params: int, gradients: int, optimizer: int,
+                 activations: int) -> None:
+        self._set(params=params, gradients=gradients, optimizer=optimizer,
+                  activations=activations)
 
     @property
     def total(self) -> int:

@@ -15,9 +15,9 @@ run through the same executor, profiler, and projection machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import (
     ModelConfig,
     ParallelConfig,
@@ -40,8 +40,7 @@ from repro.models.graph import (
 __all__ = ["MoEConfig", "moe_fc_forward_ops", "moe_layer_trace"]
 
 
-@dataclass(frozen=True)
-class MoEConfig:
+class MoEConfig(Frozen):
     """MoE routing hyperparameters.
 
     Attributes:
@@ -52,11 +51,16 @@ class MoEConfig:
             ``tokens * top_k / num_experts``).
     """
 
-    num_experts: int = 64
-    top_k: int = 2
-    capacity_factor: float = 1.25
+    __slots__ = ("num_experts", "top_k", "capacity_factor")
 
-    def __post_init__(self) -> None:
+    num_experts: int
+    top_k: int
+    capacity_factor: float
+
+    def __init__(self, num_experts: int = 64, top_k: int = 2,
+                 capacity_factor: float = 1.25) -> None:
+        self._set(num_experts=num_experts, top_k=top_k,
+                  capacity_factor=capacity_factor)
         if self.num_experts < 2:
             raise ValueError("num_experts must be >= 2")
         if not 1 <= self.top_k <= self.num_experts:

@@ -13,8 +13,8 @@ executor) with per-layer host transfers and a CPU optimizer step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.hostlink import PCIE_GEN4_X16, HostLink, transfer_time
@@ -29,8 +29,7 @@ __all__ = ["OffloadEstimate", "estimate_offload"]
 DEFAULT_CPU_ADAM_PARAMS_PER_S = 2e9
 
 
-@dataclass(frozen=True)
-class OffloadEstimate:
+class OffloadEstimate(Frozen):
     """Cost/benefit of offloading optimizer state to host memory.
 
     Attributes:
@@ -44,12 +43,27 @@ class OffloadEstimate:
             only the host work that could not hide under device compute.
     """
 
+    __slots__ = ("device_memory_plain", "device_memory_offloaded",
+                 "iteration_time_plain", "host_traffic_time", "cpu_step_time",
+                 "iteration_time_offloaded")
+
     device_memory_plain: int
     device_memory_offloaded: int
     iteration_time_plain: float
     host_traffic_time: float
     cpu_step_time: float
     iteration_time_offloaded: float
+
+    def __init__(self, device_memory_plain: int, device_memory_offloaded: int,
+                 iteration_time_plain: float, host_traffic_time: float,
+                 cpu_step_time: float,
+                 iteration_time_offloaded: float) -> None:
+        self._set(device_memory_plain=device_memory_plain,
+                  device_memory_offloaded=device_memory_offloaded,
+                  iteration_time_plain=iteration_time_plain,
+                  host_traffic_time=host_traffic_time,
+                  cpu_step_time=cpu_step_time,
+                  iteration_time_offloaded=iteration_time_offloaded)
 
     @property
     def memory_saved_fraction(self) -> float:

@@ -17,8 +17,8 @@ pipeline results stay consistent with the rest of the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from repro._frozen import Frozen
 from repro.core.hyperparams import (
     ModelConfig,
     ParallelConfig,
@@ -31,8 +31,7 @@ from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 __all__ = ["PipelineEstimate", "estimate_pipeline"]
 
 
-@dataclass(frozen=True)
-class PipelineEstimate:
+class PipelineEstimate(Frozen):
     """Cost estimate of one pipelined training iteration.
 
     Attributes:
@@ -41,9 +40,16 @@ class PipelineEstimate:
         bubble_time: Idle time added by pipeline fill/drain.
     """
 
+    __slots__ = ("stage_time", "p2p_time", "bubble_time")
+
     stage_time: float
     p2p_time: float
     bubble_time: float
+
+    def __init__(self, stage_time: float, p2p_time: float,
+                 bubble_time: float) -> None:
+        self._set(stage_time=stage_time, p2p_time=p2p_time,
+                  bubble_time=bubble_time)
 
     @property
     def iteration_time(self) -> float:

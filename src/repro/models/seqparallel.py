@@ -20,7 +20,6 @@ communication.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 from repro.core.hyperparams import (
@@ -35,7 +34,6 @@ from repro.models.graph import (
     CommOp,
     ElementwiseOp,
     Op,
-    Phase,
     Trace,
 )
 
@@ -52,13 +50,11 @@ def _split_all_reduce(op: CommOp) -> List[CommOp]:
     Each half moves the same buffer with the ring's one-directional
     traffic, so total bytes on the wire match the original all-reduce.
     """
-    scatter = replace(
-        op,
+    scatter = op.replace(
         name=op.name.replace("ar", "rs"),
         collective=CollectiveKind.REDUCE_SCATTER,
     )
-    gather = replace(
-        op,
+    gather = op.replace(
         name=op.name.replace("ar", "ag"),
         collective=CollectiveKind.ALL_GATHER,
     )
@@ -67,7 +63,7 @@ def _split_all_reduce(op: CommOp) -> List[CommOp]:
 
 def _shard_elementwise(op: ElementwiseOp, tp: int) -> ElementwiseOp:
     """Sequence-shard a non-GEMM op's activations across the TP group."""
-    return replace(op, elements=max(1, op.elements // tp))
+    return op.replace(elements=max(1, op.elements // tp))
 
 
 def sequence_parallel_ops(ops: List[Op], model: ModelConfig,

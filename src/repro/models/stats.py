@@ -12,9 +12,7 @@ relative to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
+from repro._frozen import Frozen
 from repro.core.hyperparams import Precision
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.specs import DeviceSpec
@@ -53,8 +51,7 @@ def ridge_intensity(device: DeviceSpec,
     return device.flops(precision) / device.mem_bw
 
 
-@dataclass(frozen=True)
-class OperatorCensus:
+class OperatorCensus(Frozen):
     """Where a trace's compute operators sit on the roofline.
 
     Attributes:
@@ -66,12 +63,25 @@ class OperatorCensus:
         compute_bound_gemms: GEMMs above the ridge point.
     """
 
+    __slots__ = ("compute_bound_time", "memory_bound_time",
+                 "compute_bound_flops", "total_gemm_flops", "gemm_count",
+                 "compute_bound_gemms")
+
     compute_bound_time: float
     memory_bound_time: float
     compute_bound_flops: int
     total_gemm_flops: int
     gemm_count: int
     compute_bound_gemms: int
+
+    def __init__(self, compute_bound_time: float, memory_bound_time: float,
+                 compute_bound_flops: int, total_gemm_flops: int,
+                 gemm_count: int, compute_bound_gemms: int) -> None:
+        self._set(compute_bound_time=compute_bound_time,
+                  memory_bound_time=memory_bound_time,
+                  compute_bound_flops=compute_bound_flops,
+                  total_gemm_flops=total_gemm_flops, gemm_count=gemm_count,
+                  compute_bound_gemms=compute_bound_gemms)
 
     @property
     def compute_bound_time_fraction(self) -> float:

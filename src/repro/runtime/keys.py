@@ -1,9 +1,10 @@
 """Deterministic cache keys for configuration objects.
 
 The runtime layer caches fitted operator-model suites, whole
-``ExperimentResult``s, and ``repro search``'s per-chunk sweep records.  Every cache key is derived
-from the *content* of the configuration objects involved -- frozen
-dataclasses such as :class:`~repro.core.hyperparams.ModelConfig` or
+``ExperimentResult``s, and ``repro search``'s per-chunk sweep records.
+Every cache key is derived from the *content* of the configuration
+objects involved -- immutable records such as
+:class:`~repro.core.hyperparams.ModelConfig` or
 :class:`~repro.hardware.cluster.ClusterSpec` -- so two sessions built
 from equal configurations share cache entries while any field change
 (a scaled link, a different baseline, a new collective model) produces a
@@ -11,7 +12,10 @@ different key.
 
 Canonicalization rules:
 
-* dataclasses become ``{type, fields}`` mappings (recursively),
+* records (:class:`~repro._frozen.Frozen`) become ``{type, fields}``
+  mappings (recursively).  The document is tagged ``__dataclass__``,
+  as when the records were dataclasses, so keys written then still
+  match,
 * enums become ``{type, value}`` mappings,
 * mappings are sorted by their canonicalized keys,
 * sequences canonicalize element-wise,
@@ -22,10 +26,11 @@ Canonicalization rules:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 from typing import Mapping, Sequence
+
+from repro._frozen import Frozen
 
 __all__ = ["canonicalize", "cache_key", "fingerprint"]
 
@@ -37,13 +42,13 @@ def canonicalize(obj: object) -> object:
     if isinstance(obj, enum.Enum):
         return {"__enum__": f"{type(obj).__module__}.{type(obj).__qualname__}",
                 "value": canonicalize(obj.value)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Frozen):
         return {
             "__dataclass__":
                 f"{type(obj).__module__}.{type(obj).__qualname__}",
             "fields": {
-                f.name: canonicalize(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
+                name: canonicalize(getattr(obj, name))
+                for name in obj._fields
             },
         }
     if isinstance(obj, Mapping):

@@ -13,13 +13,16 @@ time spent in each category:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._frozen import Frozen
 
 __all__ = ["Breakdown"]
 
+#: The simulator builds one breakdown per schedule, so it assigns its
+#: slots directly instead of through ``Frozen._set``.
+_assign = object.__setattr__
 
-@dataclass(frozen=True)
-class Breakdown:
+
+class Breakdown(Frozen):
     """Time breakdown of one training iteration, in seconds.
 
     Attributes:
@@ -29,16 +32,24 @@ class Breakdown:
         iteration_time: End-to-end iteration time (schedule makespan).
     """
 
+    __slots__ = ("compute_time", "serialized_comm_time",
+                 "overlapped_comm_time", "iteration_time")
+
     compute_time: float
     serialized_comm_time: float
     overlapped_comm_time: float
     iteration_time: float
 
-    def __post_init__(self) -> None:
-        for name in ("compute_time", "serialized_comm_time",
-                     "overlapped_comm_time", "iteration_time"):
-            if getattr(self, name) < 0:
+    def __init__(self, compute_time: float, serialized_comm_time: float,
+                 overlapped_comm_time: float, iteration_time: float) -> None:
+        values = (("compute_time", compute_time),
+                  ("serialized_comm_time", serialized_comm_time),
+                  ("overlapped_comm_time", overlapped_comm_time),
+                  ("iteration_time", iteration_time))
+        for name, value in values:
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            _assign(self, name, value)
 
     @property
     def exposed_comm_time(self) -> float:

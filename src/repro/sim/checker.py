@@ -50,13 +50,12 @@ Run every layer from the command line with ``python -m repro check``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.core import flops
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.invariants import (
-    InvariantError,
     Violation,
     assert_valid,
     batch_violations,
@@ -99,22 +98,25 @@ __all__ = [
     "prune_oracle",
 ]
 
+
 def validate_schedule(schedule: Schedule) -> None:
-    """Raise :class:`InvariantError` unless the schedule is valid."""
+    """Raise :class:`~repro.core.invariants.InvariantError` unless the
+    schedule is valid."""
     _count_validation()
     assert_valid(schedule_violations(schedule), context="schedule")
 
 
 def validate_execution(result: ExecutionResult) -> None:
-    """Raise :class:`InvariantError` unless the execution is consistent
-    (schedule invariants + breakdown conservation)."""
+    """Raise :class:`~repro.core.invariants.InvariantError` unless the
+    execution is consistent (schedule invariants + breakdown
+    conservation)."""
     _count_validation()
     assert_valid(execution_violations(result), context="execution")
 
 
 def validate_batch(batch) -> None:
-    """Raise :class:`InvariantError` unless a batched breakdown obeys the
-    conservation laws on every grid entry."""
+    """Raise :class:`~repro.core.invariants.InvariantError` unless a
+    batched breakdown obeys the conservation laws on every grid entry."""
     _count_validation()
     assert_valid(batch_violations(batch), context="batch breakdown")
 
@@ -156,13 +158,17 @@ def random_configs(n: int, seed: int = 0
     return pairs
 
 
-@dataclass(frozen=True)
-class OpDiff:
+class OpDiff(Frozen):
     """One operator whose duration differs between the two engines."""
+
+    __slots__ = ("name", "scalar", "batch")
 
     name: str
     scalar: float
     batch: float
+
+    def __init__(self, name: str, scalar: float, batch: float) -> None:
+        self._set(name=name, scalar=scalar, batch=batch)
 
     @property
     def delta(self) -> float:
@@ -173,8 +179,7 @@ class OpDiff:
                 f"(delta {self.delta:+.3e})")
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(Frozen):
     """The first configuration on which the engines (or laws) disagree.
 
     Attributes:
@@ -188,13 +193,23 @@ class Divergence:
         violations: Invariant/closed-form violations found on the config.
     """
 
+    __slots__ = ("index", "model", "parallel", "scalar", "batch", "op_diffs",
+                 "violations")
+
     index: int
     model: ModelConfig
     parallel: ParallelConfig
     scalar: object
     batch: object
-    op_diffs: Tuple[OpDiff, ...] = ()
-    violations: Tuple[Violation, ...] = ()
+    op_diffs: Tuple[OpDiff, ...]
+    violations: Tuple[Violation, ...]
+
+    def __init__(self, index: int, model: ModelConfig,
+                 parallel: ParallelConfig, scalar: object, batch: object,
+                 op_diffs: Tuple[OpDiff, ...] = (),
+                 violations: Tuple[Violation, ...] = ()) -> None:
+        self._set(index=index, model=model, parallel=parallel, scalar=scalar,
+                  batch=batch, op_diffs=op_diffs, violations=violations)
 
     def describe(self) -> str:
         """Multi-line report of what diverged and by how much."""
@@ -212,8 +227,7 @@ class Divergence:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Frozen):
     """Outcome of one differential-oracle run.
 
     Attributes:
@@ -225,10 +239,17 @@ class OracleReport:
             everywhere.
     """
 
+    __slots__ = ("configs", "checked", "seed", "divergence")
+
     configs: int
     checked: int
     seed: int
-    divergence: Optional[Divergence] = None
+    divergence: Optional[Divergence]
+
+    def __init__(self, configs: int, checked: int, seed: int,
+                 divergence: Optional[Divergence] = None) -> None:
+        self._set(configs=configs, checked=checked, seed=seed,
+                  divergence=divergence)
 
     @property
     def ok(self) -> bool:
@@ -376,10 +397,10 @@ def _fault_swap_starts(schedule: Schedule) -> Optional[Schedule]:
             a, b = schedule.tasks[first], schedule.tasks[second]
             if a.start != b.start:
                 tasks = list(schedule.tasks)
-                tasks[first] = replace(a, start=b.start,
-                                       finish=b.start + a.task.duration)
-                tasks[second] = replace(b, start=a.start,
-                                        finish=a.start + b.task.duration)
+                tasks[first] = a.replace(start=b.start,
+                                         finish=b.start + a.task.duration)
+                tasks[second] = b.replace(start=a.start,
+                                          finish=a.start + b.task.duration)
                 return Schedule(tasks=tuple(tasks))
     return None
 
@@ -388,8 +409,8 @@ def _fault_perturb_duration(schedule: Schedule) -> Optional[Schedule]:
     """Grow one task's duration without moving its finish time."""
     for index, st in enumerate(schedule.tasks):
         if st.task.duration > 0:
-            task = replace(st.task, duration=st.task.duration * 1.5)
-            return _rebuilt(schedule, index, replace(st, task=task))
+            task = st.task.replace(duration=st.task.duration * 1.5)
+            return _rebuilt(schedule, index, st.replace(task=task))
     return None
 
 
@@ -404,8 +425,8 @@ def _fault_drop_dep(schedule: Schedule) -> Optional[Schedule]:
             remaining = max([0.0, free] + others)
             if finish_of[dep] == st.start and remaining < st.start:
                 deps = tuple(d for d in st.task.deps if d != dep)
-                task = replace(st.task, deps=deps)
-                return _rebuilt(schedule, index, replace(st, task=task))
+                task = st.task.replace(deps=deps)
+                return _rebuilt(schedule, index, st.replace(task=task))
         resource_free[st.task.resource] = max(free, st.finish)
     return None
 
@@ -416,8 +437,8 @@ def _fault_negative_start(schedule: Schedule) -> Optional[Schedule]:
         return None
     st = schedule.tasks[0]
     return _rebuilt(schedule, 0,
-                    replace(st, start=-1.0,
-                            finish=-1.0 + st.task.duration))
+                    st.replace(start=-1.0,
+                               finish=-1.0 + st.task.duration))
 
 
 def _fault_overlap_intervals(schedule: Schedule) -> Optional[Schedule]:
@@ -431,8 +452,8 @@ def _fault_overlap_intervals(schedule: Schedule) -> Optional[Schedule]:
                 start = prev.start
                 return _rebuilt(
                     schedule, index,
-                    replace(st, start=start,
-                            finish=start + st.task.duration),
+                    st.replace(start=start,
+                               finish=start + st.task.duration),
                 )
         last_on_resource[st.task.resource] = index
     return None
@@ -462,8 +483,7 @@ def seeded_faults(schedule: Schedule) -> List[Tuple[str, Schedule]]:
     return mutants
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(Frozen):
     """Outcome of the fault-seeding self-test.
 
     Attributes:
@@ -474,11 +494,18 @@ class SelfTestReport:
         missed: ``(schedule, fault)`` labels of undetected faults.
     """
 
+    __slots__ = ("schedules", "rejected_good", "faults", "caught", "missed")
+
     schedules: int
     rejected_good: int
     faults: int
     caught: int
-    missed: Tuple[str, ...] = ()
+    missed: Tuple[str, ...]
+
+    def __init__(self, schedules: int, rejected_good: int, faults: int,
+                 caught: int, missed: Tuple[str, ...] = ()) -> None:
+        self._set(schedules=schedules, rejected_good=rejected_good,
+                  faults=faults, caught=caught, missed=missed)
 
     @property
     def ok(self) -> bool:
@@ -552,8 +579,7 @@ def fault_selftest(cluster: Optional[ClusterSpec] = None,
 # -- stream oracle -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StreamReport:
+class StreamReport(Frozen):
     """Outcome of the streamed-vs-one-shot differential check.
 
     Attributes:
@@ -564,9 +590,15 @@ class StreamReport:
             one-shot reference (empty when everything is bit-identical).
     """
 
+    __slots__ = ("points", "variants", "mismatches")
+
     points: int
     variants: Tuple[str, ...]
-    mismatches: Tuple[str, ...] = ()
+    mismatches: Tuple[str, ...]
+
+    def __init__(self, points: int, variants: Tuple[str, ...],
+                 mismatches: Tuple[str, ...] = ()) -> None:
+        self._set(points=points, variants=variants, mismatches=mismatches)
 
     @property
     def ok(self) -> bool:
@@ -664,8 +696,7 @@ def stream_oracle(cluster: Optional[ClusterSpec] = None,
 # -- prune oracle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PruneReport:
+class PruneReport(Frozen):
     """Outcome of the bound-and-prune differential check.
 
     Attributes:
@@ -684,12 +715,23 @@ class PruneReport:
             visible).
     """
 
+    __slots__ = ("configs", "bound_violations", "points", "variants",
+                 "mismatches", "exact_fraction")
+
     configs: int
     bound_violations: Tuple[str, ...]
     points: int
     variants: Tuple[str, ...]
-    mismatches: Tuple[str, ...] = ()
-    exact_fraction: float = 1.0
+    mismatches: Tuple[str, ...]
+    exact_fraction: float
+
+    def __init__(self, configs: int, bound_violations: Tuple[str, ...],
+                 points: int, variants: Tuple[str, ...],
+                 mismatches: Tuple[str, ...] = (),
+                 exact_fraction: float = 1.0) -> None:
+        self._set(configs=configs, bound_violations=bound_violations,
+                  points=points, variants=variants, mismatches=mismatches,
+                  exact_fraction=exact_fraction)
 
     @property
     def ok(self) -> bool:

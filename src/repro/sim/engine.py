@@ -15,14 +15,18 @@ start/finish times a full event queue would.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+from repro._frozen import Frozen
 
 __all__ = ["Task", "ScheduledTask", "Schedule", "run_schedule"]
 
+#: The simulator builds thousands of these records per trace, so they
+#: assign their slots directly instead of through ``Frozen._set``.
+_assign = object.__setattr__
 
-@dataclass(frozen=True)
-class Task:
+
+class Task(Frozen):
     """A unit of work bound to one resource.
 
     Attributes:
@@ -33,36 +37,52 @@ class Task:
         deps: IDs of tasks that must finish before this one starts.
     """
 
+    __slots__ = ("id", "resource", "duration", "deps")
+
     id: str
     resource: str
     duration: float
-    deps: Tuple[str, ...] = ()
+    deps: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"task {self.id!r} has negative duration")
-        if not isinstance(self.deps, tuple):
-            object.__setattr__(self, "deps", tuple(self.deps))
+    def __init__(self, id: str, resource: str, duration: float,
+                 deps: Sequence[str] = ()) -> None:
+        if duration < 0:
+            raise ValueError(f"task {id!r} has negative duration")
+        _assign(self, "id", id)
+        _assign(self, "resource", resource)
+        _assign(self, "duration", duration)
+        _assign(self, "deps", deps if isinstance(deps, tuple)
+                else tuple(deps))
 
 
-@dataclass(frozen=True)
-class ScheduledTask:
+class ScheduledTask(Frozen):
     """A task with its computed start/finish times."""
+
+    __slots__ = ("task", "start", "finish")
 
     task: Task
     start: float
     finish: float
 
+    def __init__(self, task: Task, start: float, finish: float) -> None:
+        _assign(self, "task", task)
+        _assign(self, "start", start)
+        _assign(self, "finish", finish)
 
-@dataclass(frozen=True)
-class Schedule:
+
+class Schedule(Frozen):
     """Result of scheduling a task DAG.
 
     Attributes:
         tasks: Scheduled tasks in submission order.
     """
 
+    __slots__ = ("tasks",)
+
     tasks: Tuple[ScheduledTask, ...]
+
+    def __init__(self, tasks: Tuple[ScheduledTask, ...]) -> None:
+        self._set(tasks=tasks)
 
     @property
     def makespan(self) -> float:

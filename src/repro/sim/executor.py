@@ -18,9 +18,9 @@ overlapped/exposed breakdown the paper's figures are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
+from repro._frozen import Frozen
 from repro.hardware import collectives
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
@@ -91,13 +91,18 @@ def op_duration(op: Op, trace: Trace, cluster: ClusterSpec,
     raise TypeError(f"unknown op type: {type(op)!r}")
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(Frozen):
     """A scheduled trace execution plus its time breakdown."""
+
+    __slots__ = ("trace", "schedule", "breakdown")
 
     trace: Trace
     schedule: Schedule
     breakdown: Breakdown
+
+    def __init__(self, trace: Trace, schedule: Schedule,
+                 breakdown: Breakdown) -> None:
+        self._set(trace=trace, schedule=schedule, breakdown=breakdown)
 
 
 def schedule_with_durations(trace: Trace,

@@ -22,7 +22,6 @@ the `ablation-techniques` analysis quantifies.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.hardware.cluster import ClusterSpec
@@ -69,8 +68,7 @@ def _chunked_gemm(op: GemmOp, chunks: int) -> Tuple[GemmOp, ...]:
     for index in range(chunks):
         rows = base_m if index < chunks - 1 else remaining
         remaining -= rows
-        slices.append(replace(
-            op,
+        slices.append(op.replace(
             name=f"{op.name}[{index}]",
             shape=GemmShape(m=rows, n=op.shape.n, k=op.shape.k,
                             batch=op.shape.batch),
@@ -82,7 +80,7 @@ def _chunked_ar(op: CommOp, chunks: int) -> Tuple[CommOp, ...]:
     base = op.nbytes // chunks
     sizes = [base] * (chunks - 1) + [op.nbytes - base * (chunks - 1)]
     return tuple(
-        replace(op, name=f"{op.name}[{index}]", nbytes=size)
+        op.replace(name=f"{op.name}[{index}]", nbytes=size)
         for index, size in enumerate(sizes)
     )
 

@@ -14,9 +14,9 @@ compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro._frozen import Frozen
 from repro.hardware.cluster import ClusterSpec
 from repro.models.graph import CommOp, ElementwiseOp, GemmOp, Op, Trace
 from repro.sim.executor import DEFAULT_TIMING, TimingModels, op_duration
@@ -24,8 +24,7 @@ from repro.sim.executor import DEFAULT_TIMING, TimingModels, op_duration
 __all__ = ["KernelRecord", "Profile", "profile_trace"]
 
 
-@dataclass(frozen=True)
-class KernelRecord:
+class KernelRecord(Frozen):
     """One profiled kernel execution.
 
     Attributes:
@@ -41,29 +40,35 @@ class KernelRecord:
         phase: ``"forward"`` or ``"backward"``.
     """
 
+    __slots__ = ("name", "category", "duration", "meta", "layer", "phase")
+
     name: str
     category: str
     duration: float
     meta: Mapping[str, int]
-    layer: int = 0
-    phase: str = "forward"
+    layer: int
+    phase: str
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
+    def __init__(self, name: str, category: str, duration: float,
+                 meta: Mapping[str, int], layer: int = 0,
+                 phase: str = "forward") -> None:
+        if duration < 0:
             raise ValueError("duration must be non-negative")
-        if not isinstance(self.meta, dict):
-            object.__setattr__(self, "meta", dict(self.meta))
+        if not isinstance(meta, dict):
+            meta = dict(meta)
+        self._set(name=name, category=category, duration=duration, meta=meta,
+                  layer=layer, phase=phase)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """An ordered collection of kernel records from one profiled run."""
+
+    __slots__ = ("records",)
 
     records: Tuple[KernelRecord, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.records, tuple):
-            object.__setattr__(self, "records", tuple(self.records))
+    def __init__(self, records: Sequence[KernelRecord]) -> None:
+        self._set(records=tuple(records))
 
     def __len__(self) -> int:
         return len(self.records)

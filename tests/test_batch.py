@@ -494,10 +494,8 @@ def test_batch_project_scenario_matches_scaled_durations(cluster, suite):
 
 
 def test_batch_project_unknown_operator_message(cluster, suite):
-    import dataclasses
-
     grid = fig10_grid()
-    pruned = dataclasses.replace(suite, compute_reference={})
+    pruned = suite.replace(compute_reference={})
     with pytest.raises(KeyError,
                        match="baseline profile has no operator"):
         batch_project(grid, pruned)

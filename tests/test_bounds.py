@@ -11,8 +11,6 @@ key / memoization plumbing the scheduler relies on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -46,7 +44,7 @@ def zoo_pairs():
         for tp in _TP_CANDIDATES:
             if model.num_heads % tp or model.ffn_dim % tp:
                 continue
-            pairs.append((replace(model, batch=4),
+            pairs.append((model.replace(batch=4),
                           ParallelConfig(tp=tp, dp=8)))
     return pairs
 

@@ -155,16 +155,10 @@ class TestExecutionViolations:
         assert execution_violations(result) == []
 
     def test_mismatched_breakdown_flagged(self, cluster, small_model):
-        from dataclasses import replace
-
         trace = layer_trace(small_model, ParallelConfig(tp=8, dp=4))
         result = execute_trace(trace, cluster)
-        wrong = replace(
-            result,
-            breakdown=replace(result.breakdown,
-                              iteration_time=result.breakdown.iteration_time
-                              * 2.0),
-        )
+        wrong = result.replace(breakdown=result.breakdown.replace(
+            iteration_time=result.breakdown.iteration_time * 2.0))
         found = _invariants(execution_violations(wrong))
         assert "makespan-conservation" in found
 

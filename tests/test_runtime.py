@@ -75,6 +75,33 @@ class TestKeys:
         assert key == cache_key({"a": 1, "b": 2}, [1, 2, (3, 4)], None,
                                 True)
 
+    def test_keys_are_pinned(self):
+        """The hex computed while the records were still dataclasses: a
+        record or canonicalization change that moved these would orphan
+        every existing ``--cache-dir`` store."""
+        from repro.core.evolution import HardwareScenario, PAPER_SCENARIOS
+        from repro.hardware.timing import DEFAULT_TIMING
+
+        session_fp = Session().fingerprint
+        assert session_fp == "70cf332ce6b519cd"
+        assert cache_key(
+            mi210_node(), DEFAULT_TIMING,
+            ModelConfig("probe", 4096, 2048, batch=2),
+            HardwareScenario("2x flop-vs-bw", 2.0),
+        ) == ("9dcfc7178841a4fb81cef0a7f989eaba"
+              "0c67084697fecfd3041c66f26b672239")
+        assert cache_key(ParallelConfig(tp=4, dp=2), DEFAULT_BASELINE,
+                         PAPER_SCENARIOS) == (
+            "7e0b7112eef94a13bde027a80b7fbb42"
+            "cd153c35eeb00e8e6e602f80e33395e1")
+        assert cache_key("experiment-result", CACHE_VERSION, "figure-10",
+                         session_fp) == (
+            "c8ad05ae32c0743f219bce3144e237bc"
+            "1dede3a81f1ce04ff627a1e81ef95654")
+        assert fingerprint("suite", mi210_node(), DEFAULT_BASELINE,
+                           DEFAULT_TIMING, 32 * 1024 * 1024,
+                           None) == "60a0ded33ebcb1e6"
+
 
 class TestResultCache:
     def test_memory_roundtrip(self):
@@ -308,6 +335,23 @@ class TestSessionRun:
     def test_unknown_experiment(self, session):
         with pytest.raises(KeyError, match="unknown experiment"):
             session.run("figure-99")
+
+    def test_runner_gets_the_session_only_when_it_takes_one(self, session):
+        import functools
+
+        def takes(cluster=None, session=None):
+            return session
+
+        def keyword_only(*, session=None):
+            return session
+
+        def declines(cluster=None, **kwargs):
+            return kwargs
+
+        assert session._invoke(takes) is session
+        assert session._invoke(keyword_only) is session
+        assert session._invoke(declines) == {}
+        assert session._invoke(functools.partial(declines, 1)) == {}
 
 
 class TestRunAll:
