@@ -8,7 +8,8 @@ materialized grid.  Wall times, the traced peak memory of both paths,
 and the worker scaling land in ``BENCH_results.json`` via
 ``bench_extra``.  The >= 2.5x four-worker gate only applies on hosts
 with at least four cores -- single-core CI runners record the honest
-(slower) numbers instead of faking a speedup.
+(slower) numbers instead of faking a speedup.  The serial sweep at the
+default chunking must stay within 1.15x of the one-shot evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import time
 import tracemalloc
 
 from repro.core.batch import batch_execute
-from repro.core.gridplan import FitsDeviceMemory, GridSpec, MaxWorldSize
+from repro.core.gridplan import (
+    DEFAULT_CHUNK_SIZE,
+    FitsDeviceMemory,
+    GridSpec,
+    MaxWorldSize,
+)
 from repro.core.reducers import (
     ArgExtrema,
     EvaluatedChunk,
@@ -35,6 +41,10 @@ MIN_4WORKER_SPEEDUP = 2.5
 
 #: Streamed peak traced memory must stay well under the one-shot peak.
 MAX_PEAK_FRACTION = 0.5
+
+#: The serial sweep at the default chunking may take at most this
+#: multiple of the one-shot evaluation of the same grid.
+MAX_STREAM_OVERHEAD = 1.15
 
 CHUNK_SIZE = 2048
 
@@ -161,4 +171,33 @@ def test_stream_sweep_bounded_memory(cluster, bench_extra):
         f"streamed peak {streamed_peak / 1e6:.1f} MB not under "
         f"{MAX_PEAK_FRACTION:.0%} of one-shot "
         f"{oneshot_peak / 1e6:.1f} MB"
+    )
+
+
+def test_stream_sweep_close_to_one_shot(cluster, bench_extra):
+    """At the default chunking the serial sweep costs at most 15% more
+    than one one-shot evaluation: each block of chunks times its
+    operator shapes once, so a chunk adds only a gather, the schedule
+    and the reducers.  Best of five alternating runs per side."""
+    spec = _bench_spec(cluster)
+    oneshot_s = streamed_s = float("inf")
+    for _ in range(5):
+        _cold()
+        start = time.perf_counter()
+        _one_shot(spec, cluster)
+        oneshot_s = min(oneshot_s, time.perf_counter() - start)
+        _cold()
+        start = time.perf_counter()
+        stream_sweep(spec, _reducers(), cluster=cluster, jobs=1)
+        streamed_s = min(streamed_s, time.perf_counter() - start)
+    ratio = streamed_s / oneshot_s
+    bench_extra.setdefault("stream_sweep", {}).update(
+        default_chunk_size=DEFAULT_CHUNK_SIZE,
+        default_chunking_jobs1_s=streamed_s,
+        default_chunking_oneshot_s=oneshot_s,
+        default_chunking_ratio=ratio,
+    )
+    assert ratio <= MAX_STREAM_OVERHEAD, (
+        f"streamed sweep {streamed_s:.3f}s is {ratio:.2f}x one-shot "
+        f"{oneshot_s:.3f}s (gate {MAX_STREAM_OVERHEAD}x)"
     )

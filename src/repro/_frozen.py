@@ -16,7 +16,8 @@ validates), and inherits one generic copy of everything else:
   field tuples, and hash as that tuple.  A record whose fields hold
   arrays opts out with ``__eq__ = object.__eq__`` and
   ``__hash__ = object.__hash__``; one whose identity ignores some
-  fields names them in ``_uncompared``;
+  fields names them in ``_uncompared``; one hashed often (a cache key)
+  lists a private ``_hash`` slot, which holds its hash once computed;
 * ``__repr__``, pickling as a constructor call, and :meth:`Frozen.replace`.
 
 :func:`repro.runtime.keys.canonicalize` keys a record by its class and
@@ -70,6 +71,8 @@ class Frozen:
         cls._all_values = staticmethod(_getter(cls._fields))
         cls._compared_values = staticmethod(_getter(tuple(
             name for name in cls._fields if name not in cls._uncompared)))
+        if "_hash" in vars(cls).get("__slots__", ()):
+            cls.__hash__ = Frozen._cached_hash
 
     def _set(self, **fields: object) -> None:
         """Assign slots: the fields in ``__init__``, a private cache
@@ -100,6 +103,16 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._compared_values(self))
+
+    def _cached_hash(self) -> int:
+        """``__hash__`` of a record with a ``_hash`` slot: the same
+        value, computed on the first call."""
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._compared_values(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __reduce__(self):
         return type(self), self._all_values(self)

@@ -24,16 +24,23 @@ can be evaluated at once:
   element-wise ops (their kinds and read/write factors as per-entry
   arrays) and all all-reduces (their interference as a mask); see
   :func:`_time_groups`;
-* data parallelism changes only the gradient all-reduces, so every other
-  op (all GEMMs, element-wise ops and TP all-reduces) is timed once
-  per run of equal DP-free rows ``(H, SL, B, TP, heads, FFN)`` -- DP = 1
-  and DP > 1 rows alike (:func:`_dp_free_rows`); only the DP-group
-  all-reduces are timed on every row;
+* evaluation has two stages.  Data parallelism changes only the
+  gradient all-reduces, so the **key stage** (:class:`DurationTable`)
+  times every other op (all GEMMs, element-wise ops and TP
+  all-reduces) once per DP-free key ``(H, SL, B, TP, heads, FFN)`` --
+  DP = 1 and DP > 1 rows alike -- and the two DP-group all-reduces once
+  per row of a grid, or once per ``(bytes, DP)`` pair of a sweep's
+  chunks.  The **row stage** gathers every row's durations from that
+  table and runs the schedule.  :func:`batch_execute` on its own runs
+  both stages over the grid's runs of equal DP-free rows
+  (:func:`_dp_free_rows`); a streamed sweep builds one table per block
+  of chunks (:meth:`DurationTable.of_chunks`) and runs only the row
+  stage per chunk;
 * the two-stream schedule collapses to closed-form prefix sums
   (:func:`repro.sim.vectorized.closed_form_breakdown`): serialized comm
   adds to the critical path, overlappable DP all-reduces expose only
-  ``max(0, comm - remaining_compute)`` slack.  It takes the per-run
-  durations and the row map, so the blocking chain runs once per run
+  ``max(0, comm - remaining_compute)`` slack.  It takes the per-key
+  durations and the row map, so the blocking chain runs once per key
   and only the DP all-reduce chain per row; only the checker's per-op
   view (:func:`_slot_durations`) gathers durations back per row.
 
@@ -83,6 +90,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ConfigGrid",
     "BatchBreakdown",
+    "DurationTable",
     "batch_execute",
     "batch_project",
 ]
@@ -216,34 +224,54 @@ def _reads_dp(op: OpRecord) -> bool:
 
 
 class _DpFreeRows:
-    """Runs of equal DP-free keys ``(H, SL, B, TP, heads, FFN)``.
+    """Rows and the DP-free keys ``(H, SL, B, TP, heads, FFN)`` they map to.
+
+    The rows are the entries an op that reads DP is timed on.  The op
+    list holds either one entry per row, each key represented by the
+    first row of its run (:func:`_dp_free_rows`), or one entry per key,
+    when ``starts`` is ``None`` (:meth:`DurationTable.of_chunks`, whose
+    rows are ``(bytes, DP)`` pairs).
 
     Attributes:
-        starts: First row of each run (its representative).
-        inverse: Run index of every row; ``None`` when every row is its
-            own run and nothing needs compressing.
+        starts: Op-list entry of each key; ``None`` when the op list
+            holds one entry per key.
+        inverse: Key index of every row; ``None`` when every row is its
+            own key.
+        dp: DP degree of every row, the DP-group all-reduces' group.
+        count: Number of keys.
     """
 
-    __slots__ = ("starts", "inverse")
+    __slots__ = ("starts", "inverse", "dp", "count")
 
-    def __init__(self, starts: np.ndarray,
-                 inverse: Optional[np.ndarray]) -> None:
+    def __init__(self, starts: Optional[np.ndarray],
+                 inverse: Optional[np.ndarray], dp: np.ndarray,
+                 count: int) -> None:
         self.starts = starts
         self.inverse = inverse
+        self.dp = dp
+        self.count = count
 
     @property
-    def count(self) -> int:
-        return int(self.starts.size)
+    def size(self) -> int:
+        """Number of rows."""
+        return int(self.dp.shape[0])
 
     def compress(self, value):
-        """A per-row op field restricted to the run representatives."""
-        if self.inverse is None:
+        """An op field with one entry per key."""
+        if self.starts is None or self.inverse is None:
             return value
         array = np.asarray(value)
         return array[self.starts] if array.ndim else value
 
+    def per_row(self, value):
+        """An op field with one entry per row."""
+        if self.starts is not None or self.inverse is None:
+            return value
+        array = np.asarray(value)
+        return array[self.inverse] if array.ndim else value
+
     def expand(self, values: np.ndarray) -> np.ndarray:
-        """Per-run values gathered per row."""
+        """Per-key values gathered per row."""
         return values if self.inverse is None else values[self.inverse]
 
 
@@ -270,12 +298,24 @@ def _dp_free_rows(grid: ConfigGrid) -> _DpFreeRows:
             change[1:] |= col[1:] != col[:-1]
     starts = np.flatnonzero(change)
     inverse = np.cumsum(change) - 1 if starts.size < n else None
-    return _DpFreeRows(starts=starts, inverse=inverse)
+    return _DpFreeRows(starts=starts, inverse=inverse, dp=grid.dp,
+                       count=int(starts.size))
 
 
 #: Op fields that are one constant per op; :func:`_time_groups` repeats
 #: them to a per-entry array.
 _CONSTANT_FIELDS = ("rw_factor", "overlappable")
+
+
+def _op_column(op: OpRecord, field: str, grid: ConfigGrid,
+               rows: _DpFreeRows):
+    """One op's ``field`` (``"group"``: its group sizes): per row for
+    an op that reads DP, else per key."""
+    if _reads_dp(op):
+        return rows.dp if field == "group" else rows.per_row(
+            getattr(op, field))
+    return rows.compress(_group_sizes(grid, op) if field == "group"
+                         else getattr(op, field))
 
 
 def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
@@ -289,14 +329,15 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
     per-entry arrays.  The timing formulas are element-wise, so
     stacking changes the fixed NumPy overhead -- from per-op to per-
     family -- without touching any computed value.  An op that does not
-    read DP is timed on the DP-free run representatives only
-    (:func:`_dp_free_rows`); a DP-group all-reduce on every row.
+    read DP is timed once per DP-free key; a DP-group all-reduce on
+    every row.
 
     Int fields are stacked through
     :func:`repro.sim.vectorized.stack_columns`.
 
     Args:
-        rows: The grid's DP-free runs.
+        grid: The grid ``ops`` were evaluated on.
+        rows: The rows and their DP-free keys.
         evaluate: ``evaluate(family, column)`` -> the flat duration
             array of the family's stacked ops.  ``column(field)``
             stacks the family's ``field`` values: ``"group"`` gives
@@ -305,10 +346,10 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
             ``"rw_factor"`` and ``"overlappable"`` per-entry arrays.
 
     Returns:
-        Per-op duration arrays: one entry per run, or per row for the
+        Per-op duration arrays: one entry per key, or per row for the
         ops that read DP.
     """
-    n = len(grid)
+    n = rows.size
     families: Dict[str, List[int]] = {}
     for i, op in enumerate(ops):
         families.setdefault(op.family, []).append(i)
@@ -325,11 +366,9 @@ def _time_groups(ops: Sequence[OpRecord], grid: ConfigGrid,
             if field in _CONSTANT_FIELDS:
                 return np.repeat([getattr(op, field) for op in members],
                                  widths)
-            values = [_group_sizes(grid, op) if field == "group"
-                      else getattr(op, field) for op in members]
             return vectorized.stack_columns([
-                value if _reads_dp(op) else rows.compress(value)
-                for op, value in zip(members, values)], widths)
+                _op_column(op, field, grid, rows) for op in members],
+                widths)
 
         times = evaluate(family, column)
         edges = np.cumsum([0] + widths).tolist()
@@ -342,7 +381,8 @@ def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
                   rows: _DpFreeRows, cluster: ClusterSpec,
                   timing: TimingModels) -> List[np.ndarray]:
     """Ground-truth per-op duration arrays (vectorized timing models):
-    one entry per DP-free run, or per row for the ops that read DP."""
+    one entry per DP-free key, or per row for the ops that read DP.
+    This is the key stage of :func:`batch_execute`."""
     device, precision = cluster.device, grid.precision
 
     def evaluate(family: str, column: Callable) -> np.ndarray:
@@ -366,7 +406,7 @@ def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
 
 def _schedule(ops: Sequence[OpRecord], durations: Sequence[np.ndarray],
               rows: _DpFreeRows) -> Tuple[np.ndarray, ...]:
-    """The closed-form breakdown of per-run (or, for the ops that read
+    """The closed-form breakdown of per-key (or, for the ops that read
     DP, per-row) durations, one entry per row."""
     return vectorized.closed_form_breakdown(
         [_slot_kind(op) for op in ops], durations, rows.inverse,
@@ -478,22 +518,166 @@ def _layer_ops(grid: ConfigGrid) -> List[OpRecord]:
     return layer_records(grid, True, True)
 
 
+class DurationTable:
+    """Per-op durations of a set of DP-free keys: the key stage of
+    :func:`batch_execute`.
+
+    Every op that does not read DP is timed once per key ``(H, SL, B,
+    TP, heads, FFN)``.  The table's rows are those of one grid
+    (:meth:`of_grid`) or of consecutive sweep chunks
+    (:meth:`of_chunks`), in order; a row's key index never decreases,
+    so a range of rows reads one contiguous range of keys.  The two
+    DP-group all-reduces are timed once per row of a grid, and once per
+    ``(bytes, DP)`` pair of a sweep's chunks.  The table is timed on
+    first use, inside the :func:`batch_execute` call that first reads
+    it; every later call only gathers (:meth:`breakdown`).
+
+    Attributes:
+        cluster: The cluster the table is timed on.
+        timing: The timing models it is timed with.
+    """
+
+    __slots__ = ("cluster", "timing", "_ops", "_grid", "_pairs",
+                 "_row_keys", "_row_pairs", "_kinds", "_per_row",
+                 "_size", "_durations")
+
+    def __init__(self, ops: Sequence[OpRecord], grid: ConfigGrid,
+                 pairs: _DpFreeRows, row_keys: Optional[np.ndarray],
+                 row_pairs: Optional[np.ndarray], cluster: ClusterSpec,
+                 timing: TimingModels) -> None:
+        """``ops`` evaluated on ``grid``; ``pairs``: the entries the ops
+        that read DP are timed on; ``row_keys`` and ``row_pairs``: the
+        key and the pair of every row (``None``: the identity)."""
+        self.cluster = cluster
+        self.timing = timing
+        self._ops = ops
+        self._grid = grid
+        self._pairs = pairs
+        self._row_keys = row_keys
+        self._row_pairs = row_pairs
+        self._size = pairs.size if row_pairs is None else len(row_pairs)
+        self._kinds = [_slot_kind(op) for op in ops]
+        self._per_row = [_reads_dp(op) for op in ops]
+        self._durations: Optional[List[np.ndarray]] = None
+
+    @classmethod
+    def of_grid(cls, grid: ConfigGrid, cluster: ClusterSpec,
+                timing: TimingModels) -> "DurationTable":
+        """Table over one grid's rows, keyed by its runs of equal
+        DP-free rows (:func:`_dp_free_rows`)."""
+        rows = _dp_free_rows(grid)
+        return cls(_layer_ops(grid), grid, rows, rows.inverse, None,
+                   cluster, timing)
+
+    @classmethod
+    def of_chunks(cls, grids: Sequence[ConfigGrid],
+                  offsets: Sequence[np.ndarray], dp_axis: Sequence[int],
+                  cluster: ClusterSpec,
+                  timing: TimingModels) -> "DurationTable":
+        """Table over the rows of consecutive sweep chunks, in order.
+
+        ``offsets[i]`` holds the raw offsets of the rows of
+        ``grids[i]`` in a :class:`~repro.core.gridplan.GridSpec` whose
+        DP axis is ``dp_axis`` (the fastest-varying one), increasing
+        across the grids.  A row's key is its offset floor-divided by
+        the length of the DP axis and its DP index the remainder.  The
+        op list is evaluated once per key, on its first row.  A DP-group
+        all-reduce's duration depends only on its bytes and its group,
+        so keys with equal DP all-reduce bytes form one class, and the
+        two are timed once per class and DP value.
+        """
+        raw = np.concatenate(offsets)
+        ids, dp_index = np.divmod(raw, len(dp_axis))
+        change = np.ones(len(ids), dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        columns = {
+            name: np.concatenate([getattr(grid, name)
+                                  for grid in grids])[starts]
+            for name in ("hidden", "seq_len", "batch", "tp", "dp",
+                         "num_heads", "ffn_dim")
+        }
+        keys = ConfigGrid(precision=grids[0].precision, **columns)
+        ops = _layer_ops(keys)
+        classes, key_class = vectorized._distinct_rows(*(
+            np.broadcast_to(op.nbytes, len(keys)).astype(np.int64)
+            for op in ops if _reads_dp(op)))
+        # Any key of a class has the class's bytes.
+        class_key = np.empty(len(classes), dtype=np.intp)
+        class_key[key_class] = np.arange(len(keys))
+        dp_values = np.array(dp_axis, dtype=np.int64)
+        pairs = _DpFreeRows(starts=None,
+                            inverse=np.repeat(class_key, len(dp_values)),
+                            dp=np.tile(dp_values, len(classes)),
+                            count=len(keys))
+        row_keys = np.cumsum(change) - 1
+        row_pairs = key_class[row_keys] * len(dp_values) + dp_index
+        return cls(ops, keys, pairs, row_keys, row_pairs, cluster, timing)
+
+    @property
+    def size(self) -> int:
+        """Number of rows."""
+        return self._size
+
+    def breakdown(self, start: int, stop: int) -> Tuple[np.ndarray, ...]:
+        """The row stage: the closed-form breakdown of rows
+        ``[start, stop)``, gathered from the table."""
+        if self._durations is None:
+            self._durations = _op_durations(self._ops, self._grid,
+                                            self._pairs, self.cluster,
+                                            self.timing)
+            # Timed: the op list and the keys are no longer needed.
+            self._ops = self._grid = self._pairs = None
+        rows = slice(start, stop)
+        keys = rows if self._row_keys is None else self._row_keys[rows]
+        pairs = rows if self._row_pairs is None else self._row_pairs[rows]
+        inverse = None
+        if self._row_keys is not None and stop > start:
+            first = int(keys[0])
+            inverse = keys - first
+            keys = slice(first, int(keys[-1]) + 1)
+        return vectorized.closed_form_breakdown(
+            self._kinds,
+            [duration[pairs if per_row else keys] for duration, per_row
+             in zip(self._durations, self._per_row)],
+            inverse, self._per_row)
+
+
 def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
-                  timing: TimingModels = DEFAULT_TIMING) -> BatchBreakdown:
+                  timing: TimingModels = DEFAULT_TIMING,
+                  table: Optional[DurationTable] = None,
+                  start: int = 0) -> BatchBreakdown:
     """Ground-truth breakdowns for a whole grid in one pass.
 
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
     ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.  Every
-    row takes the same op list (:func:`_layer_ops`); all GEMMs,
-    element-wise ops and TP-group all-reduces are timed, and scheduled,
-    on one representative per run of equal ``(H, SL, B, TP, heads,
-    FFN)`` rows -- runs that span DP = 1 and DP > 1; only the DP-group
-    gradient all-reduces are timed and scheduled on every row.
+    row takes the same op list (:func:`_layer_ops`).  Two stages: the
+    key stage (:class:`DurationTable`) times all GEMMs, element-wise ops
+    and TP-group all-reduces once per DP-free key ``(H, SL, B, TP,
+    heads, FFN)`` -- keys that span DP = 1 and DP > 1 rows -- and the
+    DP-group gradient all-reduces once per row; the row stage gathers
+    every row's durations and runs the closed-form schedule, whose
+    blocking chain also runs once per key.
+
+    Args:
+        table: A table already holding this grid's rows, as rows
+            ``[start, start + len(grid))``, and timed for ``cluster``
+            and ``timing``; the call then runs the row stage only.
+            Default: the key stage over the grid's own runs of equal
+            DP-free rows.
+
+    Raises:
+        ValueError: if ``table`` does not hold those rows or was timed
+            for another cluster or timing.
     """
-    ops = _layer_ops(grid)
-    rows = _dp_free_rows(grid)
-    durations = _op_durations(ops, grid, rows, cluster, timing)
-    return BatchBreakdown(*_schedule(ops, durations, rows))
+    if table is None:
+        table = DurationTable.of_grid(grid, cluster, timing)
+    elif ((table.cluster is not cluster and table.cluster != cluster)
+          or (table.timing is not timing and table.timing != timing)
+          or not 0 <= start <= table.size - len(grid)):
+        raise ValueError("the duration table does not hold this grid's "
+                         "rows for this cluster and timing")
+    return BatchBreakdown(*table.breakdown(start, start + len(grid)))
 
 
 def _project_slot(op: OpRecord, grid: ConfigGrid,

@@ -57,9 +57,12 @@ __all__ = [
     "aggregate_bounds",
 ]
 
-#: Default rows per chunk: large enough to amortize the NumPy fixed
-#: costs, small enough that a chunk's columns and engine intermediates
-#: stay a few megabytes.
+#: Default rows per chunk: the unit of cache records, pruning and pool
+#: tasks.  A serial exhaustive sweep times operator shapes once per
+#: block of chunks (:data:`repro.runtime.megasweep.TABLE_KEYS`), so a
+#: chunk's own fixed cost is only its gather, schedule and reducers;
+#: small enough that a chunk's columns and engine intermediates stay a
+#: few megabytes.
 DEFAULT_CHUNK_SIZE = 4096
 
 #: Column order of the raw Cartesian product (``dp`` varies fastest).

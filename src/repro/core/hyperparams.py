@@ -65,7 +65,8 @@ class ModelConfig(Frozen):
     """
 
     __slots__ = ("name", "hidden", "seq_len", "batch", "num_layers",
-                 "num_heads", "ffn_dim", "layer_type", "precision", "year")
+                 "num_heads", "ffn_dim", "layer_type", "precision", "year",
+                 "_hash")
 
     name: str
     hidden: int
@@ -176,7 +177,7 @@ class ParallelConfig(Frozen):
         ep: Expert-parallel degree for MoE models (Section 6.1.1 extension).
     """
 
-    __slots__ = ("tp", "dp", "pp", "ep")
+    __slots__ = ("tp", "dp", "pp", "ep", "_hash")
 
     tp: int
     dp: int

@@ -8,7 +8,15 @@ intermediate in one process either exhausts memory or leaves all but
 one core idle.  :func:`stream_sweep` fixes both at once:
 
 * chunks come lazily from a :class:`~repro.core.gridplan.GridSpec`,
-  so peak additional memory is O(chunk size), never O(grid);
+  so peak additional memory is bounded by the chunk size and
+  :data:`TABLE_KEYS`, never by the grid;
+* a serial exhaustive sweep in execute mode times each operator shape
+  once per block of chunks, not once per chunk: the block's
+  :class:`~repro.core.batch.DurationTable` covers the DP-free keys its
+  feasible rows use (at most :data:`TABLE_KEYS`, unless one chunk uses
+  more), and each chunk only gathers its rows from it, schedules and
+  reduces (:func:`_evaluate_in_blocks`).  Pruned sweeps and pool
+  workers evaluate chunk by chunk;
 * an exhaustive sweep with ``jobs > 1`` evaluates on a pool of
   **processes** (the NumPy evaluation is CPU-bound); each worker
   receives the grid *spec* once at startup and thereafter only integer
@@ -53,6 +61,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -64,9 +73,10 @@ from typing import (
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
+    from repro.core.batch import DurationTable
     from repro.core.projection import OperatorModelSuite
 
-from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridSpec
+from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridChunk, GridSpec
 from repro.core.reducers import EvaluatedChunk, Reducer
 from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
@@ -79,6 +89,14 @@ __all__ = ["SweepResult", "stream_sweep", "resolve_jobs", "MODES"]
 #: Supported evaluation modes: ground-truth execution vs paper-style
 #: operator-model projection.
 MODES = ("execute", "project")
+
+#: Most DP-free keys ``(H, SL, B, TP)`` one duration table covers
+#: (:func:`_evaluate_in_blocks`), unless a single chunk uses more.  The
+#: block's chunks stay in memory until its table is read, and the key
+#: stage's NumPy temporaries grow with its keys: on seeded search-scan
+#: queries 2,048 keys raised peak RSS by about 9%, and 512 saved little
+#: time over timing every chunk.
+TABLE_KEYS = 1024
 
 #: One chunk record: raw rows, evaluated rows, one payload per
 #: reducer.  JSON-serializable end to end (cacheable as-is).
@@ -141,15 +159,17 @@ class _SweepContext(NamedTuple):
     check: bool
 
 
-def _evaluate_chunk(ctx: _SweepContext, index: int) -> ChunkRecord:
+def _evaluate_chunk(ctx: _SweepContext, chunk: GridChunk,
+                    table: Optional[DurationTable] = None,
+                    start: int = 0) -> ChunkRecord:
     """Evaluate one chunk and reduce it to per-reducer payloads.
 
     Shared verbatim by the serial path and the pool workers, so both
-    produce identical records by construction.
+    produce identical records by construction.  ``table`` and ``start``
+    are passed on to :func:`~repro.core.batch.batch_execute`.
     """
     from repro.core.batch import batch_execute, batch_project
 
-    chunk = ctx.spec.chunk(index, ctx.chunk_size)
     if len(chunk) == 0:
         return {
             "raw": chunk.raw_rows,
@@ -157,7 +177,8 @@ def _evaluate_chunk(ctx: _SweepContext, index: int) -> ChunkRecord:
             "payloads": [reducer.empty() for reducer in ctx.reducers],
         }
     if ctx.mode == "execute":
-        breakdown = batch_execute(chunk.grid, ctx.cluster, ctx.timing)
+        breakdown = batch_execute(chunk.grid, ctx.cluster, ctx.timing,
+                                  table=table, start=start)
     else:
         breakdown = batch_project(chunk.grid, ctx.suite,
                                   scenario=ctx.scenario)
@@ -176,6 +197,51 @@ def _evaluate_chunk(ctx: _SweepContext, index: int) -> ChunkRecord:
     }
 
 
+def _evaluate_in_blocks(ctx: _SweepContext, indices: Sequence[int]
+                        ) -> Iterator[Tuple[int, ChunkRecord]]:
+    """Evaluate execute-mode chunks in index order, one duration table
+    per block of consecutive chunks.
+
+    A block grows until its rows would use more than :data:`TABLE_KEYS`
+    DP-free keys.  Its :class:`~repro.core.batch.DurationTable` covers
+    exactly the keys its rows use, so rows dropped by constraints and
+    chunks replayed from a cache are never timed; a row's key is its raw
+    offset floor-divided by the length of the DP axis.  Each chunk then
+    reads its rows from the table: the gather, the schedule and the
+    reducers.
+    """
+    from repro.core.batch import DurationTable
+
+    dp_count = len(ctx.spec.dp)
+    block: List[GridChunk] = []
+    block_keys = 0
+    last_key = -1
+
+    def evaluate_block() -> Iterator[Tuple[int, ChunkRecord]]:
+        table = DurationTable.of_chunks(
+            [chunk.grid for chunk in block],
+            [chunk.offsets for chunk in block], ctx.spec.dp,
+            ctx.cluster, ctx.timing) if block_keys else None
+        start = 0
+        for chunk in block:
+            yield chunk.index, _evaluate_chunk(ctx, chunk, table, start)
+            start += len(chunk)
+
+    for index in indices:
+        chunk = ctx.spec.chunk(index, ctx.chunk_size)
+        keys = chunk.offsets // dp_count
+        runs = int((keys[1:] != keys[:-1]).sum()) + 1 if len(keys) else 0
+        new_keys = runs - (runs > 0 and int(keys[0]) == last_key)
+        if block_keys and block_keys + new_keys > TABLE_KEYS:
+            yield from evaluate_block()
+            block, block_keys, new_keys = [], 0, runs
+        block.append(chunk)
+        block_keys += new_keys
+        if runs:
+            last_key = int(keys[-1])
+    yield from evaluate_block()
+
+
 # Per-worker context, installed once by the pool initializer so tasks
 # are bare chunk indices (minimal IPC).
 _WORKER_CTX: Optional[_SweepContext] = None
@@ -187,8 +253,9 @@ def _init_worker(ctx: _SweepContext) -> None:
 
 
 def _eval_chunk_task(index: int) -> Tuple[int, ChunkRecord]:
-    assert _WORKER_CTX is not None, "worker initialized without context"
-    return index, _evaluate_chunk(_WORKER_CTX, index)
+    ctx = _WORKER_CTX
+    assert ctx is not None, "worker initialized without context"
+    return index, _evaluate_chunk(ctx, ctx.spec.chunk(index, ctx.chunk_size))
 
 
 def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
@@ -260,8 +327,12 @@ def stream_sweep(spec: GridSpec,
             ``scenario``).  For execute-mode scenario studies, pass the
             already-scaled cluster (``scenario.apply(cluster)``), as the
             scalar sweeps do.
-        chunk_size: Target rows per chunk; peak additional memory is
-            proportional to this, never to the grid.
+        chunk_size: Target rows per chunk.  Chunk boundaries fix the
+            cache keys and the pruning granularity; they do not change
+            the timing work of a serial exhaustive sweep, which times
+            each block of up to :data:`TABLE_KEYS` DP-free keys once
+            whatever the chunk size.  Peak additional memory grows with
+            the chunk size and that block size, never with the grid.
         jobs: Worker processes for an exhaustive sweep.  1 (default)
             evaluates serially in this process; ``n > 1`` uses a
             process pool with a bounded in-flight window of ``2 * n``
@@ -375,16 +446,25 @@ def stream_sweep(spec: GridSpec,
         merge(record)
 
     pruned_chunks = 0
-    if prune or workers == 1 or len(order) < 2:
+    if prune:
         # Each chunk merges before the next prune test.
         workers = 1
         for index in order:
-            if prune and all(reducer.can_prune(payload, bounds[index])
-                             for reducer, payload in zip(ctx.reducers,
-                                                         payloads)):
+            if all(reducer.can_prune(payload, bounds[index])
+                   for reducer, payload in zip(ctx.reducers, payloads)):
                 pruned_chunks += 1
                 continue
-            finish(index, _evaluate_chunk(ctx, index))
+            finish(index, _evaluate_chunk(
+                ctx, ctx.spec.chunk(index, ctx.chunk_size)))
+    elif workers == 1 or len(order) < 2:
+        workers = 1
+        if ctx.mode == "execute":
+            for index, record in _evaluate_in_blocks(ctx, order):
+                finish(index, record)
+        else:
+            for index in order:
+                finish(index, _evaluate_chunk(
+                    ctx, ctx.spec.chunk(index, ctx.chunk_size)))
     else:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -81,6 +81,11 @@ def _as_i64(values) -> np.ndarray:
 
 # -- stacking and hash scratch buffers ------------------------------------
 
+#: Rows per slice of the kernels that work through distinct rows (the
+#: jitter hash and the GEMM tile search), so their temporaries stay
+#: bounded however many rows one call holds.
+_SLICE_ROWS = 1024
+
 #: Pool of int64 scratch buffers for :func:`_unit_hashes`, keyed by tag.
 #: The hash's digit passes see the same shapes chunk after chunk;
 #: reusing one buffer per tag removes the per-chunk allocation tax
@@ -138,8 +143,10 @@ def _distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     for column in columns:
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.cumsum(starts)
+    ranks -= 1
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order] = ranks
     first = order[starts]
     unique = np.empty((len(first), len(columns)), dtype=np.int64)
     for i, column in enumerate(columns):
@@ -343,16 +350,31 @@ def _unit_hashes(template: tuple) -> np.ndarray:
         for codes, count in choices:
             combination = combination * count + codes
         combination = combination.reshape(rows)
-    lengths = lengths[:, combination]
-    starts = starts[:, combination]
+    hashes = np.empty(rows, dtype=np.float64)
+    for start in range(0, rows, _SLICE_ROWS):
+        part = slice(start, start + _SLICE_ROWS)
+        picked = (combination if isinstance(combination, slice)
+                  else combination[part])
+        hashes[part] = _hash_slice(table, lengths[:, picked],
+                                   starts[:, picked], values[:, part])
+    return hashes
+
+
+def _hash_slice(table: np.ndarray, lengths: np.ndarray,
+                starts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """:func:`_unit_hashes` of a slice of rows: ``values`` holds their
+    int columns, and ``lengths`` and ``starts`` the template tables'
+    columns of their choice combinations (or one column for all)."""
+    columns = values.shape[0]
+    rows = values.shape[1]
     widths = np.searchsorted(_DIGIT_BOUNDS, values, side="right")
     # Walk the repr right to left: ``ends[j + 1]`` is the distance from
     # the end of the message to the end of texts[j], ``units[j]`` to
     # column j's last digit, and ``ends[0]`` is the whole length.
-    ends = np.empty((len(columns) + 1, rows), dtype=np.int64)
+    ends = np.empty((columns + 1, rows), dtype=np.int64)
     units = np.empty_like(values)
     distance = lengths[-1]
-    for j in range(len(columns) - 1, -1, -1):
+    for j in range(columns - 1, -1, -1):
         units[j] = distance
         distance = ends[j + 1] = distance + widths[j]
         distance = distance + lengths[j]
@@ -377,7 +399,7 @@ def _unit_hashes(template: tuple) -> np.ndarray:
     np.minimum(codes, rests[:-1], out=codes)
     codes += units * 200
     codes += _PAIR_OFFSETS[:places]
-    groups = codes.reshape(places * len(columns), rows)
+    groups = codes.reshape(places * columns, rows)
     crc ^= np.bitwise_xor.reduce(_crc_tables()[1][groups], axis=0)
     return crc / 2**32
 
@@ -474,10 +496,16 @@ def gemm_times(
     unique, inverse = _distinct_rows(*(c.ravel() for c in columns))
     m, n, k, batch = np.ascontiguousarray(unique.T)
     tiles = np.array(model.TILE_CANDIDATES, dtype=np.int64)[:, None]
-    eff = np.maximum.reduce(
-        _gemm_efficiency_for_tile(m, n, k, batch, device, tiles, model),
-        axis=0,
-    )
+    # One slice of distinct shapes at a time: the tile search holds a
+    # row per candidate for each of its temporaries.
+    eff = np.empty(len(unique), dtype=np.float64)
+    for start in range(0, len(unique), _SLICE_ROWS):
+        part = slice(start, start + _SLICE_ROWS)
+        eff[part] = np.maximum.reduce(
+            _gemm_efficiency_for_tile(m[part], n[part], k[part],
+                                      batch[part], device, tiles, model),
+            axis=0,
+        )
     flops = 2 * batch * m * n * k
     t_compute = flops / (device.flops(precision) * eff)
     bytes_moved = precision.bytes * batch * (m * k + k * n + m * n)

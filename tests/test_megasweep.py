@@ -8,6 +8,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import repro.core.batch as batch_module
 from repro.core.batch import batch_execute, batch_project
 from repro.core.gridplan import GridConstraint, GridSpec, MaxWorldSize
 from repro.core.reducers import (
@@ -18,7 +19,8 @@ from repro.core.reducers import (
     ParetoFront,
     TopK,
 )
-from repro.hardware.cluster import mi210_node
+from repro.hardware.cluster import mi210_node, multi_node_cluster
+from repro.runtime import megasweep
 from repro.runtime.cache import ResultCache
 from repro.runtime.megasweep import resolve_jobs, stream_sweep
 from repro.runtime.session import Session
@@ -57,10 +59,11 @@ def spec_with(**overrides) -> GridSpec:
 
 
 def one_shot_reductions(spec: GridSpec, reducers=REDUCERS,
-                        mode: str = "execute", suite=None) -> dict:
+                        mode: str = "execute", suite=None,
+                        cluster=CLUSTER) -> dict:
     whole = spec.materialize()
     if mode == "execute":
-        breakdown = batch_execute(whole.grid, CLUSTER)
+        breakdown = batch_execute(whole.grid, cluster)
     else:
         breakdown = batch_project(whole.grid, suite)
     chunk = EvaluatedChunk(offsets=whole.offsets, columns=whole.columns(),
@@ -428,3 +431,198 @@ class TestVectorizedBuffers:
             np.testing.assert_array_equal(getattr(first_a, name),
                                           getattr(second_a, name))
             assert getattr(first_b, name).shape == (len(grid_b),)
+
+
+class DpAtLeastTp(GridConstraint):
+    """Keeps rows with ``dp >= tp``: a DP-dependent filter that drops
+    some DP-free keys entirely and others only in part."""
+
+    __slots__ = ()
+
+    def mask(self, columns):
+        return columns["dp"] >= columns["tp"]
+
+    def spec_key(self):
+        return ("dp-at-least-tp",)
+
+
+def table_spec(**overrides) -> GridSpec:
+    """4,320 raw rows: more than one default chunk."""
+    axes = dict(
+        hidden=(1024, 1536, 2048, 3072, 4096, 8192),
+        seq_len=(512, 1024, 2048, 4096),
+        batch=(1, 2, 4, 8, 16, 32),
+        tp=(1, 2, 4, 8, 16),
+        dp=(1, 2, 4, 8, 16, 32),
+        constraints=(MaxWorldSize(128),),
+    )
+    axes.update(overrides)
+    return GridSpec(**axes)
+
+
+def spy_key_stage(monkeypatch) -> list:
+    """Record the DP-free keys ``(H, SL, B, TP)`` of every key stage."""
+    calls = []
+    real = batch_module._op_durations
+
+    def spy(ops, grid, rows, cluster, timing):
+        starts = np.arange(len(grid)) if rows.starts is None else rows.starts
+        calls.append({
+            (int(grid.hidden[i]), int(grid.seq_len[i]), int(grid.batch[i]),
+             int(grid.tp[i])) for i in starts.tolist()})
+        return real(ops, grid, rows, cluster, timing)
+
+    monkeypatch.setattr(batch_module, "_op_durations", spy)
+    return calls
+
+
+def chunk_keys(spec: GridSpec, indices, chunk_size: int) -> set:
+    """The DP-free keys the feasible rows of some chunks use."""
+    keys = set()
+    for index in indices:
+        columns = spec.chunk(index, chunk_size).columns()
+        keys |= set(zip(*(columns[name].tolist() for name in
+                          ("hidden", "seq_len", "batch", "tp"))))
+    return keys
+
+
+class TestDurationTablePath:
+    """A serial execute-mode sweep times each block's DP-free keys once
+    and gathers every chunk from that table: its reductions must be the
+    one-shot ``batch_execute`` reductions bit for bit."""
+
+    @pytest.mark.parametrize("make_spec, chunk_size", (
+        (spec_with, 1), (spec_with, 7), (table_spec, 4096),
+        (table_spec, 4320)), ids=("1", "7", "4096", "raw"))
+    def test_chunk_sizes_match_one_shot(self, make_spec, chunk_size):
+        spec = make_spec()
+        result = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                              chunk_size=chunk_size, jobs=1)
+        assert result.reductions == one_shot_reductions(spec)
+
+    def test_many_blocks_match_one_shot(self, monkeypatch):
+        spec = table_spec()
+        reference = one_shot_reductions(spec)
+        calls = spy_key_stage(monkeypatch)
+        monkeypatch.setattr(megasweep, "TABLE_KEYS", 40)
+        result = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                              chunk_size=100, jobs=1)
+        assert result.reductions == reference
+        assert len(calls) > 5
+        assert all(len(keys) <= 40 for keys in calls)
+        # Only a key whose rows straddle two blocks is timed twice.
+        assert sum(len(keys) for keys in calls) <= (
+            len(set().union(*calls)) + len(calls) - 1)
+
+    def test_each_key_is_timed_once_per_sweep(self, monkeypatch):
+        spec = table_spec()
+        calls = spy_key_stage(monkeypatch)
+        stream_sweep(spec, REDUCERS, cluster=CLUSTER, chunk_size=64,
+                     jobs=1)
+        assert len(calls) < spec.chunk_count(64)
+        timed = [key for keys in calls for key in keys]
+        assert len(timed) == len(set(timed))
+        assert set(timed) == chunk_keys(spec, range(spec.chunk_count(64)),
+                                        64)
+
+    def test_dp_dependent_constraint_times_only_feasible_keys(
+            self, monkeypatch):
+        spec = table_spec(constraints=(DpAtLeastTp(), MaxWorldSize(128)))
+        reference = one_shot_reductions(spec)
+        calls = spy_key_stage(monkeypatch)
+        result = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                              chunk_size=50, jobs=1)
+        assert result.reductions == reference
+        feasible = chunk_keys(spec, range(spec.chunk_count(50)), 50)
+        assert set().union(*calls) == feasible
+        # TP = 8 keys keep only DP 8 and 16; TP = 16 keys need DP >= 16
+        # and so a world over 128: none of them is timed.
+        assert any(key[3] == 8 for key in feasible)
+        assert not any(key[3] == 16 for key in set().union(*calls))
+
+    def test_unsorted_and_repeated_axis_values(self):
+        """Rows map into the table by raw-offset arithmetic alone, so
+        the DP axis order and repeated values must not matter."""
+        spec = spec_with(hidden=(2048, 1024, 2048), dp=(4, 1, 4, 2))
+        result = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                              chunk_size=5, jobs=1)
+        assert result.reductions == one_shot_reductions(spec)
+
+    def test_multi_node_cluster(self):
+        cluster = multi_node_cluster()
+        spec = table_spec()
+        result = stream_sweep(spec, REDUCERS, cluster=cluster,
+                              chunk_size=300, jobs=1)
+        assert result.reductions == one_shot_reductions(spec,
+                                                        cluster=cluster)
+
+    def test_partial_cache_replay(self, monkeypatch):
+        spec = table_spec()
+        reference = one_shot_reductions(spec)
+        cache = _EveryOtherPut()
+        cold = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                            chunk_size=500, jobs=1, cache=cache)
+        assert cold.reductions == reference
+        calls = spy_key_stage(monkeypatch)
+        warm = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                            chunk_size=500, jobs=1, cache=cache)
+        assert warm.reductions == reference
+        assert 0 < warm.cache_hits < warm.chunk_count
+        pending = range(1, spec.chunk_count(500), 2)  # odd puts dropped
+        assert set().union(*calls) == chunk_keys(spec, pending, 500)
+
+    def test_pool_matches_one_shot(self):
+        spec = table_spec()
+        result = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                              chunk_size=1000, jobs=2)
+        assert result.jobs == 2
+        assert result.reductions == one_shot_reductions(spec)
+
+    def test_table_rejects_another_cluster(self):
+        from repro.core.batch import DurationTable
+        from repro.hardware.timing import DEFAULT_TIMING
+
+        chunk = table_spec().chunk(0, 100)
+        table = DurationTable.of_chunks([chunk.grid], [chunk.offsets],
+                                        table_spec().dp, CLUSTER,
+                                        DEFAULT_TIMING)
+        with pytest.raises(ValueError):
+            batch_execute(chunk.grid, multi_node_cluster(), table=table)
+        with pytest.raises(ValueError):
+            batch_execute(chunk.grid, CLUSTER, table=table, start=1)
+
+
+class _FailingPut(ResultCache):
+    """A disk cache whose put fails once ``stores`` records are in."""
+
+    def __init__(self, cache_dir, stores: int) -> None:
+        super().__init__(cache_dir)
+        self.stores = stores
+
+    def put(self, key, payload):
+        if self.stores == 0:
+            raise RuntimeError("injected interruption")
+        super().put(key, payload)
+        self.stores -= 1
+
+
+class TestResume:
+    def test_interrupted_sweep_resumes_from_completed_chunks(
+            self, tmp_path, monkeypatch):
+        spec = table_spec()
+        chunk_size, done = 400, 4
+        reference = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                                 chunk_size=chunk_size, jobs=1)
+        with pytest.raises(RuntimeError, match="injected interruption"):
+            stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                         chunk_size=chunk_size, jobs=1,
+                         cache=_FailingPut(tmp_path, stores=done))
+        calls = spy_key_stage(monkeypatch)
+        rerun = stream_sweep(spec, REDUCERS, cluster=CLUSTER,
+                             chunk_size=chunk_size, jobs=1,
+                             cache=ResultCache(tmp_path))
+        assert rerun.cache_hits == done
+        assert rerun.reductions == reference.reductions
+        pending = range(done, spec.chunk_count(chunk_size))
+        assert set().union(*calls) == chunk_keys(spec, pending, chunk_size)
+        assert len(list(tmp_path.glob("*.json"))) == rerun.chunk_count

@@ -377,3 +377,23 @@ def test_equality_needs_the_same_class():
     assert {ParallelConfig(tp=2): "a"}[ParallelConfig(tp=2)] == "a"
     assert DeviceSpec.__eq__(MI210, _LINK) is NotImplemented
     assert TimingModels() == DEFAULT_TIMING
+
+
+@pytest.mark.parametrize("record", (
+    ModelConfig(name="m", hidden=1024, seq_len=512, num_heads=8),
+    ParallelConfig(tp=2, dp=4),
+), ids=("ModelConfig", "ParallelConfig"))
+def test_hash_slot_caches_the_field_hash(record):
+    """Records a cache keys on keep their hash in a ``_hash`` slot: the
+    same value as the field tuple's, and never copied to a new record."""
+    compared = tuple(getattr(record, name) for name in record._fields
+                     if name not in record._uncompared)
+    assert "_hash" not in record._fields
+    with pytest.raises(AttributeError):
+        record._hash
+    assert hash(record) == hash(compared) == record._hash
+    assert hash(record) == hash(compared)
+    for copy in (record.replace(), pickle.loads(pickle.dumps(record))):
+        with pytest.raises(AttributeError):
+            copy._hash
+        assert copy == record and hash(copy) == hash(record)

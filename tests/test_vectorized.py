@@ -133,6 +133,22 @@ class TestGemmTimes:
                                     precision) for row in rows]
         assert times.tolist() == expected
 
+    def test_sliced_tile_search_matches_scalar(self, gemm_model,
+                                               monkeypatch):
+        """The tile search works through the distinct shapes in slices
+        of ``_SLICE_ROWS``; slicing changes no value."""
+        monkeypatch.setattr(vectorized, "_SLICE_ROWS", 7)
+        rng = np.random.default_rng(5)
+        dims = np.array([1, 3, 64, 96, 128, 511, 1024, 4096, 12288])
+        shapes = np.stack([rng.choice(dims, 40) for _ in range(3)]
+                          + [rng.choice([1, 2, 16, 48], 40)], axis=1)
+        rows = _duplicated(rng, shapes, 300)
+        times = vectorized.gemm_times(*rows.T, MI210, Precision.FP16,
+                                      gemm_model)
+        assert times.tolist() == [
+            gemm_model.time(GemmShape(*map(int, row)), MI210,
+                            Precision.FP16) for row in rows]
+
     def test_broadcast_scalars(self, gemm_model):
         m = np.array([128, 4096, 128, 64], dtype=np.int64)
         times = vectorized.gemm_times(m, 1024, 512, 2, MI210,
@@ -354,6 +370,23 @@ class TestChoiceParts:
         assert hashes.tolist() == [
             stable_unit_hash(kind, int(count), precision)
             for (kind, precision), count in zip(pairs, counts)]
+
+    def test_sliced_rows_match_stable_unit_hash(self, monkeypatch):
+        """Rows are hashed in slices of ``_SLICE_ROWS``, each with its
+        own choice combinations; slicing changes no value."""
+        monkeypatch.setattr(vectorized, "_SLICE_ROWS", 3)
+        rng = np.random.default_rng(13)
+        codes = rng.integers(0, 3, size=20)
+        counts = _random_values(rng, 20)
+        texts = ("gelu", "softmax_grad", "")
+        hashes = _unit_hashes((Choice(texts, codes), counts, "fp16"))
+        assert hashes.tolist() == [
+            stable_unit_hash(texts[code], int(count), "fp16")
+            for code, count in zip(codes, counts)]
+        plain = _unit_hashes(("gemm", counts[:, None], counts[:7]))
+        assert plain.tolist() == [
+            stable_unit_hash("gemm", int(a), int(b))
+            for a in counts for b in counts[:7]]
 
     def test_texts_of_different_lengths(self):
         texts = ("a", "softmax_grad", "it's", "")
