@@ -11,7 +11,8 @@ repo root: wall times for every collected bench (keyed by full bench
 name) plus any extra measurements recorded through the ``bench_extra``
 fixture (keyed by entry name; the batch-vs-scalar cold-grid timings
 live there).  Entries from earlier runs that this run did not produce
-are kept.  Every entry this run writes carries a ``run`` stamp: git
+are kept byte for byte, in the file's order (:func:`merge_results`).
+Every entry this run writes carries a ``run`` stamp: git
 revision, whether the tree had uncommitted changes (benches usually
 run before the commit they measure), ``os.cpu_count()`` and Python
 version, so committed numbers are traceable.
@@ -110,6 +111,61 @@ def pytest_configure(config):
     config.stash[_EXTRA_KEY] = {}
 
 
+def _sorted_keys(value):
+    """``value`` with every mapping's keys in sorted order, recursively."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
+def merge_results(previous: dict, benchmarks: list, extra: dict,
+                  stamp: dict) -> dict:
+    """``BENCH_results.json``'s payload after one bench session.
+
+    ``previous`` is the loaded file.  Every entry this session did not
+    write keeps its position and its key order, so its bytes do not
+    change; an entry it rewrites keeps its position, and a new one goes
+    last.  The entries this session writes get ``stamp`` as their
+    ``run`` and their keys sorted.
+    """
+    # Files written before entries carried their own stamp had one
+    # top-level stamp for the whole file; move it onto its entries.
+    legacy = {key: previous[key]
+              for key in ("git_sha", "python", "engine", "exit_status")
+              if key in previous}
+
+    def stamped(entry, run):
+        if not legacy or not isinstance(entry, dict) or "run" in entry:
+            return entry
+        return {"run": run, **entry}
+
+    merged_benchmarks = {
+        record.get("fullname"): stamped(record, legacy)
+        for record in previous.get("benchmarks", [])
+        if isinstance(record, dict)
+    }
+    for record in benchmarks:
+        merged_benchmarks[record["fullname"]] = _sorted_keys(
+            dict(record, run=stamp))
+    merged_extra = {name: stamped(entry, legacy)
+                    for name, entry in previous.get("extra", {}).items()}
+    for name, entry in extra.items():
+        merged_extra[name] = _sorted_keys(
+            dict(entry, run=stamp) if isinstance(entry, dict) else entry)
+    return {
+        "benchmarks": list(merged_benchmarks.values()),
+        "extra": merged_extra,
+        "last_run": _sorted_keys(stamp),
+    }
+
+
+def render_results(payload: dict) -> str:
+    """The text of ``BENCH_results.json``, keys in the payload's order."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
     if getattr(config, "workerinput", None) is not None:
@@ -119,36 +175,8 @@ def pytest_sessionfinish(session, exitstatus):
     if not benchmarks and not extra:
         return  # collection-only / non-bench invocation: nothing to report
     stamp = dict(_run_stamp(), exit_status=int(exitstatus))
-    previous = _load_results()
-    # Files written before entries carried their own stamp had one
-    # top-level stamp for the whole file; move it onto its entries.
-    legacy = {key: previous[key]
-              for key in ("git_sha", "python", "engine", "exit_status")
-              if key in previous}
-    merged_benchmarks = {
-        record.get("fullname"): {"run": legacy, **record}
-        for record in previous.get("benchmarks", [])
-        if isinstance(record, dict)
-    }
-    for record in benchmarks:
-        merged_benchmarks[record["fullname"]] = dict(record, run=stamp)
-    merged_extra = {
-        name: ({"run": legacy, **entry} if isinstance(entry, dict)
-               else entry)
-        for name, entry in previous.get("extra", {}).items()
-    }
-    for name, entry in extra.items():
-        merged_extra[name] = (dict(entry, run=stamp)
-                              if isinstance(entry, dict) else entry)
-    payload = {
-        "benchmarks": [merged_benchmarks[name]
-                       for name in sorted(merged_benchmarks, key=str)],
-        "extra": merged_extra,
-        "last_run": stamp,
-    }
+    payload = merge_results(_load_results(), benchmarks, extra, stamp)
     try:
-        _RESULTS_PATH.write_text(json.dumps(payload, indent=2,
-                                            sort_keys=True) + "\n",
-                                 encoding="utf-8")
+        _RESULTS_PATH.write_text(render_results(payload), encoding="utf-8")
     except OSError:
         pass  # a read-only checkout must not fail the bench run

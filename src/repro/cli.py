@@ -123,8 +123,8 @@ def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("--skip-stream", action="store_true",
                        help="skip the streamed-vs-one-shot sweep oracle")
     check.add_argument("--skip-prune", action="store_true",
-                       help="skip the bound-and-prune oracle (bound "
-                            "admissibility + pruned-vs-exhaustive "
+                       help="skip the bound-and-prune oracle (exact "
+                            "bounds + pruned-vs-exhaustive "
                             "bit-equality)")
     check.add_argument("--stream-jobs", type=int, default=2, metavar="N",
                        help="max worker processes exercised by the "
@@ -177,10 +177,11 @@ def _search_arguments(search: argparse.ArgumentParser) -> None:
                         help="rank top-k descending (default: smallest "
                              "metric values win)")
     search.add_argument("--prune", dest="prune", action="store_true",
-                        help="bound-and-prune scheduler: skip chunks "
-                             "whose analytical interval provably cannot "
-                             "reach the output (bit-identical results; "
-                             "selection reducers only)")
+                        help="bound-and-prune scheduler: reduce only the "
+                             "chunks whose exact metrics can still reach "
+                             "the output (every chunk is still evaluated; "
+                             "bit-identical results; selection reducers "
+                             "only)")
     search.add_argument("--no-prune", dest="prune", action="store_false",
                         help="force exhaustive evaluation (the default)")
     search.set_defaults(prune=False)
@@ -522,8 +523,8 @@ def _render_search_text(result) -> str:
                           - prune_meta["cached_points"])
             lines.append(
                 f"prune: {prune_meta['pruned_chunks']} of "
-                f"{prune_meta['chunks']} chunks pruned by analytical "
-                f"bounds; {prune_meta['exact_chunks']} evaluated exactly "
+                f"{prune_meta['chunks']} chunks evaluated and pruned "
+                f"before reduction; {prune_meta['exact_chunks']} reduced "
                 f"({prune_meta['exact_point_fraction']:.1%} of "
                 f"{unreplayed:,} feasible points) -- "
                 f"results bit-identical to exhaustive"

@@ -404,15 +404,6 @@ def _op_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
     return _time_groups(ops, grid, rows, evaluate)
 
 
-def _schedule(ops: Sequence[OpRecord], durations: Sequence[np.ndarray],
-              rows: _DpFreeRows) -> Tuple[np.ndarray, ...]:
-    """The closed-form breakdown of per-key (or, for the ops that read
-    DP, per-row) durations, one entry per row."""
-    return vectorized.closed_form_breakdown(
-        [_slot_kind(op) for op in ops], durations, rows.inverse,
-        [_reads_dp(op) for op in ops])
-
-
 def _slot_durations(ops: Sequence[OpRecord], grid: ConfigGrid,
                     cluster: ClusterSpec,
                     timing: TimingModels) -> List[np.ndarray]:

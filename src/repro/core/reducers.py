@@ -257,9 +257,9 @@ class Reducer(Frozen):
     # -- chunk-interval pruning protocol ---------------------------------
     #
     # The bound-and-prune scheduler (megasweep with ``prune=True``) may
-    # skip a chunk's exact evaluation when, for EVERY reducer, the
-    # chunk's admissible metric intervals (:class:`~repro.core.bounds.
-    # ChunkBounds`) prove the chunk cannot change the final output.
+    # skip reducing a chunk when, for EVERY reducer, the chunk's metric
+    # envelope (:class:`~repro.core.bounds.ChunkBounds`) proves the
+    # chunk cannot change the final output.
     # The default implementation is conservative: not prunable, so any
     # reducer without an interval argument (Histogram, Collect) forces
     # the sweep back to exhaustive evaluation.
@@ -279,15 +279,6 @@ class Reducer(Frozen):
         broken by the raw-grid offset of an unevaluated row.
         """
         return False
-
-    def priority_keys(self, bounds: "ChunkBounds") -> Tuple[float, ...]:
-        """Best-bound-first sort keys (ascending = most promising).
-
-        One float per selection objective; the scheduler ranks chunks
-        per key and evaluates the best-ranked chunks first so the
-        incumbent tightens as early as possible.
-        """
-        return ()
 
 
 def _entries(chunk: EvaluatedChunk, metric: str,
@@ -369,7 +360,7 @@ class TopK(Reducer):
         """Prunable once the list is full and the chunk cannot beat the
         k-th incumbent value."""
         entries = payload["entries"]
-        if len(entries) < self.k or not bounds.lower:
+        if len(entries) < self.k:
             return False
         cut = float(entries[-1]["value"])
         # Strict comparisons: a row tying the k-th value could still win
@@ -377,11 +368,6 @@ class TopK(Reducer):
         if self.largest:
             return bounds.upper[self.metric] < cut
         return bounds.lower[self.metric] > cut
-
-    def priority_keys(self, bounds: "ChunkBounds") -> Tuple[float, ...]:
-        if self.largest:
-            return (-bounds.upper[self.metric],)
-        return (bounds.lower[self.metric],)
 
 
 class ParetoFront(Reducer):
@@ -482,7 +468,7 @@ class ParetoFront(Reducer):
         first.
         """
         entries = payload["entries"]
-        if not entries or not bounds.lower:
+        if not entries:
             return False
         x_floor = bounds.lower[self.metric_x]
         y_floor = bounds.lower[self.metric_y]
@@ -495,9 +481,6 @@ class ParetoFront(Reducer):
             else:
                 break
         return witness is not None and witness["y"] <= y_floor
-
-    def priority_keys(self, bounds: "ChunkBounds") -> Tuple[float, ...]:
-        return (bounds.lower[self.metric_x] + bounds.lower[self.metric_y],)
 
 
 class Histogram(Reducer):
@@ -671,10 +654,6 @@ class ArgExtrema(Reducer):
                   bounds: "ChunkBounds") -> bool:
         return all(top.can_prune({"entries": _listed(payload[side])}, bounds)
                    for side, top in self._sides.items())
-
-    def priority_keys(self, bounds: "ChunkBounds") -> Tuple[float, ...]:
-        return tuple(key for top in self._sides.values()
-                     for key in top.priority_keys(bounds))
 
 
 def _listed(entry: Optional[Dict[str, object]]) -> List[Dict[str, object]]:

@@ -15,8 +15,9 @@ one core idle.  :func:`stream_sweep` fixes both at once:
   :class:`~repro.core.batch.DurationTable` covers the DP-free keys its
   feasible rows use (at most :data:`TABLE_KEYS`, unless one chunk uses
   more), and each chunk only gathers its rows from it, schedules and
-  reduces (:func:`_evaluate_in_blocks`).  Pruned sweeps and pool
-  workers evaluate chunk by chunk;
+  reduces (:func:`_chunks_in_blocks`).  A pruned sweep in execute mode
+  runs on the same blocks; project mode and pool workers evaluate
+  chunk by chunk;
 * an exhaustive sweep with ``jobs > 1`` evaluates on a pool of
   **processes** (the NumPy evaluation is CPU-bound); each worker
   receives the grid *spec* once at startup and thereafter only integer
@@ -34,20 +35,23 @@ are merged in whatever order they arrive: cache replays first, then
 chunks as they complete.
 
 One scheduler serves every sweep.  It replays cached exact chunks,
-then evaluates the rest.  ``prune=True`` adds a **bound-and-prune**
-step in between: it computes cheap admissible chunk intervals
-(:mod:`repro.core.bounds`; recomputed on every run, never cached, so
-exact chunk records are the only thing a sweep stores), orders the chunks best-bound-first, and
-skips any chunk whose interval proves -- via the reducers'
+then evaluates the rest in index order.  ``prune=True`` adds a
+**bound-and-prune** test between evaluating a chunk and reducing it:
+the chunk's bounds are its exact metrics (:func:`repro.core.bounds.
+bound_grid`, through the same block duration table an exhaustive sweep
+reads; recomputed on every run, never cached, so exact chunk records
+are the only thing a sweep stores), and the chunk is not reduced when
+their envelope proves -- via the reducers'
 :meth:`~repro.core.reducers.Reducer.can_prune` protocol -- that none of
 its rows can reach the output against the incumbent merged so far.  A
-pruned sweep always runs serially in this process, merging each chunk
-before the next prune test: a pool's in-flight chunks would only make
-the incumbent staler and evaluate more rows.  The *result* stays
-bit-identical to the exhaustive sweep, and ``meta["prune"]`` is the
-same for any ``jobs``.  Any non-prunable reducer (``Histogram``,
-``Collect``) disables pruning automatically and the sweep reports why
--- no silent result caps, ever.
+chunk that can reach it is reduced from the breakdown behind its
+bounds, so no chunk is evaluated twice, and a pruned sweep costs about
+what an exhaustive one does.  A pruned sweep always runs serially in
+this process, merging each chunk before the next prune test.  The
+*result* stays bit-identical to the exhaustive sweep, and
+``meta["prune"]`` is the same for any ``jobs``.  Any non-prunable
+reducer (``Histogram``, ``Collect``) disables pruning automatically and
+the sweep reports why -- no silent result caps, ever.
 """
 
 from __future__ import annotations
@@ -73,10 +77,15 @@ from typing import (
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
-    from repro.core.batch import DurationTable
+    from repro.core.batch import BatchBreakdown, DurationTable
     from repro.core.projection import OperatorModelSuite
 
-from repro.core.gridplan import DEFAULT_CHUNK_SIZE, GridChunk, GridSpec
+from repro.core.gridplan import (
+    DEFAULT_CHUNK_SIZE,
+    GridChunk,
+    GridSpec,
+    aggregate_bounds,
+)
 from repro.core.reducers import EvaluatedChunk, Reducer
 from repro.hardware.cluster import ClusterSpec, mi210_node
 from repro.hardware.timing import DEFAULT_TIMING, TimingModels
@@ -91,7 +100,7 @@ __all__ = ["SweepResult", "stream_sweep", "resolve_jobs", "MODES"]
 MODES = ("execute", "project")
 
 #: Most DP-free keys ``(H, SL, B, TP)`` one duration table covers
-#: (:func:`_evaluate_in_blocks`), unless a single chunk uses more.  The
+#: (:func:`_chunks_in_blocks`), unless a single chunk uses more.  The
 #: block's chunks stay in memory until its table is read, and the key
 #: stage's NumPy temporaries grow with its keys: on seeded search-scan
 #: queries 2,048 keys raised peak RSS by about 9%, and 512 saved little
@@ -118,8 +127,10 @@ class SweepResult(NamedTuple):
     Attributes:
         reductions: Finalized output per reducer, keyed by label.
         raw_points: Cartesian-product size before constraints.
-        evaluated_points: Rows that survived constraints and were
-            evaluated.
+        evaluated_points: Rows that survived constraints and reached
+            the reducers, replayed or evaluated: a pruned sweep also
+            evaluates the rows of the chunks it pruned, but does not
+            count them here.
         chunk_count: Chunks the grid was split into.
         chunk_size: Target rows per chunk the grid was cut with.
         jobs: Worker processes actually used: the requested count for
@@ -159,6 +170,31 @@ class _SweepContext(NamedTuple):
     check: bool
 
 
+def _validated(ctx: _SweepContext, breakdown: BatchBreakdown
+               ) -> BatchBreakdown:
+    """The breakdown, after the invariant validator when checking."""
+    if ctx.check:
+        from repro.sim.checker import validate_batch
+
+        validate_batch(breakdown)
+    return breakdown
+
+
+def _reduce_chunk(ctx: _SweepContext, chunk: GridChunk,
+                  breakdown: Optional[BatchBreakdown]) -> ChunkRecord:
+    """Reduce one chunk's breakdown (``None``: an empty chunk) to
+    per-reducer payloads."""
+    if breakdown is None:
+        payloads = [reducer.empty() for reducer in ctx.reducers]
+    else:
+        evaluated = EvaluatedChunk(offsets=chunk.offsets,
+                                   columns=chunk.columns(),
+                                   breakdown=breakdown)
+        payloads = [reducer.observe(evaluated) for reducer in ctx.reducers]
+    return {"raw": chunk.raw_rows, "evaluated": len(chunk),
+            "payloads": payloads}
+
+
 def _evaluate_chunk(ctx: _SweepContext, chunk: GridChunk,
                     table: Optional[DurationTable] = None,
                     start: int = 0) -> ChunkRecord:
@@ -171,44 +207,34 @@ def _evaluate_chunk(ctx: _SweepContext, chunk: GridChunk,
     from repro.core.batch import batch_execute, batch_project
 
     if len(chunk) == 0:
-        return {
-            "raw": chunk.raw_rows,
-            "evaluated": 0,
-            "payloads": [reducer.empty() for reducer in ctx.reducers],
-        }
+        return _reduce_chunk(ctx, chunk, None)
     if ctx.mode == "execute":
         breakdown = batch_execute(chunk.grid, ctx.cluster, ctx.timing,
                                   table=table, start=start)
     else:
         breakdown = batch_project(chunk.grid, ctx.suite,
                                   scenario=ctx.scenario)
-    if ctx.check:
-        from repro.sim.checker import validate_batch
-
-        validate_batch(breakdown)
-    evaluated = EvaluatedChunk(offsets=chunk.offsets,
-                               columns=chunk.columns(),
-                               breakdown=breakdown)
-    return {
-        "raw": chunk.raw_rows,
-        "evaluated": len(chunk),
-        "payloads": [reducer.observe(evaluated)
-                     for reducer in ctx.reducers],
-    }
+    return _reduce_chunk(ctx, chunk, _validated(ctx, breakdown))
 
 
-def _evaluate_in_blocks(ctx: _SweepContext, indices: Sequence[int]
-                        ) -> Iterator[Tuple[int, ChunkRecord]]:
-    """Evaluate execute-mode chunks in index order, one duration table
-    per block of consecutive chunks.
+#: One chunk as the serial paths see it: the chunk, its block's duration
+#: table (``None``: time the chunk on its own) and the chunk's first row
+#: in that table.
+TabledChunk = Tuple[GridChunk, Optional["DurationTable"], int]
+
+
+def _chunks_in_blocks(ctx: _SweepContext, indices: Sequence[int]
+                      ) -> Iterator[TabledChunk]:
+    """Execute-mode chunks in index order, one duration table per block
+    of consecutive chunks.
 
     A block grows until its rows would use more than :data:`TABLE_KEYS`
     DP-free keys.  Its :class:`~repro.core.batch.DurationTable` covers
     exactly the keys its rows use, so rows dropped by constraints and
     chunks replayed from a cache are never timed; a row's key is its raw
-    offset floor-divided by the length of the DP axis.  Each chunk then
-    reads its rows from the table: the gather, the schedule and the
-    reducers.
+    offset floor-divided by the length of the DP axis.  A chunk's
+    evaluation then reads its rows from the table: the gather and the
+    schedule.
     """
     from repro.core.batch import DurationTable
 
@@ -217,14 +243,14 @@ def _evaluate_in_blocks(ctx: _SweepContext, indices: Sequence[int]
     block_keys = 0
     last_key = -1
 
-    def evaluate_block() -> Iterator[Tuple[int, ChunkRecord]]:
+    def tabled_block() -> Iterator[TabledChunk]:
         table = DurationTable.of_chunks(
             [chunk.grid for chunk in block],
             [chunk.offsets for chunk in block], ctx.spec.dp,
             ctx.cluster, ctx.timing) if block_keys else None
         start = 0
         for chunk in block:
-            yield chunk.index, _evaluate_chunk(ctx, chunk, table, start)
+            yield chunk, table, start
             start += len(chunk)
 
     for index in indices:
@@ -233,13 +259,24 @@ def _evaluate_in_blocks(ctx: _SweepContext, indices: Sequence[int]
         runs = int((keys[1:] != keys[:-1]).sum()) + 1 if len(keys) else 0
         new_keys = runs - (runs > 0 and int(keys[0]) == last_key)
         if block_keys and block_keys + new_keys > TABLE_KEYS:
-            yield from evaluate_block()
+            yield from tabled_block()
             block, block_keys, new_keys = [], 0, runs
         block.append(chunk)
         block_keys += new_keys
         if runs:
             last_key = int(keys[-1])
-    yield from evaluate_block()
+    yield from tabled_block()
+
+
+def _serial_chunks(ctx: _SweepContext, indices: Sequence[int]
+                   ) -> Iterator[TabledChunk]:
+    """The chunks a serial sweep evaluates, in index order: in blocks
+    sharing a duration table in execute mode, one by one in project
+    mode."""
+    if ctx.mode == "execute":
+        return _chunks_in_blocks(ctx, indices)
+    return ((ctx.spec.chunk(index, ctx.chunk_size), None, 0)
+            for index in indices)
 
 
 # Per-worker context, installed once by the pool initializer so tasks
@@ -256,37 +293,6 @@ def _eval_chunk_task(index: int) -> Tuple[int, ChunkRecord]:
     ctx = _WORKER_CTX
     assert ctx is not None, "worker initialized without context"
     return index, _evaluate_chunk(ctx, ctx.spec.chunk(index, ctx.chunk_size))
-
-
-def _priority_order(reducers: Sequence[Reducer], bounds: Dict[int, object],
-                    pending: Sequence[int]) -> List[int]:
-    """Best-bound-first chunk order across all reducer objectives.
-
-    Each reducer contributes one or more priority keys per chunk; every
-    key column is ranked independently (value, then chunk index), and a
-    chunk's priority is its best rank across columns -- so a chunk that
-    is most promising for *any* objective is evaluated early, tightening
-    that objective's incumbent as fast as possible.  Deterministic for a
-    fixed spec and reducer set.
-    """
-    pending = list(pending)
-    if not pending:
-        return []
-    key_rows = [
-        tuple(key for reducer in reducers
-              for key in reducer.priority_keys(bounds[index]))
-        for index in pending
-    ]
-    best_rank = [len(pending)] * len(pending)
-    for column in range(len(key_rows[0])):
-        ranked = sorted(range(len(pending)),
-                        key=lambda p: (key_rows[p][column], pending[p]))
-        for rank, position in enumerate(ranked):
-            if rank < best_rank[position]:
-                best_rank[position] = rank
-    return [pending[p] for p in sorted(range(len(pending)),
-                                       key=lambda p: (best_rank[p],
-                                                      pending[p]))]
 
 
 def _record_key(ctx: _SweepContext) -> Callable[[int], str]:
@@ -339,12 +345,21 @@ def stream_sweep(spec: GridSpec,
             chunk indices when more than one chunk needs evaluating.
             Negative means CPU count.  Pruned sweeps ignore it and run
             serially.
-        check: Run the invariant validator on every chunk's breakdown;
-            ``None`` defers to ``REPRO_CHECK``.
-        prune: Use the bound-and-prune scheduler, serially in this
-            process.  Results stay bit-identical to the exhaustive
-            sweep; only wall time and ``meta["prune"]`` accounting
-            change.  Falls back to exhaustive evaluation (with
+        check: Run the invariant validator on every chunk's breakdown,
+            including every breakdown a prune decision reads; ``None``
+            defers to ``REPRO_CHECK``.
+        prune: Test every evaluated chunk's exact bounds against the
+            incumbent and reduce only the chunks that can still reach
+            the output, serially in this process and in index order.
+            Every pending chunk is still evaluated once, through the
+            same duration tables as an exhaustive sweep; what a pruned
+            chunk saves is its reduction and its cache record.  Results
+            stay bit-identical to the exhaustive sweep.
+            ``meta["prune"]`` counts the chunks: ``exact_chunks`` and
+            ``exact_points`` are what the reducers observed,
+            ``pruned_chunks`` the chunks evaluated but not reduced, and
+            ``empty_chunks`` those no row of which passed the
+            constraints.  Falls back to exhaustive evaluation (with
             ``meta["prune"]["reason"]`` explaining why) when any
             reducer is not prunable.
         cache: Optional :class:`~repro.runtime.cache.ResultCache` for
@@ -353,8 +368,9 @@ def stream_sweep(spec: GridSpec,
             reducer set, the mode and the cluster/timing/scenario
             context, so pruned and exhaustive sweeps share them and a
             rerun -- or a larger sweep sharing chunks -- replays instead
-            of re-evaluating.  Bounds are recomputed on every pruned
-            run, never cached.  Used only in this process.
+            of re-evaluating.  A pruned sweep stores the records of the
+            chunks it reduced only; a pruned chunk is evaluated again on
+            every run.  Used only in this process.
 
     Raises:
         ValueError: Unknown mode, or project mode without a suite.
@@ -424,47 +440,54 @@ def stream_sweep(spec: GridSpec,
     cache_hits = n_chunks - len(pending)
     replayed = evaluated
 
-    if prune:
-        from repro.core.bounds import ChunkBounds, chunk_bounds
-
-        bounds: Dict[int, ChunkBounds] = {
-            index: chunk_bounds(ctx.spec, index, ctx.chunk_size,
-                                mode=ctx.mode, cluster=ctx.cluster,
-                                timing=ctx.timing, suite=ctx.suite,
-                                scenario=ctx.scenario)
-            for index in pending
-        }
-        feasible = evaluated + sum(entry.rows for entry in bounds.values())
-        order = _priority_order(
-            ctx.reducers, bounds,
-            [index for index in pending if bounds[index].rows > 0])
-    else:
-        order = pending
-
     def finish(index: int, record: ChunkRecord) -> None:
         store(index, record)
         merge(record)
 
-    pruned_chunks = 0
     if prune:
+        from repro.core.bounds import ChunkBounds, bound_grid
+
         # Each chunk merges before the next prune test.
         workers = 1
-        for index in order:
-            if all(reducer.can_prune(payload, bounds[index])
+        empty_chunks = pruned_chunks = 0
+        feasible = replayed
+        for chunk, table, first in _serial_chunks(ctx, pending):
+            if len(chunk) == 0:
+                empty_chunks += 1
+                continue
+            feasible += len(chunk)
+            bounds = bound_grid(chunk.grid, ctx.cluster, ctx.timing,
+                                mode=ctx.mode, suite=ctx.suite,
+                                scenario=ctx.scenario, table=table,
+                                start=first)
+            breakdown = _validated(ctx, bounds.breakdown)
+            envelope = ChunkBounds(*aggregate_bounds(bounds.lower,
+                                                     bounds.upper))
+            if all(reducer.can_prune(payload, envelope)
                    for reducer, payload in zip(ctx.reducers, payloads)):
                 pruned_chunks += 1
-                continue
-            finish(index, _evaluate_chunk(
-                ctx, ctx.spec.chunk(index, ctx.chunk_size)))
-    elif workers == 1 or len(order) < 2:
+            else:
+                finish(chunk.index, _reduce_chunk(ctx, chunk, breakdown))
+        exact_chunks = len(pending) - empty_chunks - pruned_chunks
+        meta["prune"] = {
+            "enabled": True,
+            "chunks": n_chunks,
+            "cached_chunks": cache_hits,
+            "cached_points": replayed,
+            "empty_chunks": empty_chunks,
+            "pruned_chunks": pruned_chunks,
+            "exact_chunks": exact_chunks,
+            "feasible_points": feasible,
+            "exact_points": evaluated - replayed,
+            "exact_chunk_fraction": (exact_chunks
+                                     / max(1, exact_chunks + pruned_chunks)),
+            "exact_point_fraction": ((evaluated - replayed)
+                                     / max(1, feasible - replayed)),
+        }
+    elif workers == 1 or len(pending) < 2:
         workers = 1
-        if ctx.mode == "execute":
-            for index, record in _evaluate_in_blocks(ctx, order):
-                finish(index, record)
-        else:
-            for index in order:
-                finish(index, _evaluate_chunk(
-                    ctx, ctx.spec.chunk(index, ctx.chunk_size)))
+        for chunk, table, first in _serial_chunks(ctx, pending):
+            finish(chunk.index, _evaluate_chunk(ctx, chunk, table, first))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -473,7 +496,7 @@ def stream_sweep(spec: GridSpec,
                                    initargs=(ctx,))
         inflight: Deque[Future] = deque()
         try:
-            for index in order:
+            for index in pending:
                 inflight.append(pool.submit(_eval_chunk_task, index))
                 if len(inflight) >= 2 * workers:
                     finish(*inflight.popleft().result())
@@ -482,22 +505,6 @@ def stream_sweep(spec: GridSpec,
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    if prune:
-        exact_chunks = len(order) - pruned_chunks
-        meta["prune"] = {
-            "enabled": True,
-            "chunks": n_chunks,
-            "cached_chunks": cache_hits,
-            "cached_points": replayed,
-            "empty_chunks": len(pending) - len(order),
-            "pruned_chunks": pruned_chunks,
-            "exact_chunks": exact_chunks,
-            "feasible_points": feasible,
-            "exact_points": evaluated - replayed,
-            "exact_chunk_fraction": exact_chunks / max(1, len(order)),
-            "exact_point_fraction": ((evaluated - replayed)
-                                     / max(1, feasible - replayed)),
-        }
     return SweepResult(
         reductions={reducer.label: reducer.finalize(payload)
                     for reducer, payload in zip(ctx.reducers, payloads)},

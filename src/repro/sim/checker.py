@@ -36,13 +36,15 @@ module keeps them honest with five layers:
    across the serial path vs a multi-process pool.
 
 5. **Prune oracle** (:func:`prune_oracle`): the bound-and-prune search
-   path held to its two contracts.  Admissibility: on seeded random
+   path held to its two contracts.  Exact bounds: on seeded random
    configurations, every :data:`repro.core.bounds.BOUNDED_METRICS`
-   interval must satisfy ``lower <= exact <= upper`` against the batch
-   engine.  Zero drift: pruned ``stream_sweep(prune=True)`` runs over a
-   seeded ~200-chunk grid must reproduce the exhaustive reductions
-   bit-for-bit across chunk sizes and worker counts, while the reported
-   exact-evaluated fraction confirms pruning actually engaged.
+   bound must satisfy ``lower == exact == upper`` bit for bit against
+   the batch engine, read through a duration table at a row offset as
+   a pruned sweep reads it.  Zero drift: pruned
+   ``stream_sweep(prune=True)`` runs over a seeded ~200-chunk grid must
+   reproduce the exhaustive reductions bit-for-bit across chunk sizes
+   and worker counts, while the reported exact-evaluated fraction
+   confirms pruning actually engaged.
 
 Run every layer from the command line with ``python -m repro check``.
 """
@@ -700,9 +702,9 @@ class PruneReport(Frozen):
     """Outcome of the bound-and-prune differential check.
 
     Attributes:
-        configs: Seeded random configs checked for bound admissibility.
-        bound_violations: ``metric@index`` labels where an admissible
-            interval failed ``lower <= exact <= upper``.
+        configs: Seeded random configs whose bounds were checked.
+        bound_violations: ``metric@index`` labels where a bound failed
+            ``lower == exact == upper``.
         points: Grid rows of the pruned-vs-exhaustive sweep (after
             constraints).
         variants: Pruned sweep variants compared against the exhaustive
@@ -710,7 +712,7 @@ class PruneReport(Frozen):
         mismatches: ``variant/reduction`` labels whose pruned output
             diverged from the exhaustive reference.
         exact_fraction: Mean fraction of non-empty chunks the pruned
-            variants evaluated exactly (must be < 1 for the check to
+            variants reduced (must be < 1 for the check to
             mean anything; reported so regressions in pruning power are
             visible).
     """
@@ -740,7 +742,7 @@ class PruneReport(Frozen):
     def summary(self) -> str:
         status = "OK" if self.ok else "FAIL"
         lines = [
-            f"prune oracle: {status} -- bounds admissible on "
+            f"prune oracle: {status} -- bounds exact on "
             f"{self.configs} seeded configs; {len(self.variants)} pruned "
             f"variants ({', '.join(self.variants)}) over {self.points} "
             f"configs match the exhaustive sweep bit-for-bit "
@@ -771,35 +773,46 @@ def prune_oracle(cluster: Optional[ClusterSpec] = None,
                  n: int = 160,
                  seed: int = 0,
                  chunk_sizes: Sequence[int] = (4, 16)) -> PruneReport:
-    """Bound admissibility plus pruned-vs-exhaustive bit-equality.
+    """Exact bounds plus pruned-vs-exhaustive bit-equality.
 
-    Part one evaluates seeded random configurations with both
-    :func:`repro.core.bounds.bound_grid` and the exact batch engine and
-    asserts ``lower <= exact <= upper`` elementwise for every bounded
-    metric.  Part two streams a seeded mixed-parity grid through
-    ``stream_sweep(prune=True)`` (always serial) for every chunk size
-    and requires each finalized reduction to equal the exhaustive
-    sweep's output exactly -- the bound-and-prune scheduler may only
-    ever skip work, never change results.
+    Part one evaluates seeded random configurations with the exact
+    batch engine and with :func:`repro.core.bounds.bound_grid`, which
+    reads each half of the grid from one duration table over the whole
+    grid (the second half at a row offset, as a pruned sweep reads a
+    block's later chunks), and asserts ``lower == exact == upper`` bit
+    for bit for every bounded metric.  Part two streams a seeded
+    mixed-parity grid through ``stream_sweep(prune=True)`` (always
+    serial) for every chunk size and requires each finalized reduction
+    to equal the exhaustive sweep's output exactly -- the
+    bound-and-prune scheduler may only ever skip work, never change
+    results.
     """
     import numpy as np
 
-    from repro.core.batch import ConfigGrid, batch_execute
+    from repro.core.batch import ConfigGrid, DurationTable, batch_execute
     from repro.core.bounds import BOUNDED_METRICS, bound_grid
     from repro.core.reducers import ArgExtrema, ParetoFront, TopK
     from repro.runtime.megasweep import stream_sweep
 
     cluster = cluster if cluster is not None else mi210_node()
 
-    grid = ConfigGrid.from_models(random_configs(n, seed))
+    configs = random_configs(n, seed)
+    grid = ConfigGrid.from_models(configs)
     exact = batch_execute(grid, cluster, timing)
-    bounds = bound_grid(grid, cluster=cluster, timing=timing)
+    table = DurationTable.of_grid(grid, cluster, timing)
+    half = n // 2
+    halves = [bound_grid(ConfigGrid.from_models(part), cluster=cluster,
+                         timing=timing, table=table, start=first)
+              for part, first in ((configs[:half], 0),
+                                  (configs[half:], half)) if part]
     bound_violations: List[str] = []
     for metric in BOUNDED_METRICS:
         values = np.asarray(getattr(exact, metric), dtype=np.float64)
-        bad = np.flatnonzero((bounds.lower[metric] > values)
-                             | (values > bounds.upper[metric]))
-        bound_violations.extend(f"{metric}@{index}" for index in bad)
+        for side in ("lower", "upper"):
+            bound = np.concatenate([getattr(bounds, side)[metric]
+                                    for bounds in halves])
+            bad = np.flatnonzero(bound != values)
+            bound_violations.extend(f"{metric}@{index}" for index in bad)
 
     # Two reducer sets: "full" stresses agreement when every objective
     # must consent to a skip (pruning is rare but must stay safe);

@@ -1,7 +1,7 @@
 """Per-parity reference evaluation for the one-pass engine tests.
 
-The batch engine and the bound pass evaluate every row with the op list
-that carries both TP and DP all-reduces.  These helpers rebuild the
+The batch engine evaluates every row with the op list that carries
+both TP and DP all-reduces.  These helpers rebuild the
 per-parity evaluation -- each ``(TP > 1, DP > 1)`` partition with its
 own, shorter op list -- that the one-pass results must equal bit for
 bit.

@@ -327,10 +327,11 @@ def test_one_timing_call_per_family(cluster, monkeypatch):
 
 
 def test_one_bound_call_per_family(cluster, monkeypatch):
-    """The bound pass makes the engine's jitter-free timing calls, one
-    per operator family, hashes nothing, and runs four schedules: the
-    lower and upper corners plus the two mixed exposed-comm corners."""
+    """The bound pass is ``batch_execute``'s calls and nothing more: one
+    timing call per operator family, three hash calls and one schedule;
+    read from an already timed duration table, only the schedule."""
     from repro.core import bounds
+    from repro.core.batch import DurationTable
     from repro.sim import vectorized
 
     grid = _budget_chunk()
@@ -340,7 +341,14 @@ def test_one_bound_call_per_family(cluster, monkeypatch):
     bounds.bound_grid(grid, cluster=cluster)
     assert counts == {"gemm_times": 1, "elementwise_times": 1,
                       "cluster_all_reduce_times": 1,
-                      "closed_form_breakdown": 4, "_unit_hashes": 0}
+                      "closed_form_breakdown": 1, "_unit_hashes": 3}
+    table = DurationTable.of_grid(grid, cluster, DEFAULT_TIMING)
+    batch_execute(grid, cluster, table=table)
+    counts.update(dict.fromkeys(counts, 0))
+    bounds.bound_grid(grid, cluster=cluster, table=table)
+    assert counts == {"gemm_times": 0, "elementwise_times": 0,
+                      "cluster_all_reduce_times": 0,
+                      "closed_form_breakdown": 1, "_unit_hashes": 0}
 
 
 def test_stable_unit_hash_rejects_numpy_scalars():

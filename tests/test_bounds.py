@@ -1,12 +1,12 @@
-"""Admissible bound envelopes: property tests against the exact engines.
+"""Exact prune bounds: property tests against the exact engines.
 
-The pruning scheduler is only sound if every interval produced by
-:mod:`repro.core.bounds` actually brackets the exact engine output, as
-IEEE floats, for every configuration.  These tests assert that contract
-(``lower <= exact <= upper`` per metric) over seeded-random configs,
-every named zoo model, and every paper hardware-evolution scenario --
-plus the chunk-level envelopes, cache-record round-trips, and the cache
-key / memoization plumbing the scheduler relies on.
+The pruning scheduler is sound only if every bound produced by
+:mod:`repro.core.bounds` brackets the exact engine output.  The bounds
+are the exact metrics, so these tests assert ``lower == exact ==
+upper`` bit for bit per metric over seeded-random configs, every named
+zoo model and every paper hardware-evolution scenario, with and without
+a duration table read at a row offset -- plus the chunk-level envelopes
+and the cache key plumbing the scheduler relies on.
 """
 
 from __future__ import annotations
@@ -14,21 +14,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import ConfigGrid, batch_execute, batch_project
-from repro.core.bounds import (
-    BOUNDED_METRICS,
-    bound_grid,
-    chunk_bounds,
+from repro.core.batch import (
+    ConfigGrid,
+    DurationTable,
+    batch_execute,
+    batch_project,
 )
+from repro.core.bounds import BOUNDED_METRICS, bound_grid
 from repro.core.evolution import PAPER_SCENARIOS
-from repro.core.gridplan import GridSpec, MaxWorldSize
+from repro.core.gridplan import GridSpec, MaxWorldSize, aggregate_bounds
 from repro.core.hyperparams import ParallelConfig
-from repro.core.reducers import metric_values
+from repro.core.reducers import TopK, metric_values
 from repro.hardware.cluster import mi210_node, multi_node_cluster
 from repro.models.zoo import MODEL_ZOO
+from repro.runtime.megasweep import stream_sweep
 from repro.sim.checker import random_configs
 from repro.sim.executor import DEFAULT_TIMING
-from tests.parity import parity_partitions
 
 CLUSTER = mi210_node()
 
@@ -49,22 +50,20 @@ def zoo_pairs():
     return pairs
 
 
+def assert_bits_equal(bounds, exact) -> None:
+    """``lower == exact == upper`` bit for bit on every bounded metric."""
+    for name in BOUNDED_METRICS:
+        values = metric_values(name, exact).tobytes()
+        assert bounds.lower[name].tobytes() == values, name
+        assert bounds.upper[name].tobytes() == values, name
+
+
 def assert_admissible(grid: ConfigGrid, cluster):
-    """``lower <= exact <= upper`` per metric, as IEEE floats; returns
-    the exact breakdown and the bounds."""
+    """The bounds of ``grid`` are its exact metrics; returns the exact
+    breakdown and the bounds."""
     exact = batch_execute(grid, cluster)
     bounds = bound_grid(grid, cluster=cluster)
-    for name in BOUNDED_METRICS:
-        values = metric_values(name, exact)
-        lower, upper = bounds.lower[name], bounds.upper[name]
-        low_ok = lower <= values
-        up_ok = values <= upper
-        assert low_ok.all(), (
-            f"{name}: lower bound violated at rows "
-            f"{np.flatnonzero(~low_ok)[:5].tolist()}")
-        assert up_ok.all(), (
-            f"{name}: upper bound violated at rows "
-            f"{np.flatnonzero(~up_ok)[:5].tolist()}")
+    assert_bits_equal(bounds, exact)
     return exact, bounds
 
 
@@ -89,7 +88,7 @@ class TestAdmissibility:
             assert (bounds.lower[name] > 0).all(), name
         for name in BOUNDED_METRICS:
             assert np.isfinite(bounds.upper[name]).all(), name
-        assert len(bounds) == len(grid)
+        assert len(bounds) == len(grid) == len(bounds.breakdown)
 
     def test_project_mode_zero_width(self):
         from repro.runtime.session import Session
@@ -97,87 +96,19 @@ class TestAdmissibility:
         suite = Session(cluster=CLUSTER).suite()
         grid = ConfigGrid.from_models(random_configs(40, seed=5))
         bounds = bound_grid(grid, mode="project", suite=suite)
-        exact = batch_project(grid, suite)
-        for name in BOUNDED_METRICS:
-            values = metric_values(name, exact)
-            np.testing.assert_array_equal(bounds.lower[name], values)
-            np.testing.assert_array_equal(bounds.upper[name], values)
-
-    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
-                             ids=("node", "multi-node"))
-    def test_one_pass_equals_parity_partitions(self, cluster):
-        """Bounding every row with the TP+DP op list is bit-identical
-        to bounding each parity partition with its own op list."""
-        from repro.core.batch import _dp_free_rows, _reads_dp, _slot_kind
-        from repro.core.bounds import _op_bound_durations
-        from repro.models.layers import layer_records
-        from repro.sim.vectorized import closed_form_breakdown
-
-        grid = ConfigGrid.from_models(random_configs(120, seed=11))
-        bounds = bound_grid(grid, cluster=cluster)
-        stored = ("compute_time", "serialized_comm_time",
-                  "overlapped_comm_time", "iteration_time")
-        seen = 0
-        for mask, sub, tp_flag, dp_flag in parity_partitions(grid):
-            ops = layer_records(sub, tp_flag, dp_flag)
-            kinds = [_slot_kind(op) for op in ops]
-            per_row = [_reads_dp(op) for op in ops]
-            rows = _dp_free_rows(sub)
-            for side, durations in zip(
-                    (bounds.lower, bounds.upper),
-                    _op_bound_durations(ops, sub, rows, cluster,
-                                        DEFAULT_TIMING)):
-                parts = closed_form_breakdown(kinds, durations,
-                                              rows.inverse, per_row)
-                for name, part in zip(stored, parts):
-                    np.testing.assert_array_equal(side[name][mask], part)
-            seen += 1
-        assert seen == 4  # every parity partition is exercised
-
-    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
-                             ids=("node", "multi-node"))
-    def test_slot_bounds_scale_the_engine_base(self, cluster):
-        """GEMM and element-wise slot bounds are the engine's own
-        jitter-free durations times ``1 - amp`` and ``1 + amp``, bit for
-        bit: no second timing model, no margin."""
-        from repro.core.batch import _dp_free_rows, _layer_ops, _op_durations
-        from repro.core.bounds import _op_bound_durations
-        from repro.models.layers import ELEMENTWISE, GEMM
-
-        grid = ConfigGrid.from_models(random_configs(120, seed=3))
-        ops = _layer_ops(grid)
-        rows = _dp_free_rows(grid)
-        base = _op_durations(ops, grid, rows, cluster,
-                             DEFAULT_TIMING.without_jitter())
-        lower, upper = _op_bound_durations(ops, grid, rows, cluster,
-                                           DEFAULT_TIMING)
-        amps = {GEMM: DEFAULT_TIMING.gemm.jitter_amplitude,
-                ELEMENTWISE: DEFAULT_TIMING.elementwise.jitter_amplitude}
-        seen = set()
-        for op, exact_base, low, up in zip(ops, base, lower, upper):
-            if op.family not in amps:
-                continue
-            amp = amps[op.family]
-            assert low.tobytes() == (exact_base * (1.0 - amp)).tobytes()
-            assert up.tobytes() == (exact_base * (1.0 + amp)).tobytes()
-            seen.add(op.family)
-        assert seen == set(amps)
+        assert_bits_equal(bounds, batch_project(grid, suite))
 
     @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
                              ids=("node", "multi-node"))
     def test_designspace_grid_admissible_and_tight(self, cluster):
-        """Every feasible row of the design-space grid is bracketed on
-        every bounded metric, and the exposed-comm interval is narrower
-        than the exact value itself (median over exposed rows)."""
+        """Every feasible row of the design-space grid gets its exact
+        metrics as bounds: zero interval width."""
         from repro.experiments.ext_designspace import design_spec
 
         grid = design_spec(cluster).materialize().grid
-        exact, bounds = assert_admissible(grid, cluster)
-        values = metric_values("exposed_comm_time", exact)
-        exposed = values > 0
-        width = (bounds.upper["exposed_comm_time"][exposed]
-                 - bounds.lower["exposed_comm_time"][exposed])
-        assert np.median(width / values[exposed]) < 1.0
+        _, bounds = assert_admissible(grid, cluster)
+        for name in BOUNDED_METRICS:
+            assert (bounds.upper[name] - bounds.lower[name] == 0).all()
 
     def test_validation_errors(self):
         grid = ConfigGrid.from_models(random_configs(4, seed=0))
@@ -185,6 +116,49 @@ class TestAdmissibility:
             bound_grid(grid, mode="bogus")
         with pytest.raises(ValueError):
             bound_grid(grid, mode="project")  # no suite
+
+
+class TestExactBounds:
+    """``bound_grid`` equals ``batch_execute`` bit for bit however its
+    rows are timed: its own key stage, or a duration table holding them
+    at some row offset, as a pruned sweep reads a block's chunks."""
+
+    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
+                             ids=("node", "multi-node"))
+    @pytest.mark.parametrize("start", (None, 0, 37, 80),
+                             ids=("no-table", "start-0", "start-37",
+                                  "start-80"))
+    def test_bounds_equal_batch_execute(self, cluster, start):
+        configs = random_configs(120, seed=13)
+        table = None
+        if start is not None:
+            table = DurationTable.of_grid(ConfigGrid.from_models(configs),
+                                          cluster, DEFAULT_TIMING)
+            configs = configs[start:start + 40]
+        grid = ConfigGrid.from_models(configs)
+        bounds = bound_grid(grid, cluster=cluster, table=table,
+                            start=start or 0)
+        assert_bits_equal(bounds, batch_execute(grid, cluster))
+        assert_bits_equal(bounds, bounds.breakdown)
+
+    @pytest.mark.parametrize("cluster", (CLUSTER, multi_node_cluster()),
+                             ids=("node", "multi-node"))
+    def test_sweep_chunk_tables(self, cluster):
+        """A table over several sweep chunks, read chunk by chunk."""
+        spec = spec_with(dp=(1, 2, 4, 8, 16))
+        chunks = [spec.chunk(index, 5) for index in range(spec.chunk_count(5))]
+        chunks = [chunk for chunk in chunks if len(chunk)]
+        table = DurationTable.of_chunks(
+            [chunk.grid for chunk in chunks],
+            [chunk.offsets for chunk in chunks], spec.dp, cluster,
+            DEFAULT_TIMING)
+        start = 0
+        for chunk in chunks:
+            bounds = bound_grid(chunk.grid, cluster=cluster, table=table,
+                                start=start)
+            assert_bits_equal(bounds, batch_execute(chunk.grid, cluster))
+            start += len(chunk)
+        assert start == table.size
 
 
 def spec_with(**overrides) -> GridSpec:
@@ -203,30 +177,39 @@ def spec_with(**overrides) -> GridSpec:
 class TestChunkBounds:
     @pytest.mark.parametrize("chunk_size", (1, 5, 16))
     def test_envelope_covers_every_chunk(self, chunk_size):
+        """A chunk's envelope is the min and max of its exact rows."""
         spec = spec_with()
         for index in range(spec.chunk_count(chunk_size)):
-            envelope = chunk_bounds(spec, index, chunk_size,
-                                    cluster=CLUSTER)
             chunk = spec.chunk(index, chunk_size)
-            assert envelope.index == index
-            assert envelope.raw_rows == chunk.raw_rows
-            assert envelope.rows == len(chunk)
             if len(chunk) == 0:
-                assert envelope.lower == {} and envelope.upper == {}
                 continue
+            bounds = bound_grid(chunk.grid, cluster=CLUSTER)
+            lower, upper = aggregate_bounds(bounds.lower, bounds.upper)
             exact = batch_execute(chunk.grid, CLUSTER)
             for name in BOUNDED_METRICS:
                 values = metric_values(name, exact)
-                assert envelope.lower[name] <= values.min(), name
-                assert envelope.upper[name] >= values.max(), name
+                assert lower[name] == values.min(), name
+                assert upper[name] == values.max(), name
 
-    def test_empty_chunk(self):
+    def test_empty_chunk(self, monkeypatch):
+        """A chunk no row of which passes the constraints is counted as
+        empty, and nothing bounds or evaluates it."""
+        import repro.core.bounds as bounds_module
+
         # DP=32 under a 16-device world cap: nothing survives.
         spec = spec_with(hidden=(1024,), seq_len=(512,), batch=(1,),
                          tp=(1,), dp=(32,))
-        envelope = chunk_bounds(spec, 0, 16, cluster=CLUSTER)
-        assert envelope.rows == 0
-        assert envelope.lower == {} and envelope.upper == {}
+
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("an empty chunk was bounded")
+
+        monkeypatch.setattr(bounds_module, "bound_grid", no_bounds)
+        result = stream_sweep(spec, (TopK("iteration_time", k=1),),
+                              cluster=CLUSTER, chunk_size=16, prune=True)
+        meta = result.meta["prune"]
+        assert meta["empty_chunks"] == meta["chunks"] == 1
+        assert meta["pruned_chunks"] == meta["exact_chunks"] == 0
+        assert result.evaluated_points == 0
 
 
 class TestCacheKeysAndMemoization:

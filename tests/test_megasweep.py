@@ -173,9 +173,9 @@ class FailLarge(GridConstraint):
 
 
 class TestFailurePropagation:
-    # With prune=True the seeded constraint fails first in the bound
-    # pass (chunk bounds apply constraints too); with prune=False it
-    # fails in the evaluate loop, which both paths share.
+    # The seeded constraint fails while a chunk is built, which the
+    # serial pruned and exhaustive paths share; pool workers build
+    # their own chunks.
 
     @pytest.mark.parametrize("prune", (False, True))
     def test_serial_failure_propagates(self, prune):
@@ -402,6 +402,79 @@ class TestBoundAndPrune:
                               prune=True)
         assert result.reductions == reference
         assert result.meta["prune"]["enabled"]
+
+    def test_pruned_execute_sweep_times_like_exhaustive(self,
+                                                        monkeypatch):
+        """A pruned execute sweep runs the exhaustive sweep's key stages:
+        the same block tables, so the same timing calls."""
+        spec = table_spec()
+        selection = (TopK("iteration_time", k=2, largest=False),
+                     ParetoFront())
+        monkeypatch.setattr(megasweep, "TABLE_KEYS", 40)
+        counts = {}
+        for name, module in (("gemm_times", vectorized),
+                             ("_op_durations", batch_module)):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        calls = {}
+        for prune in (False, True):
+            counts.update(gemm_times=0, _op_durations=0)
+            result = stream_sweep(spec, selection, cluster=CLUSTER,
+                                  chunk_size=64, prune=prune)
+            calls[prune] = dict(counts)
+        assert result.meta["prune"]["pruned_chunks"] > 0
+        assert calls[True] == calls[False]
+        assert calls[True]["_op_durations"] > 5
+
+    def test_pruned_project_sweep_projects_each_chunk_once(self,
+                                                           monkeypatch):
+        import repro.core.bounds as bounds_module
+
+        session = Session(cluster=CLUSTER)
+        suite = session.suite()
+        spec = spec_with()
+        calls = []
+        real = batch_module.batch_project
+
+        def counted(grid, *args, **kwargs):
+            calls.append(len(grid))
+            return real(grid, *args, **kwargs)
+
+        for module in (batch_module, bounds_module):
+            monkeypatch.setattr(module, "batch_project", counted)
+        result = stream_sweep(spec, (TopK("iteration_time", k=1),),
+                              cluster=CLUSTER, mode="project", suite=suite,
+                              chunk_size=3, prune=True)
+        meta = result.meta["prune"]
+        assert meta["pruned_chunks"] > 0
+        assert len(calls) == meta["chunks"] - meta["empty_chunks"]
+        assert sum(calls) == meta["feasible_points"]
+
+    def test_check_validates_every_pruned_breakdown(self, monkeypatch):
+        """Under ``check``, every breakdown a prune decision reads is
+        validated once, pruned chunks included."""
+        from repro.sim import checker
+
+        rows = []
+        real = checker.validate_batch
+
+        def spy(breakdown):
+            rows.append(len(breakdown))
+            return real(breakdown)
+
+        monkeypatch.setattr(checker, "validate_batch", spy)
+        result = stream_sweep(spec_with(), (TopK("iteration_time", k=1),),
+                              cluster=CLUSTER, chunk_size=3, prune=True,
+                              check=True)
+        meta = result.meta["prune"]
+        assert meta["pruned_chunks"] > 0
+        assert len(rows) == meta["pruned_chunks"] + meta["exact_chunks"]
+        assert sum(rows) == meta["feasible_points"]
 
 
 class TestVectorizedBuffers:

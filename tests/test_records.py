@@ -133,7 +133,8 @@ def test_array_records_are_read_only_and_pickle():
                                  for _ in range(4)))
     evaluated = EvaluatedChunk(chunk.offsets, chunk.columns(), breakdown)
     bounds = MetricBounds(lower={"iteration_time": np.zeros(2)},
-                          upper={"iteration_time": np.ones(2)})
+                          upper={"iteration_time": np.ones(2)},
+                          breakdown=breakdown)
     for record in (chunk, chunk.grid, breakdown, evaluated, bounds):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(record, type(record).__slots__[0], None)

@@ -512,17 +512,13 @@ class TestArgExtremaAndCollect:
         cases = ((1.5, 4.5, True), (1.0, 4.0, False), (2.0, 5.0, False),
                  (0.5, 6.0, False), (0.0, 0.5, False))
         for lower, upper, expected in cases:
-            bounds = ChunkBounds(index=0, raw_rows=4, rows=4,
-                                 lower={"iteration_time": lower},
+            bounds = ChunkBounds(lower={"iteration_time": lower},
                                  upper={"iteration_time": upper})
             for (ext, lo, hi), want in ((incumbents, expected),
                                         (empties, False)):
                 assert extrema.can_prune(ext, bounds) is want
                 assert want == (lowest.can_prune(lo, bounds)
                                 and highest.can_prune(hi, bounds))
-            assert extrema.priority_keys(bounds) == (
-                lowest.priority_keys(bounds)
-                + highest.priority_keys(bounds))
         assert extrema.prunable == lowest.prunable == highest.prunable
 
     def test_collect_reassembles_in_offset_order(self):
